@@ -209,9 +209,19 @@ def bench_trace_overhead() -> dict:
         with tracer.span("noop"):
             pass
     per_span = (time.perf_counter() - t0) / reps
-    # Spans opened by one serial search: the root plus one per ring.
-    spans_per_search = 1 + base.rings_expanded
-    disabled_overhead = per_span * spans_per_search / disabled_t
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        with tracer.detail("noop", candidates=0):
+            pass
+    per_detail = (time.perf_counter() - t0) / reps
+    # One serial search opens the root span plus one span per scanned
+    # ring, and one no-op ring.materialize breakdown context per ring
+    # (the mask and screen breakdowns are skipped outright when off).
+    rings = base.rings_expanded + 1
+    spans_per_search = 1 + rings
+    disabled_overhead = (
+        per_span * spans_per_search + per_detail * rings
+    ) / disabled_t
 
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "trace.jsonl"
@@ -227,7 +237,9 @@ def bench_trace_overhead() -> dict:
         "case": "trace-overhead-matmul-mu6",
         "disabled_s": disabled_t,
         "disabled_span_cost_s": per_span,
+        "disabled_detail_cost_s": per_detail,
         "spans_per_search": spans_per_search,
+        "details_per_search": rings,
         "disabled_overhead_ratio": disabled_overhead,
         "enabled_s": enabled_t,
         "enabled_overhead_ratio": enabled_t / disabled_t if disabled_t else 1.0,
@@ -340,7 +352,9 @@ def main() -> int:
         f"\ntrace overhead: disabled "
         f"{overhead['disabled_overhead_ratio'] * 100:.3f}% "
         f"({overhead['spans_per_search']} spans x "
-        f"{overhead['disabled_span_cost_s'] * 1e6:.2f}us), "
+        f"{overhead['disabled_span_cost_s'] * 1e6:.2f}us + "
+        f"{overhead['details_per_search']} no-op details x "
+        f"{overhead['disabled_detail_cost_s'] * 1e6:.2f}us), "
         f"enabled {(overhead['enabled_overhead_ratio'] - 1) * 100:.1f}%"
     )
     if overhead["disabled_overhead_ratio"] > 0.02:

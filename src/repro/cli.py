@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(results are identical either way)")
     p_explore.add_argument("--batch-size", type=int, default=None,
                            metavar="N",
-                           help="candidates per vectorized batch "
+                           help="rows per vectorized batch: space designs, "
+                                "or co-rank >= 2 schedule screen chunks "
                                 "(default: engine-chosen)")
     p_explore.add_argument("--no-symmetry", action="store_true",
                            help="disable orbit collapsing under the funnel "

@@ -7,7 +7,8 @@ Implements the backbone of Sections 2-4:
 * **Theorem 2.2** — a conflict vector is feasible iff some entry
   exceeds the corresponding problem-size bound;
 * **Equation 3.2 / Theorem 3.1** — the closed-form unique conflict
-  vector for co-rank-1 mappings via the adjugate;
+  vector for co-rank-1 mappings via the adjugate, also as a batched
+  screen over stacks of candidate schedules;
 * **Theorems 4.1-4.2** — the Hermite-normal-form generator set
   ``u_{k+1}, ..., u_n`` of *all* conflict vectors;
 * two *exact* deciders used as oracles throughout the test-suite and
@@ -34,10 +35,13 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
-from ..intlin import IntVec, hnf_cached, normalize_primitive
+from ..intlin import IntMat, IntVec, as_intmat, hnf_cached, normalize_primitive
+from ..intlin.batch import batch_matmul
 from ..model import ConstantBoundedIndexSet
 from .mapping import MappingMatrix
 
@@ -46,6 +50,8 @@ __all__ = [
     "is_feasible_conflict_vector",
     "conflict_vector_corank1",
     "conflict_vector_via_adjugate",
+    "adjugate_conflict_matrix",
+    "batch_adjugate_screen",
     "conflict_generators",
     "batch_distinct_image_counts",
     "distinct_image_count",
@@ -77,7 +83,7 @@ def conflict_vector_corank1(t: MappingMatrix) -> IntVec:
     Normalized to relatively prime entries with positive first non-zero
     entry, as Section 3 fixes.  Computed from the HNF kernel (exact for
     any column arrangement); see :func:`conflict_vector_via_adjugate`
-    for the paper's literal Equation 3.2 construction.
+    for the cofactor form of Equation 3.2.
     """
     if t.corank != 1:
         raise ValueError(f"mapping has co-rank {t.corank}, expected 1")
@@ -87,32 +93,78 @@ def conflict_vector_corank1(t: MappingMatrix) -> IntVec:
 
 
 def conflict_vector_via_adjugate(t: MappingMatrix) -> IntVec:
-    """Equation 3.2 literally: ``gamma = lambda * [-B^* b ; det B]``.
+    """Equation 3.2 in cofactor form: ``gamma = Pi M``.
 
-    ``T = [B, b]`` with ``B`` the first ``n-1`` columns.  When ``B`` is
-    singular the paper's "without loss of generality" column choice is
-    realized by permuting a nonsingular ``(n-1)``-column subset into the
-    leading position and un-permuting the result.  Cross-checked in the
-    tests against :func:`conflict_vector_corank1`.
+    The paper's ``lambda * [-B^* b ; det B]`` (``B`` a nonsingular
+    ``(n-1)``-column block of ``T``) is, up to scale, the vector of
+    signed maximal minors of ``T``; :func:`adjugate_conflict_matrix`
+    expands them along the schedule row.  Normalized like
+    :func:`conflict_vector_corank1`, against which the tests check it.
     """
     if t.corank != 1:
         raise ValueError(f"mapping has co-rank {t.corank}, expected 1")
-    tm = t.matrix
-    n = t.n
-    all_rows = range(tm.nrows)
-    for drop in range(n - 1, -1, -1):
-        cols = [c for c in range(n) if c != drop]
-        b_mat = tm.submatrix(all_rows, cols)
-        det_b = b_mat.det()
-        if det_b != 0:
-            b_vec = tm.column(drop)
-            top = b_mat.adjugate().matvec(b_vec)
-            gamma = [0] * n
-            for pos, c in enumerate(cols):
-                gamma[c] = -top[pos]
-            gamma[drop] = det_b
-            return IntVec(normalize_primitive(gamma))
-    raise ValueError("mapping matrix does not have full row rank")
+    *space, pi = t.matrix.rows()
+    gamma = adjugate_conflict_matrix(space, t.n).transpose().matvec(pi)
+    if not any(gamma):
+        raise ValueError("mapping matrix does not have full row rank")
+    return IntVec(normalize_primitive(gamma))
+
+
+def adjugate_conflict_matrix(space: Sequence[Sequence[int]], n: int) -> IntMat:
+    """The ``(n, n)`` matrix ``M`` with ``gamma(Pi) = Pi M`` for ``T = [S; Pi]``.
+
+    Equation 3.2 in cofactor form: the kernel of a rank-``(n-1)``
+    ``(n-1) x n`` matrix ``T`` is spanned by its signed maximal minors
+    ``gamma_j = (-1)^j det(T without column j)``, and ``gamma == 0``
+    exactly when ``T`` is rank-deficient.  Expanding each minor along
+    the ``Pi`` row makes ``gamma`` linear in ``Pi``; row ``i`` of ``M``
+    is ``gamma(e_i)``.  ``M`` depends only on the ``n - 2`` rows of
+    ``S`` (none when ``n == 2``), so one matrix serves every candidate.
+    """
+    return _adjugate_conflict_matrix(tuple(tuple(map(int, row)) for row in space), n)
+
+
+@lru_cache(maxsize=64)
+def _adjugate_conflict_matrix(space: tuple[tuple[int, ...], ...], n: int) -> IntMat:
+    rows = [list(row) for row in space]
+    if len(rows) != n - 2:
+        raise ValueError(f"co-rank 1 needs {n - 2} space rows, got {len(rows)}")
+    adj = []
+    for i in range(n):
+        t = rows + [[int(c == i) for c in range(n)]]
+        adj.append([
+            (-1) ** j * as_intmat([r[:j] + r[j + 1:] for r in t]).det()
+            for j in range(n)
+        ])
+    return as_intmat(adj)
+
+
+def batch_adjugate_screen(
+    pis: np.ndarray, adjugate: IntMat, mu: Sequence[int]
+) -> tuple[np.ndarray, int]:
+    """Theorems 3.1 and 2.2 for a stack of co-rank-1 candidates at once.
+
+    ``adjugate`` is :func:`adjugate_conflict_matrix` of the shared space
+    mapping.  Row ``c`` of ``pis @ adjugate`` is candidate ``c``'s
+    conflict vector ``gamma`` up to scale, and ``T = [S; pis[c]]`` is
+    conflict-free iff ``|gamma_i| / gcd(gamma) > mu_i`` for some ``i``.
+    Returns ``(conflict_free, promoted)``: a boolean per row (``False``
+    for rank-deficient rows, whose ``gamma`` is zero) and the number of
+    rows whose product could not be certified int64 and was computed
+    over Python ints.  Agrees with :func:`is_conflict_free_kernel_box`
+    on every co-rank-1 mapping.
+    """
+    gamma, promoted = batch_matmul(pis, adjugate)
+    if gamma.dtype == object:
+        free = np.zeros(len(gamma), dtype=bool)
+        for c, row in enumerate(gamma.tolist()):
+            g = gcd(*row) or 1
+            free[c] = any(abs(x) // g > m for x, m in zip(row, mu))
+        return free, promoted
+    mag = np.abs(gamma)
+    g = np.maximum(np.gcd.reduce(mag, axis=1), 1)
+    mu_arr = np.array([int(m) for m in mu], dtype=np.int64)
+    return (mag // g[:, None] > mu_arr).any(axis=1), promoted
 
 
 def conflict_generators(t: MappingMatrix) -> list[IntVec]:

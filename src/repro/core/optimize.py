@@ -23,6 +23,7 @@ import logging
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -33,10 +34,14 @@ from ..intlin.batch import (
     batch_nonzero_mask,
     batch_point_images,
 )
-from ..obs import get_tracer
+from ..obs import Tracer, get_tracer
 from ..model import UniformDependenceAlgorithm
 from .conditions import ConditionVerdict, check_conflict_free
-from .conflict import batch_distinct_image_counts
+from .conflict import (
+    adjugate_conflict_matrix,
+    batch_adjugate_screen,
+    batch_distinct_image_counts,
+)
 from .mapping import MappingMatrix
 from .schedule import LinearSchedule
 from .symmetry import SymmetryGroup, symmetry_group_for
@@ -46,6 +51,7 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "STAGE_CONFLICT",
     "STAGE_DEPS",
+    "STAGE_NAMES",
     "STAGE_OK",
     "STAGE_RANK",
     "SearchResult",
@@ -65,14 +71,16 @@ STAGE_DEPS = "deps"
 STAGE_RANK = "rank"
 STAGE_CONFLICT = "conflict"
 STAGE_OK = "ok"
+#: The stage named by each ``int8`` code :meth:`BatchCandidateScanner.stages` returns.
+STAGE_NAMES = (STAGE_DEPS, STAGE_RANK, STAGE_CONFLICT, STAGE_OK)
+CODE_DEPS, CODE_RANK, CODE_CONFLICT, CODE_OK = range(len(STAGE_NAMES))
 
-#: Candidates evaluated per vectorized batch (before the memory cap).
+#: Rows per conflict-image chunk: co-rank >= 2 schedule screens and
+#: space-design batches (before the memory cap).
 DEFAULT_BATCH_SIZE = 512
 # Cap on points x candidates cells materialized per conflict-image
-# chunk (~32 MB of int64), and on the box size the vectorized ring
-# generator will materialize before falling back to the lazy walker.
+# chunk (~32 MB of int64).
 _BATCH_CELL_LIMIT = 4_194_304
-_BOX_ENUM_LIMIT = 2_000_000
 # Rings with budgets beyond this stay on the scalar path: the int64
 # sort keys and |pi_i| entries are only certified below it.
 _BATCH_MAX_BOUND = 2**31
@@ -121,7 +129,7 @@ def _warn_batch_disabled(reason: str) -> None:
     _warned_batch_reasons.add(reason)
     _logger.warning(
         "batched candidate evaluation disabled: %s; falling back to the "
-        "scalar scan (typically 7-14x slower)",
+        "scalar scan (6-47x slower on Examples 5.1/5.2 at mu 4-18)",
         reason,
     )
 
@@ -189,27 +197,20 @@ def enumerate_schedule_vectors(
             if f_min <= spent and any(prefix):
                 yield tuple(prefix)
             return
-        budget = f_max - spent
-        top = budget // mu[pos]
-        for v in range(-top, top + 1):
+        top = (f_max - spent) // mu[pos]
+        for v in range(0 if nonnegative else -top, top + 1):
             prefix.append(v)
             yield from rec(prefix, spent + abs(v) * mu[pos], pos + 1)
             prefix.pop()
 
-    def rec_nonneg(prefix: list[int], spent: int, pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            if f_min <= spent and any(prefix):
-                yield tuple(prefix)
-            return
-        budget = f_max - spent
-        top = budget // mu[pos]
-        for v in range(0, top + 1):
-            prefix.append(v)
-            yield from rec_nonneg(prefix, spent + v * mu[pos], pos + 1)
-            prefix.pop()
+    yield from rec([], 0, 0)
 
-    walker = rec_nonneg if nonnegative else rec
-    yield from walker([], 0, 0)
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(parent, offset)`` enumerating ``offset in range(counts[parent])``."""
+    parent = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return parent, np.arange(len(parent), dtype=np.int64) - starts[parent]
 
 
 @lru_cache(maxsize=8)
@@ -217,32 +218,42 @@ def _ring_candidate_array_cached(
     mu: tuple[int, ...], f_max: int, f_min: int
 ) -> np.ndarray:
     n = len(mu)
-    mu_arr = np.array(mu, dtype=np.int64)
-    tops = [f_max // m for m in mu] if f_max >= 0 else [0] * n
-    box = 1
-    for t in tops:
-        box *= 2 * t + 1
-    if 0 < box <= _BOX_ENUM_LIMIT and n > 0:
-        # Vectorized generation: materialize the bounding box and mask
-        # the ring out of it — the same candidate set the lazy walker
-        # produces, an order of magnitude faster on large rings.
-        axes = [np.arange(-t, t + 1, dtype=np.int64) for t in tops]
-        grid = np.meshgrid(*axes, indexing="ij")
-        pis = np.stack([g.ravel() for g in grid], axis=1)
-        f = np.abs(pis) @ mu_arr
-        mask = (f >= f_min) & (f <= f_max) & (pis != 0).any(axis=1)
-        pis = pis[mask]
-        f = f[mask]
+    # Non-negative magnitudes, one coordinate at a time, with the budget
+    # applied at every step; the last coordinate only takes the values
+    # that land the total in [f_min, f_max].  Work is O(shell), not
+    # O(bounding box).
+    mags = np.zeros((1, 0), dtype=np.int64)
+    f = np.zeros(1, dtype=np.int64)
+    for pos, m in enumerate(mu):
+        hi = (f_max - f) // m
+        lo = np.maximum(-((f - f_min) // m), 0) if pos == n - 1 else 0 * f
+        parent, val = _expand(np.maximum(hi - lo + 1, 0))
+        val += lo[parent]
+        mags = np.column_stack([mags[parent], val])
+        f = f[parent] + val * m
+    keep = (mags != 0).any(axis=1)  # drop the zero vector
+    pis, f = mags[keep], f[keep]
+    # Every sign pattern, one coordinate at a time: rows with a non-zero
+    # entry there gain a negated twin (zeros never flip).
+    for j in range(n):
+        flip = pis[:, j] != 0
+        twins = pis[flip]
+        twins[:, j] *= -1
+        pis = np.concatenate([pis, twins])
+        f = np.concatenate([f, f[flip]])
+    # Sort by (f, pi), LinearSchedule.sort_key order: one mixed-radix
+    # int64 key when it fits, else np.lexsort (last key sorts first).
+    tops = [max(f_max, 0) // m for m in mu]
+    scale = prod(2 * t + 1 for t in tops)
+    if (max(f_max, 0) + 1) * scale <= INT64_MAX:
+        key = f * scale
+        for j, t in enumerate(tops):
+            scale //= 2 * t + 1
+            key += (pis[:, j] + t) * scale
+        order = np.argsort(key)
     else:
-        listed = list(enumerate_schedule_vectors(mu, f_max, f_min=f_min))
-        pis = np.array(listed, dtype=np.int64).reshape(len(listed), n)
-        f = np.abs(pis) @ mu_arr
-    if len(pis):
-        # np.lexsort sorts by its *last* key first: primary key f
-        # (total time), then the vector entries lexicographically —
-        # exactly LinearSchedule.sort_key order.
-        keys = tuple(pis[:, j] for j in range(n - 1, -1, -1)) + (f,)
-        pis = np.ascontiguousarray(pis[np.lexsort(keys)])
+        order = np.lexsort(tuple(pis[:, j] for j in range(n - 1, -1, -1)) + (f,))
+    pis = np.ascontiguousarray(pis[order])
     pis.setflags(write=False)
     return pis
 
@@ -266,33 +277,42 @@ def ring_candidate_array(
 class BatchCandidateScanner:
     """Staged vectorized filter funnel over sorted candidate arrays.
 
-    Evaluates ring slices chunk-by-chunk: a vectorized ``Pi D > 0``
-    dependence mask, then a vectorized rank screen (``Pi`` against the
-    kernel basis of ``S``), then the exact vectorized conflict-image
-    screen (mixed-radix distinct-row counts of ``[S j | Pi j]`` over the
-    whole index box), with only the candidates whose int64 bounds cannot
-    be certified promoted to the scalar exact
-    :func:`~repro.core.conditions.check_conflict_free` path.  Produces
-    the same per-candidate stage code the scalar loop would, in the same
-    order — callers rebuild identical counters and pick the identical
-    winner.
+    :meth:`stages` judges a whole ring (or shard span) at once and
+    returns one ``int8`` stage code per candidate (index into
+    :data:`STAGE_NAMES`): a ``Pi D > 0`` dependence mask, a rank mask,
+    then the exact conflict screen on the survivors only.  At co-rank 1
+    (``len(S) == n - 2``) the rank mask is ``gamma(Pi) != 0`` and the
+    screen is the paper's own test on that conflict vector
+    (:func:`~repro.core.conflict.batch_adjugate_screen`, Theorems 3.1 and
+    2.2).  Other co-ranks test ``Pi`` against the kernel basis of ``S``
+    and screen by mixed-radix distinct-image counts of ``[S j | Pi j]``
+    over the index box, in memory-capped chunks of at most
+    ``batch_size`` rows.  Rows whose int64 bounds cannot be certified
+    take the exact arbitrary-precision route.  The codes are the ones
+    the scalar loop would assign, so callers rebuild identical counters
+    and pick the identical winner.
 
     Only valid where :func:`batch_supported` holds; the screen *is* the
     exact conflict decider there.
 
     Two optional pruners ride on top without changing any stage code:
 
-    * ``symmetry`` — a :class:`repro.core.symmetry.SymmetryGroup`; each
-      chunk is canonicalized to orbit representatives, only fresh
-      representatives run the funnel, and every member's stage is
-      rehydrated from the representative's memoized result (valid
-      because the group construction certifies stage invariance).
+    * ``symmetry`` — a :class:`repro.core.symmetry.SymmetryGroup`; the
+      rows that reach the screen are canonicalized to orbit
+      representatives, each distinct representative is screened once,
+      and every member takes its verdict (valid because the group
+      construction certifies stage invariance).
     * ``min_feasible_f`` — an LP-relaxation lower bound on the budget of
       any conflict-free candidate
       (:func:`repro.core.ilp_formulation.schedule_lower_bound`);
       dependence/rank survivors below it are assigned
       :data:`STAGE_CONFLICT` directly, which is exactly the verdict the
       skipped screen would have computed.
+
+    ``tracer`` receives one ``ring.mask`` and one ``ring.screen`` span
+    per :meth:`stages` call (default: the process-wide tracer), and the
+    work telemetry (``batches_evaluated``, ``conflict_screens``, ...)
+    accumulates in ``stats`` (default: a fresh :class:`SearchStats`).
     """
 
     def __init__(
@@ -304,6 +324,8 @@ class BatchCandidateScanner:
         batch_size: int | None = None,
         symmetry: SymmetryGroup | None = None,
         min_feasible_f: int | None = None,
+        tracer: Tracer | None = None,
+        stats: SearchStats | None = None,
     ) -> None:
         self.algorithm = algorithm
         self.space_rows = tuple(as_intvec(row) for row in space)
@@ -312,16 +334,12 @@ class BatchCandidateScanner:
         if size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.batch_size = size
-        self.batches_evaluated = 0
-        self.fastpath_promotions = 0
-        self.orbits_collapsed = 0
-        self.candidates_skipped = 0
-        self.conflict_screens = 0
+        self.tracer = tracer
+        self.stats = SearchStats() if stats is None else stats
         self.symmetry = (
             symmetry if symmetry is not None and symmetry.order > 1 else None
         )
         self.min_feasible_f = min_feasible_f
-        self._orbit_memo: dict[tuple[int, ...], str] = {}
         self._mu_arr = np.array([int(m) for m in algorithm.mu], dtype=np.int64)
         self.n = algorithm.n
         self.k = len(self.space_rows) + 1
@@ -333,12 +351,18 @@ class BatchCandidateScanner:
         self._dep_mat: IntMat | None = (
             as_intmat([list(row) for row in zip(*deps)]) if deps else None
         )
+        # _rank_mat: Pi passes the rank test iff Pi @ _rank_mat != 0;
+        # None with _rank_fail False means every Pi passes.
+        self._adjugate: IntMat | None = None
+        self._rank_mat: IntMat | None = None
+        self._rank_fail = False
         self._s_mat: IntMat | None = None
-        self._kernel: IntMat | None = None
-        if self.k == 1:
-            # No space rows: rank([Pi]) == 1 for every (non-zero) candidate.
-            self._rank_mode = "all-pass"
-        else:
+        if self.n - self.k == 1:
+            # gamma(Pi) = Pi @ M spans the kernel of [S; Pi], and is zero
+            # exactly when [S; Pi] is rank-deficient.
+            self._adjugate = adjugate_conflict_matrix(self.space_rows, self.n)
+            self._rank_mat = self._adjugate
+        elif self.k > 1:
             self._s_mat = as_intmat([list(row) for row in self.space_rows])
             kernel_cols = (
                 kernel_basis(self._s_mat)
@@ -346,141 +370,133 @@ class BatchCandidateScanner:
                 else []
             )
             if kernel_cols:
-                self._rank_mode = "kernel"
-                self._kernel = as_intmat(
+                self._rank_mat = as_intmat(
                     [list(row) for row in zip(*[list(c) for c in kernel_cols])]
                 )
             else:
                 # Row-deficient S (or S already spanning Q^n): no Pi can
                 # lift [S; Pi] to rank k.
-                self._rank_mode = "all-fail"
-        self._conflict_ready = False
-        self._pts: np.ndarray | None = None
-        self._n_pts = 0
-        self._fixed: np.ndarray | None = None
-        self._col_thr = INT64_MAX
+                self._rank_fail = True
+        # (points, their S-images, certified |pi| bound), built on first use.
+        self._box: tuple[np.ndarray, np.ndarray, int] | None = None
 
-    def _prepare_conflict(self) -> None:
-        pts = self.algorithm.index_set.points_array()
-        self._pts = pts
-        self._n_pts = pts.shape[0]
-        if self.k == 1:
-            self._fixed = np.empty((pts.shape[0], 0), dtype=np.int64)
-        else:
-            assert self._s_mat is not None
-            self._fixed = self._s_mat.image_of_points(pts)
-        pts_max = int(np.abs(pts).max(initial=0))
-        bound = pts_max * max(1, self.n)
-        self._col_thr = INT64_MAX if bound == 0 else INT64_MAX // bound
-        self._conflict_ready = True
+    def stages(self, pis: np.ndarray, *, stop_at_ok: bool = False) -> np.ndarray:
+        """``int8`` stage codes for the rows of ``pis``, in order.
 
-    def _scalar_conflict(self, pi_row: np.ndarray) -> str:
-        self.fastpath_promotions += 1
-        t = MappingMatrix(
-            space=self.space_rows,
-            schedule=tuple(int(v) for v in pi_row),
-        )
-        verdict = check_conflict_free(t, self.algorithm.mu, method=self.method)
-        return STAGE_OK if verdict.holds else STAGE_CONFLICT
+        With ``stop_at_ok`` the chunked image screen (co-rank >= 2)
+        stops after the chunk holding the first conflict-free
+        representative, and the result covers only the prefix of
+        ``pis`` whose codes are final (at least one row when ``pis`` is
+        non-empty).  The adjugate screen is cheap enough to always judge
+        every row.
+        """
+        tracer = self.tracer if self.tracer is not None else get_tracer()
+        self.stats.batches_evaluated += int(len(pis) > 0)
+        codes = np.full(len(pis), CODE_DEPS, dtype=np.int8)
+        if not tracer.enabled:  # keep the untraced hot path span-free
+            idx = self._masks(pis, codes)
+            return codes[: self._screen(pis, idx, codes, stop_at_ok)]
+        with tracer.span("ring.mask", candidates=len(pis)):
+            idx = self._masks(pis, codes)
+        with tracer.span("ring.screen", candidates=int(idx.size)):
+            return codes[: self._screen(pis, idx, codes, stop_at_ok)]
 
-    def _stages_for_chunk(self, chunk: np.ndarray) -> list[str]:
-        self.batches_evaluated += 1
-        if self.symmetry is None:
-            return self._evaluate_rows(chunk)
-        # Orbit collapse: evaluate each fresh representative once, then
-        # rehydrate every member's stage from the memo.  Representatives
-        # share the member's budget f (mu-compatibility), so memo entries
-        # are only ever hit within their own ring.
-        keys = [tuple(row) for row in self.symmetry.canonicalize_rows(chunk).tolist()]
-        memo = self._orbit_memo
-        fresh: list[tuple[int, ...]] = []
-        fresh_seen: set[tuple[int, ...]] = set()
-        for key in keys:
-            if key not in memo and key not in fresh_seen:
-                fresh_seen.add(key)
-                fresh.append(key)
-        if fresh:
-            stages = self._evaluate_rows(np.array(fresh, dtype=np.int64))
-            for key, stage in zip(fresh, stages):
-                memo[key] = stage
-        self.orbits_collapsed += len(keys) - len(fresh)
-        return [memo[key] for key in keys]
-
-    def _evaluate_rows(self, chunk: np.ndarray) -> list[str]:
-        m = len(chunk)
-        stages = [STAGE_DEPS] * m
-        if self._dep_mat is None:
-            dep_mask = np.ones(m, dtype=bool)
-        else:
-            dep_mask, promoted = batch_dependence_mask(chunk, self._dep_mat)
-            self.fastpath_promotions += promoted
-        if self._rank_mode == "all-fail":
-            for i in np.nonzero(dep_mask)[0]:
-                stages[i] = STAGE_RANK
-            return stages
-        if self._rank_mode == "kernel":
-            assert self._kernel is not None
-            rank_mask, promoted = batch_nonzero_mask(chunk, self._kernel)
-            self.fastpath_promotions += promoted
-        else:
-            rank_mask = np.ones(m, dtype=bool)
-        for i in np.nonzero(dep_mask & ~rank_mask)[0]:
-            stages[i] = STAGE_RANK
-        survivors = np.nonzero(dep_mask & rank_mask)[0]
-        if survivors.size == 0:
-            return stages
+    def _masks(self, pis: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Dependence, rank and LP-bound masks into ``codes``; returns
+        the indices of the rows left for the conflict screen."""
+        idx = np.arange(len(pis))
+        if self._dep_mat is not None and idx.size:
+            dep_mask, promoted = batch_dependence_mask(pis, self._dep_mat)
+            self.stats.fastpath_promotions += promoted
+            idx = idx[dep_mask]
+        codes[idx] = CODE_RANK
+        if self._rank_fail:
+            return idx[:0]
+        if self._rank_mat is not None and idx.size:
+            rank_mask, promoted = batch_nonzero_mask(pis[idx], self._rank_mat)
+            self.stats.fastpath_promotions += promoted
+            idx = idx[rank_mask]
         if self.k == self.n:
             # Co-rank 0: a full-rank square mapping is injective on Z^n.
-            for i in survivors:
-                stages[i] = STAGE_OK
-            return stages
-        if self.min_feasible_f is not None:
-            # Budgets below the LP bound cannot be conflict-free; assign
-            # the screen's inevitable verdict without running it.
-            f_vals = np.abs(chunk[survivors]) @ self._mu_arr
-            below = f_vals < self.min_feasible_f
-            if below.any():
-                for i in survivors[below]:
-                    stages[i] = STAGE_CONFLICT
-                self.candidates_skipped += int(below.sum())
-                survivors = survivors[~below]
-                if survivors.size == 0:
-                    return stages
-        self.conflict_screens += int(survivors.size)
-        if not self._conflict_ready:
-            self._prepare_conflict()
-        assert self._pts is not None and self._fixed is not None
-        sub = chunk[survivors]
-        vec_max = np.abs(sub).max(axis=1, initial=0)
-        certified = vec_max <= self._col_thr
-        if self._fixed.dtype == object:
+            codes[idx] = CODE_OK
+            return idx[:0]
+        codes[idx] = CODE_CONFLICT
+        if self.min_feasible_f is not None and idx.size:
+            # Budgets below the LP bound cannot be conflict-free; they
+            # keep the screen's inevitable verdict without running it.
+            below = np.abs(pis[idx]) @ self._mu_arr < self.min_feasible_f
+            self.stats.candidates_skipped += int(below.sum())
+            idx = idx[~below]
+        return idx
+
+    def _screen(
+        self, pis: np.ndarray, idx: np.ndarray, codes: np.ndarray, stop_at_ok: bool
+    ) -> int:
+        """Screen rows ``idx`` into ``codes``; returns the final prefix length."""
+        if idx.size == 0:
+            return len(codes)
+        reps = pis[idx]
+        inverse = np.arange(idx.size)
+        if self.symmetry is not None:
+            canon = self.symmetry.canonicalize_rows(reps)
+            reps, first, inverse = np.unique(
+                canon, axis=0, return_index=True, return_inverse=True
+            )
+            # Renumber representatives by first occurrence, so a lazy
+            # screen decides the earliest rows first.
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            reps, inverse = reps[order], rank[inverse.reshape(-1)]
+        verdict = np.full(len(reps), -1, dtype=np.int8)
+        if self._adjugate is not None:
+            free, promoted = batch_adjugate_screen(reps, self._adjugate, self.algorithm.mu)
+            self.stats.fastpath_promotions += promoted
+            verdict[:] = np.where(free, CODE_OK, CODE_CONFLICT)
+            screened = len(reps)
+        else:
+            for start in range(0, len(reps), self._chunk):
+                screened = min(start + self._chunk, len(reps))
+                verdict[start:screened] = self._image_screen(reps[start:screened])
+                if stop_at_ok and (verdict[start:screened] == CODE_OK).any():
+                    break
+        self.stats.conflict_screens += screened
+        self.stats.orbits_collapsed += int((inverse < screened).sum()) - screened
+        codes[idx] = verdict[inverse]
+        pending = np.flatnonzero(inverse >= screened)
+        return int(idx[pending[0]]) if pending.size else len(codes)
+
+    def _image_screen(self, reps: np.ndarray) -> np.ndarray:
+        """Conflict verdicts by distinct images of the index box."""
+        if self._box is None:
+            pts = self.algorithm.index_set.points_array()
+            fixed = (
+                np.empty((len(pts), 0), dtype=np.int64)
+                if self._s_mat is None
+                else self._s_mat.image_of_points(pts)
+            )
+            bound = int(np.abs(pts).max(initial=0)) * max(1, self.n)
+            self._box = (pts, fixed, INT64_MAX if bound == 0 else INT64_MAX // bound)
+        pts, fixed, col_thr = self._box
+        verdict = np.full(len(reps), CODE_CONFLICT, dtype=np.int8)
+        certified = np.abs(reps).max(axis=1, initial=0) <= col_thr
+        if fixed.dtype == object:
             certified[:] = False
-        fast_idx = survivors[certified]
-        scalar_idx = list(survivors[~certified])
-        if fast_idx.size:
-            t_cols, _ = batch_point_images(self._pts, chunk[fast_idx])
-            counts = batch_distinct_image_counts(self._fixed, t_cols[:, :, None])
-            for pos, i in enumerate(fast_idx):
-                if counts[pos] < 0:
-                    scalar_idx.append(i)
-                elif counts[pos] == self._n_pts:
-                    stages[i] = STAGE_OK
-                else:
-                    stages[i] = STAGE_CONFLICT
-        for i in scalar_idx:
-            stages[i] = self._scalar_conflict(chunk[i])
-        return stages
-
-    def iter_stages(
-        self, pis: np.ndarray
-    ) -> Iterator[tuple[int, list[str]]]:
-        """Yield ``(offset, stage_codes)`` per chunk, lazily in order.
-
-        Laziness lets the serial search stop evaluating a ring the
-        moment the winner's chunk is consumed.
-        """
-        for start in range(0, len(pis), self._chunk):
-            yield start, self._stages_for_chunk(pis[start : start + self._chunk])
+        fast = np.flatnonzero(certified)
+        exact = np.flatnonzero(~certified).tolist()
+        if fast.size:
+            t_cols, _ = batch_point_images(pts, reps[fast])
+            counts = batch_distinct_image_counts(fixed, t_cols[:, :, None])
+            verdict[fast[counts == len(pts)]] = CODE_OK
+            exact.extend(fast[counts < 0].tolist())
+        for i in exact:
+            self.stats.fastpath_promotions += 1
+            t = MappingMatrix(
+                space=self.space_rows, schedule=tuple(int(v) for v in reps[i])
+            )
+            if check_conflict_free(t, self.algorithm.mu, method=self.method).holds:
+                verdict[i] = CODE_OK
+        return verdict
 
 
 def search_bounds(
@@ -556,8 +572,9 @@ def procedure_5_1(
         exists for cross-checking and diagnosis, not for different
         answers.
     batch_size:
-        Candidates per vectorized batch (default
-        :data:`DEFAULT_BATCH_SIZE`, memory-capped per chunk).
+        Representatives per co-rank >= 2 image-screen chunk (default
+        :data:`DEFAULT_BATCH_SIZE`, memory-capped); rings are otherwise
+        judged whole.
     symmetry:
         Collapse candidates related by the funnel's signed-permutation
         symmetry group (:mod:`repro.core.symmetry`) onto one orbit
@@ -584,7 +601,6 @@ def procedure_5_1(
     # Pre-normalized IntVec rows: MappingMatrix construction inside the
     # candidate loop then reuses them as-is instead of re-validating.
     space_rows = tuple(as_intvec(row) for row in space)
-    k = len(space_rows) + 1
     alpha, initial_bound, max_bound = search_bounds(
         algorithm, alpha=alpha, initial_bound=initial_bound, max_bound=max_bound
     )
@@ -603,21 +619,18 @@ def procedure_5_1(
         from .ilp_formulation import schedule_lower_bound
 
         min_f, bound_reason = schedule_lower_bound(algorithm, space_rows)
-    scanner = (
-        BatchCandidateScanner(
-            algorithm,
-            space_rows,
-            method=method,
-            batch_size=batch_size,
-            symmetry=group,
-            min_feasible_f=min_f,
-        )
-        if use_batch
-        else None
-    )
-
     tracer = get_tracer()
     stats = SearchStats()
+    if use_batch:
+        stages = BatchCandidateScanner(
+            algorithm, space_rows, method=method, batch_size=batch_size,
+            symmetry=group, min_feasible_f=min_f, stats=stats,
+        ).stages
+    else:
+        stages = _scalar_stages(
+            algorithm, space_rows, method=method, symmetry=group,
+            min_feasible_f=min_f, stats=stats,
+        )
     if disabled_reason is not None:
         stats.batch_disabled_reason = disabled_reason
         _warn_batch_disabled(disabled_reason)
@@ -641,7 +654,6 @@ def procedure_5_1(
     )
     if disabled_reason is not None:
         root.set(batch_disabled_reason=disabled_reason)
-    scalar_memo: dict[tuple[int, ...], str] = {}
     with root:
         while x_prev < max_bound and result is None:
             f_hi = min(x, max_bound)
@@ -655,37 +667,19 @@ def procedure_5_1(
                 if min_f is not None and f_hi < min_f:
                     stats.rings_bounded_out += 1
                     ring_span.set(bounded_out=True)
-                if scanner is not None:
-                    winner = _scan_ring_batched(
-                        scanner,
-                        algorithm,
-                        space_rows,
-                        mu,
-                        method,
-                        extra_constraint,
-                        f_min=x_prev + 1,
-                        f_max=f_hi,
-                        stats=stats,
-                        examined=examined,
-                    )
-                else:
-                    winner = _scan_ring_scalar(
-                        algorithm,
-                        space_rows,
-                        k,
-                        mu,
-                        method,
-                        extra_constraint,
-                        f_min=x_prev + 1,
-                        f_max=f_hi,
-                        stats=stats,
-                        examined=examined,
-                        symmetry=group,
-                        min_f=min_f,
-                        memo=scalar_memo,
-                    )
-                examined, ring_size, found = winner
-                ring_span.set(candidates=ring_size)
+                with tracer.detail("ring.materialize"):
+                    if use_batch:
+                        ring = ring_candidate_array(mu, f_hi, f_min=x_prev + 1)
+                    else:
+                        ring = sorted(
+                            enumerate_schedule_vectors(mu, f_hi, f_min=x_prev + 1),
+                            key=lambda pi: (sum(abs(v) * m for v, m in zip(pi, mu)), pi),
+                        )
+                examined, found = _scan_ring(
+                    stages, ring, algorithm, space_rows, method, extra_constraint,
+                    stats=stats, examined=examined,
+                )
+                ring_span.set(candidates=len(ring))
                 if found is not None:
                     cand, t, verdict = found
                     stats.rings_expanded = rings
@@ -713,12 +707,6 @@ def procedure_5_1(
             rings_expanded=rings,
             stats=stats,
         )
-    if scanner is not None:
-        stats.batches_evaluated = scanner.batches_evaluated
-        stats.fastpath_promotions = scanner.fastpath_promotions
-        stats.orbits_collapsed += scanner.orbits_collapsed
-        stats.candidates_skipped += scanner.candidates_skipped
-        stats.conflict_screens += scanner.conflict_screens
     # stats is shared with the result; the frozen dataclass holds the
     # reference, so deriving wall_time from the span after construction
     # is visible to callers.
@@ -728,163 +716,116 @@ def procedure_5_1(
 
 
 _RingWinner = tuple[LinearSchedule, MappingMatrix, ConditionVerdict]
+_StageFn = Callable[..., np.ndarray]
 
 
-def _scan_ring_scalar(
+def _scalar_stages(
     algorithm: UniformDependenceAlgorithm,
-    space_rows: tuple,
-    k: int,
-    mu: Sequence[int],
-    method: str,
-    extra_constraint: Callable[[MappingMatrix], bool] | None,
+    space: Sequence[Sequence[int]],
     *,
-    f_min: int,
-    f_max: int,
+    method: str,
+    symmetry: SymmetryGroup | None,
+    min_feasible_f: int | None,
     stats: SearchStats,
-    examined: int,
-    symmetry: SymmetryGroup | None = None,
-    min_f: int | None = None,
-    memo: dict[tuple[int, ...], str] | None = None,
-) -> tuple[int, int, _RingWinner | None]:
-    """One-ring scalar scan; returns (examined, ring size, winner).
+) -> _StageFn:
+    """The one-candidate-at-a-time funnel, shaped like
+    :meth:`BatchCandidateScanner.stages`.
 
-    With ``symmetry`` each orbit representative is judged once and the
-    outcome replayed for every member; with ``min_f`` the conflict
-    screen is skipped (verdict "conflict" pre-assigned) below the LP
-    bound.  Both replicate the unpruned loop's counters exactly.
+    Judges rows in order with the scalar predicates and
+    :func:`check_conflict_free`; ``stop_at_ok`` stops right after the
+    first conflict-free row.  Pruning matches the batched funnel: below
+    ``min_feasible_f`` the conflict check is skipped, and with
+    ``symmetry`` the rows that reach the check are canonicalized so each
+    orbit representative is checked once (memoized for the function's
+    lifetime).  Pruning telemetry accumulates in ``stats``.
     """
-    ring: list[LinearSchedule] = [
-        LinearSchedule(pi=pi, index_set=algorithm.index_set)
-        for pi in enumerate_schedule_vectors(mu, f_max, f_min=f_min)
-    ]
-    stats.candidates_enumerated += len(ring)
-    ring.sort(key=LinearSchedule.sort_key)
-    use_sym = symmetry is not None and symmetry.order > 1
-    if memo is None:
-        memo = {}
+    space_rows = tuple(as_intvec(row) for row in space)
+    k = len(space_rows) + 1
+    memo: dict[tuple[int, ...], int] = {}
 
-    def judge(pi: tuple[int, ...]) -> str:
+    def judge(pi: tuple[int, ...]) -> int:
         sched = LinearSchedule(pi=pi, index_set=algorithm.index_set)
         if not sched.respects(algorithm):
-            return STAGE_DEPS
-        t_rep = MappingMatrix(space=space_rows, schedule=pi)
-        if t_rep.rank() != k:
-            return STAGE_RANK
-        if min_f is not None and sched.f < min_f:
+            return CODE_DEPS
+        if MappingMatrix(space=space_rows, schedule=pi).rank() != k:
+            return CODE_RANK
+        if min_feasible_f is not None and sched.f < min_feasible_f:
             stats.candidates_skipped += 1
-            return STAGE_CONFLICT
-        stats.conflict_screens += 1
-        holds = check_conflict_free(t_rep, mu, method=method).holds
-        return STAGE_OK if holds else STAGE_CONFLICT
-
-    for cand in ring:
-        if use_sym:
-            assert symmetry is not None
-            rep = symmetry.canonicalize(cand.pi)
-            outcome = memo.get(rep)
-            if outcome is None:
-                outcome = judge(rep)
-                memo[rep] = outcome
-            else:
-                stats.orbits_collapsed += 1
-            if outcome == STAGE_DEPS:
-                stats.candidates_pruned += 1
-                continue
-            examined += 1
-            if outcome == STAGE_RANK:
-                stats.candidates_pruned += 1
-                continue
-            stats.candidates_checked += 1
-            if outcome == STAGE_CONFLICT:
-                stats.conflicts_rejected += 1
-                continue
-            # The orbit representative is conflict-free, hence (by the
-            # group's stage invariance) so is this member; its own
-            # verdict object is still computed so the returned result is
-            # the very one the unpruned loop produces.
-            t = MappingMatrix(space=space_rows, schedule=cand.pi)
+            return CODE_CONFLICT
+        rep = pi if symmetry is None else symmetry.canonicalize(pi)
+        if rep in memo:
+            stats.orbits_collapsed += 1
+        else:
             stats.conflict_screens += 1
-            verdict = check_conflict_free(t, mu, method=method)
-            if not verdict.holds:  # pragma: no cover - orbit invariance
-                stats.conflicts_rejected += 1
-                continue
-            if extra_constraint is not None and not extra_constraint(t):
-                continue
-            return examined, len(ring), (cand, t, verdict)
-        if not cand.respects(algorithm):
-            stats.candidates_pruned += 1
-            continue
-        t = MappingMatrix(space=space_rows, schedule=cand.pi)
-        examined += 1
-        if t.rank() != k:
-            stats.candidates_pruned += 1
-            continue
-        stats.candidates_checked += 1
-        if min_f is not None and cand.f < min_f:
-            # The LP bound proves the screen would reject; record the
-            # rejection it would have produced.
-            stats.candidates_skipped += 1
-            stats.conflicts_rejected += 1
-            continue
-        stats.conflict_screens += 1
-        verdict = check_conflict_free(t, mu, method=method)
-        if not verdict.holds:
-            stats.conflicts_rejected += 1
-            continue
-        if extra_constraint is not None and not extra_constraint(t):
-            continue
-        return examined, len(ring), (cand, t, verdict)
-    return examined, len(ring), None
+            t = MappingMatrix(space=space_rows, schedule=rep)
+            holds = check_conflict_free(t, algorithm.mu, method=method).holds
+            memo[rep] = CODE_OK if holds else CODE_CONFLICT
+        return memo[rep]
+
+    def stages(rows: Sequence[Sequence[int]], *, stop_at_ok: bool = False) -> np.ndarray:
+        codes = []
+        for row in rows:
+            codes.append(judge(tuple(int(v) for v in row)))
+            if stop_at_ok and codes[-1] == CODE_OK:
+                break
+        return np.array(codes, dtype=np.int8)
+
+    return stages
 
 
-def _scan_ring_batched(
-    scanner: BatchCandidateScanner,
+def _scan_ring(
+    stages: _StageFn,
+    ring: Sequence[Sequence[int]],
     algorithm: UniformDependenceAlgorithm,
     space_rows: tuple,
-    mu: Sequence[int],
     method: str,
     extra_constraint: Callable[[MappingMatrix], bool] | None,
     *,
-    f_min: int,
-    f_max: int,
     stats: SearchStats,
     examined: int,
-) -> tuple[int, int, _RingWinner | None]:
-    """One-ring batched scan, counter-compatible with the scalar scan.
+) -> tuple[int, _RingWinner | None]:
+    """One sorted ring through a stage function; returns (examined, winner).
 
-    Stage codes come from the vectorized funnel, but counters follow
-    the scalar loop's prefix semantics exactly: they accumulate only up
-    to (and including) the winning candidate, and the winner's verdict
-    is recomputed by the scalar :func:`check_conflict_free` so the
-    returned :class:`ConditionVerdict` is the very object the scalar
-    path would produce.
+    Counters follow the scalar loop's prefix semantics exactly: they are
+    tallied from the stage codes only up to (and including) the winning
+    candidate, and the winner's verdict is recomputed by the scalar
+    :func:`check_conflict_free`, so the returned
+    :class:`ConditionVerdict` is the same whichever funnel judged it.
     """
-    pis = ring_candidate_array(mu, f_max, f_min=f_min)
-    stats.candidates_enumerated += len(pis)
-    for start, stage_codes in scanner.iter_stages(pis):
-        for offset, stage in enumerate(stage_codes):
-            if stage == STAGE_DEPS:
-                stats.candidates_pruned += 1
-                continue
-            examined += 1
-            if stage == STAGE_RANK:
-                stats.candidates_pruned += 1
-                continue
-            stats.candidates_checked += 1
-            if stage == STAGE_CONFLICT:
+    stats.candidates_enumerated += len(ring)
+    pos = 0
+    while True:
+        codes = stages(ring[pos:], stop_at_ok=True)
+        for i in np.flatnonzero(codes == CODE_OK).tolist():
+            pi = tuple(int(v) for v in ring[pos + i])
+            t = MappingMatrix(space=space_rows, schedule=pi)
+            verdict = check_conflict_free(t, algorithm.mu, method=method)
+            if not verdict.holds:  # pragma: no cover - screens are exact
                 stats.conflicts_rejected += 1
                 continue
-            pi = tuple(int(v) for v in pis[start + offset])
-            cand = LinearSchedule(pi=pi, index_set=algorithm.index_set)
-            t = MappingMatrix(space=space_rows, schedule=cand.pi)
-            verdict = check_conflict_free(t, mu, method=method)
-            if not verdict.holds:  # pragma: no cover - screen is exact
-                stats.conflicts_rejected += 1
-                continue
-            if extra_constraint is not None and not extra_constraint(t):
-                continue
-            return examined, len(pis), (cand, t, verdict)
-    return examined, len(pis), None
+            if extra_constraint is None or extra_constraint(t):
+                examined = _tally_stage_codes(stats, codes[: i + 1], examined)
+                cand = LinearSchedule(pi=pi, index_set=algorithm.index_set)
+                return examined, (cand, t, verdict)
+        examined = _tally_stage_codes(stats, codes, examined)
+        pos += len(codes)
+        if pos >= len(ring):
+            return examined, None
+
+
+def _tally_stage_codes(stats: SearchStats, codes: np.ndarray, examined: int) -> int:
+    """Add a run of visited stage codes to the prefix counters.
+
+    The scalar loop's accounting, by code: ``deps`` and ``rank`` are
+    pruned, every code past ``deps`` is examined, ``conflict`` and
+    ``ok`` are checked, ``conflict`` is rejected.  Returns the updated
+    ``examined`` count.
+    """
+    deps, rank, conflict, ok = np.bincount(codes, minlength=len(STAGE_NAMES)).tolist()
+    stats.candidates_pruned += deps + rank
+    stats.candidates_checked += conflict + ok
+    stats.conflicts_rejected += conflict
+    return examined + len(codes) - deps
 
 
 def find_all_optima(

@@ -52,8 +52,10 @@ import numpy as np
 from ..core.conditions import check_conflict_free
 from ..core.mapping import MappingMatrix
 from ..core.optimize import (
+    STAGE_NAMES,
     BatchCandidateScanner,
     SearchResult,
+    _scalar_stages,
     _warn_batch_disabled,
     batch_disabled_reason,
     batch_supported,
@@ -62,7 +64,7 @@ from ..core.optimize import (
 )
 from ..core.schedule import LinearSchedule
 from ..core.symmetry import SymmetryGroup, symmetry_group_for
-from ..intlin import as_intvec
+from ..intlin import INT64_MAX, as_intvec
 from ..core.space_optimize import (
     SpaceDesign,
     SpaceOptimizationResult,
@@ -81,7 +83,7 @@ from ..model import (
     validate_space,
     validate_vector,
 )
-from ..obs import Span, get_tracer
+from ..obs import Span, Tracer, get_tracer
 from ..systolic.cost import ArrayCost, evaluate_cost
 from .cache import ResultCache, canonical_key
 from .checkpoint import CheckpointJournal, RunBudget, RunControl
@@ -303,21 +305,23 @@ def joint_run_params(
 # -- shard workers (module level: must pickle under ProcessPoolExecutor) ----
 
 
-def _shard_span(payload: dict, kind: str, candidates: int) -> Span:
-    """The worker-side span timing one whole shard.
+def _shard_span(payload: dict, kind: str, candidates: int) -> tuple[Tracer, Span]:
+    """The worker-side span timing one whole shard, with its tracer.
 
-    Standalone (no tracer): its monotonic duration *is* the shard's
-    reported ``wall_time``, and when the parent asked for tracing
-    (``payload["trace"]``) its record travels back in the output for
+    The span's monotonic duration *is* the shard's reported
+    ``wall_time``.  The tracer is worker-local and enabled only when the
+    parent asked for tracing (``payload["trace"]``); then the shard span
+    and every child span opened under it travel back in the output for
     :meth:`~repro.obs.Tracer.absorb` to merge under the parent trace.
     """
-    return Span("dse.shard", attrs={"kind": kind, "candidates": candidates})
+    tracer = Tracer(enabled=bool(payload.get("trace")))
+    return tracer, tracer.span("dse.shard", kind=kind, candidates=candidates)
 
 
-def _shard_output(span: Span, payload: dict, data_key: str, data: list) -> dict:
+def _shard_output(tracer: Tracer, span: Span, data_key: str, data: list) -> dict:
     out = {data_key: data, "wall_time": span.duration}
-    if payload.get("trace"):
-        out["spans"] = [span.to_record()]
+    if tracer.enabled:
+        out["spans"] = tracer.records()
     return out
 
 
@@ -328,11 +332,8 @@ def _candidate_keys(
     if len(chunk) == 0:
         return []
     mu_arr = np.array([int(m) for m in mu], dtype=np.int64)
-    f = np.abs(chunk) @ mu_arr
-    return [
-        (int(f[i]) + 1, tuple(int(v) for v in chunk[i]))
-        for i in range(len(chunk))
-    ]
+    times = (np.abs(chunk) @ mu_arr + 1).tolist()
+    return list(zip(times, map(tuple, chunk.tolist())))
 
 
 def _shard_symmetry(payload: dict, algo: UniformDependenceAlgorithm):
@@ -374,74 +375,32 @@ def _scan_schedule_shard(payload: dict) -> dict:
     method = payload["method"]
     f_min, f_max = payload["ring"]
     start, stop = payload["span"]
-    chunk = ring_candidate_array(algo.mu, f_max, f_min=f_min)[start:stop]
-    records: list[tuple[tuple[int, tuple[int, ...]], str]] = []
-    batches = promotions = 0
-    orbits = skipped = screens = 0
     group = _shard_symmetry(payload, algo)
     min_f = payload.get("min_f")
-    span = _shard_span(payload, "schedule", len(chunk))
+    local = SearchStats()
+    tracer, span = _shard_span(payload, "schedule", stop - start)
     with span:
+        with tracer.detail("ring.materialize"):
+            chunk = ring_candidate_array(algo.mu, f_max, f_min=f_min)[start:stop]
         if payload.get("batch"):
-            scanner = BatchCandidateScanner(
+            stages = BatchCandidateScanner(
                 algo, space, method=method,
                 batch_size=payload.get("batch_size"),
-                symmetry=group, min_feasible_f=min_f,
-            )
-            keys = _candidate_keys(chunk, algo.mu)
-            for offset, stages in scanner.iter_stages(chunk):
-                for i, stage in enumerate(stages):
-                    records.append((keys[offset + i], stage))
-            batches = scanner.batches_evaluated
-            promotions = scanner.fastpath_promotions
-            orbits = scanner.orbits_collapsed
-            skipped = scanner.candidates_skipped
-            screens = scanner.conflict_screens
+                symmetry=group, min_feasible_f=min_f, tracer=tracer, stats=local,
+            ).stages
         else:
-            k = len(space) + 1
-            memo: dict[tuple[int, ...], str] = {}
-            for row in chunk:
-                pi = tuple(int(v) for v in row)
-                cand = LinearSchedule(pi=pi, index_set=algo.index_set)
-                key = cand.sort_key()
-                rep = None
-                if group is not None:
-                    rep = group.canonicalize(pi)
-                    hit = memo.get(rep)
-                    if hit is not None:
-                        orbits += 1
-                        records.append((key, hit))
-                        continue
-                if not cand.respects(algo):
-                    stage = _DEPS
-                else:
-                    t = MappingMatrix(space=space, schedule=pi)
-                    if t.rank() != k:
-                        stage = _RANK
-                    elif min_f is not None and key[0] - 1 < min_f:
-                        # Below the LP lower bound no candidate can be
-                        # conflict-free: the screen's verdict, without
-                        # running the screen.
-                        skipped += 1
-                        stage = _CONFLICT
-                    else:
-                        screens += 1
-                        stage = (
-                            _OK
-                            if check_conflict_free(
-                                t, algo.mu, method=method
-                            ).holds
-                            else _CONFLICT
-                        )
-                if rep is not None:
-                    memo[rep] = stage
-                records.append((key, stage))
-    out = _shard_output(span, payload, "records", records)
-    out["batches"] = batches
-    out["promotions"] = promotions
-    out["orbits"] = orbits
-    out["skipped"] = skipped
-    out["screens"] = screens
+            stages = _scalar_stages(
+                algo, space, method=method, symmetry=group,
+                min_feasible_f=min_f, stats=local,
+            )
+        names = [STAGE_NAMES[c] for c in stages(chunk).tolist()]
+        records = list(zip(_candidate_keys(chunk, algo.mu), names))
+    out = _shard_output(tracer, span, "records", records)
+    out["batches"] = local.batches_evaluated
+    out["promotions"] = local.fastpath_promotions
+    out["orbits"] = local.orbits_collapsed
+    out["skipped"] = local.candidates_skipped
+    out["screens"] = local.conflict_screens
     return out
 
 
@@ -468,7 +427,7 @@ def _evaluate_space_shard(payload: dict) -> dict:
     pi = payload["pi"]
     spaces = _shard_spaces(algo, payload)
     batches = promotions = 0
-    span = _shard_span(payload, "space", len(spaces))
+    tracer, span = _shard_span(payload, "space", len(spaces))
     with span:
         if payload.get("batch"):
             evaluated, batches, promotions = evaluate_designs_batched(
@@ -478,7 +437,7 @@ def _evaluate_space_shard(payload: dict) -> dict:
             evaluated = [
                 evaluate_design(algo, space, pi) for space in spaces
             ]
-    out = _shard_output(span, payload, "evaluated", evaluated)
+    out = _shard_output(tracer, span, "evaluated", evaluated)
     out["batches"] = batches
     out["promotions"] = promotions
     return out
@@ -496,7 +455,7 @@ def _evaluate_joint_shard(payload: dict) -> dict:
     size = payload.get("schedule_batch_size")
     if size is not None:
         kwargs.setdefault("batch_size", size)
-    span = _shard_span(payload, "joint", len(spaces))
+    tracer, span = _shard_span(payload, "joint", len(spaces))
     with span:
         evaluated = [
             evaluate_joint_candidate(
@@ -508,7 +467,7 @@ def _evaluate_joint_shard(payload: dict) -> dict:
             )
             for space in spaces
         ]
-    return _shard_output(span, payload, "evaluated", evaluated)
+    return _shard_output(tracer, span, "evaluated", evaluated)
 
 
 # -- fan-out helper ---------------------------------------------------------
@@ -1007,10 +966,13 @@ def _scan_rings(
             # every enumerated candidate (the merge needs every record),
             # but the cost of a ring is what actually gets evaluated.
             reps = total
-            if group is not None and total:
-                reps = len(
-                    np.unique(group.canonicalize_rows(ring_arr), axis=0)
-                )
+            if group is not None and total and tuner is not None:
+                canon = group.canonicalize_rows(ring_arr)
+                # Rows as balanced base-(2B+1) numbers: one int64 key each.
+                base = 2 * int(np.abs(canon).max()) + 1
+                if base ** canon.shape[1] <= INT64_MAX:
+                    canon = canon @ base ** np.arange(canon.shape[1], dtype=np.int64)
+                reps = len(np.unique(canon, axis=0))
             if tuner is not None:
                 shards = tuner.shards_for(total, representatives=reps)
             else:

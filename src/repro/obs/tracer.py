@@ -52,6 +52,21 @@ __all__ = [
 #: Bump when the JSONL record layout changes incompatibly.
 TRACE_SCHEMA_VERSION = 1
 
+
+class _NoSpan:
+    """The shared no-op context :meth:`Tracer.detail` returns when disabled."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+
+_NO_SPAN = _NoSpan()
+
 logger = logging.getLogger("repro.obs")
 
 
@@ -195,6 +210,18 @@ class Tracer:
     def span(self, name: str, **attrs) -> Span:
         """A new span under the current one (context manager)."""
         return Span(name, attrs=attrs or None, tracer=self)
+
+    def detail(self, name: str, **attrs) -> "Span | _NoSpan":
+        """A breakdown span that exists only while tracing is on.
+
+        Disabled, it is a shared no-op context: nothing reads the
+        duration of a breakdown span (unlike the spans that time
+        ``SearchStats``), so sub-phase instrumentation stays off the
+        disabled path's clock.
+        """
+        if not self.enabled:
+            return _NO_SPAN
+        return self.span(name, **attrs)
 
     def event(self, name: str, **attrs) -> None:
         """An instantaneous occurrence (cache hit, shard retry, ...)."""

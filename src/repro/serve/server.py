@@ -380,6 +380,8 @@ class MappingServer:
             length = int(length)
         except ValueError:
             raise _BadRequest("malformed Content-Length") from None
+        if length < 0:
+            raise _BadRequest("negative Content-Length")
         if length > _MAX_BODY_BYTES:
             raise _BadRequest(
                 f"body exceeds {_MAX_BODY_BYTES} bytes"

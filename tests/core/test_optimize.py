@@ -220,3 +220,42 @@ class TestFindAllOptima:
         assert first.stats == second.stats  # same values...
         first.stats.wall_time += 123.0      # ...but independent objects
         assert second.stats.wall_time != first.stats.wall_time
+
+
+class TestPruningTelemetry:
+    """Example 5.1 at mu=6: the batched funnel's work counters, pinned.
+
+    The batched path judges whole rings at once: one funnel call per
+    ring, one screen per distinct orbit representative in the ring.
+    """
+
+    SPACE = ((1, 1, -1),)
+
+    def test_batched_counters_with_pruning(self):
+        stats = procedure_5_1(matrix_multiplication(6), self.SPACE).stats
+        assert stats.batches_evaluated == 6  # rings 0..5
+        assert stats.conflict_screens == 12
+        assert stats.orbits_collapsed == 9
+        assert stats.candidates_skipped == 35
+        assert stats.rings_bounded_out == 5
+
+    def test_batched_counters_without_pruning(self):
+        stats = procedure_5_1(
+            matrix_multiplication(6), self.SPACE,
+            symmetry=False, ring_bound=False,
+        ).stats
+        assert stats.batches_evaluated == 6
+        assert stats.conflict_screens == 56
+        assert stats.orbits_collapsed == 0
+        assert stats.candidates_skipped == 0
+
+    def test_scalar_path_shares_the_definitions(self):
+        batched = procedure_5_1(matrix_multiplication(6), self.SPACE).stats
+        scalar = procedure_5_1(
+            matrix_multiplication(6), self.SPACE, batch=False
+        ).stats
+        # Same skip rule on both paths; the scalar path stops screening
+        # at the winner, the batched path screens its whole ring.
+        assert scalar.candidates_skipped == batched.candidates_skipped
+        assert scalar.conflict_screens <= batched.conflict_screens
+        assert scalar.batches_evaluated == 0

@@ -140,3 +140,51 @@ class TestTracedSimulation:
             result.stats.wall_time, rel=1e-9
         )
         assert any(s["name"] == "core.ring" for s in spans)
+
+
+class TestRingSubPhases:
+    """Each ring splits into materialize / mask / screen child spans."""
+
+    PHASES = ("ring.materialize", "ring.mask", "ring.screen")
+
+    def _children_by_parent(self, spans, parent_name):
+        parents = {s["span_id"]: s for s in spans if s["name"] == parent_name}
+        children: dict[int, list[dict]] = {sid: [] for sid in parents}
+        for s in spans:
+            if s["parent_id"] in parents:
+                children[s["parent_id"]].append(s)
+        return parents, children
+
+    def test_report_prints_split_of_traced_procedure_5_1(
+        self, matmul4, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "p.jsonl"
+        with trace_session(path):
+            procedure_5_1(matmul4, SPACE_51)
+        spans = [r for r in load_trace(path) if r["type"] == "span"]
+        rings, children = self._children_by_parent(spans, "core.ring")
+        assert rings
+        for ring_id, ring in rings.items():
+            kids = children[ring_id]
+            # One span per phase per ring, never per candidate.
+            assert sorted(s["name"] for s in kids) == sorted(self.PHASES)
+            assert sum(s["duration"] for s in kids) <= ring["duration"]
+        assert main(["obs", "report", str(path)]) == 0
+        out = capsys.readouterr().out
+        for phase in self.PHASES:
+            line = next(ln for ln in out.splitlines() if ln.startswith(phase))
+            assert int(line.split()[1]) == len(rings)
+
+    def test_shard_spans_carry_the_split(self, matmul4, tmp_path):
+        path = tmp_path / "e.jsonl"
+        with trace_session(path):
+            explore_schedule(matmul4, SPACE_51, jobs=1)
+        spans = [r for r in load_trace(path) if r["type"] == "span"]
+        shards, children = self._children_by_parent(spans, "dse.shard")
+        assert shards
+        for shard_id, shard in shards.items():
+            kids = children[shard_id]
+            assert sorted(s["name"] for s in kids) == sorted(self.PHASES)
+            assert sum(s["duration"] for s in kids) <= shard["duration"]

@@ -91,6 +91,23 @@ class TestErrors:
         finally:
             conn.close()
 
+    def test_negative_content_length_is_400(self, server):
+        # Raw bytes: http.client refuses to send a negative length.
+        import socket
+
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: -5\r\n\r\nhello")
+            reply = b""
+            while b"\r\n" not in reply:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400"), reply[:80]
+        assert server.client().health()["status"] == "ok"
+
     def test_unknown_job_is_404(self, server):
         with pytest.raises(ServeError) as excinfo:
             server.client().job("doesnotexist")
