@@ -277,23 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--no-degrade", action="store_true",
                            help="fail instead of falling back to in-process "
                                 "execution when shard retries are exhausted")
-    p_explore.add_argument("--no-batch", action="store_true",
-                           help="evaluate candidates one at a time instead "
-                                "of through the vectorized batch funnel "
-                                "(results are identical either way)")
     p_explore.add_argument("--batch-size", type=int, default=None,
                            metavar="N",
                            help="rows per vectorized batch: space designs, "
                                 "or co-rank >= 2 schedule screen chunks "
                                 "(default: engine-chosen)")
-    p_explore.add_argument("--no-symmetry", action="store_true",
-                           help="disable orbit collapsing under the funnel "
-                                "symmetry group in the schedule search "
-                                "(results are identical either way)")
-    p_explore.add_argument("--no-ring-bound", action="store_true",
-                           help="disable the LP-relaxation ring lower bound "
-                                "in the schedule search "
-                                "(results are identical either way)")
     p_explore.add_argument("--method", default="auto",
                            choices=["auto", "paper", "exact"],
                            help="conflict-check mode for schedule search")
@@ -692,15 +680,12 @@ def _run_explore(args, algo, cache, policy, budget) -> int:
     engine_kwargs = dict(
         jobs=args.jobs, cache=cache, resilience=policy,
         checkpoint=args.checkpoint, resume=args.resume, budget=budget,
-        batch=not args.no_batch, batch_size=args.batch_size,
+        batch_size=args.batch_size,
     )
 
     if args.space is not None:
         result = explore_schedule(
-            algo, args.space, method=args.method,
-            symmetry=not args.no_symmetry,
-            ring_bound=not args.no_ring_bound,
-            **engine_kwargs,
+            algo, args.space, method=args.method, **engine_kwargs
         )
         print(f"mode           : schedule search (Problem 2.2)")
         print(f"space mapping  : {[list(r) for r in args.space]}")
@@ -722,18 +707,8 @@ def _run_explore(args, algo, cache, policy, budget) -> int:
         print(f"mode           : space search (Problem 6.1)")
         print(f"schedule Pi    : {list(args.schedule)}")
     else:
-        # Pruning opt-outs reach the joint search's inner schedule runs
-        # through schedule_kwargs; only explicit opt-outs are passed so
-        # a default run's cache identity stays the default one.
-        schedule_kwargs = {}
-        if args.no_symmetry:
-            schedule_kwargs["symmetry"] = False
-        if args.no_ring_bound:
-            schedule_kwargs["ring_bound"] = False
         result = explore_joint(
-            algo,
-            array_dim=args.array_dim, magnitude=args.magnitude,
-            schedule_kwargs=schedule_kwargs or None,
+            algo, array_dim=args.array_dim, magnitude=args.magnitude,
             **engine_kwargs,
         )
         print(f"mode           : joint search (Problem 6.2)")

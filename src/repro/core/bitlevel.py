@@ -17,9 +17,9 @@ with ``u_4(Pi), u_5(Pi)`` the closed forms of Proposition 8.1 — i.e.
 Theorem 4.7 phrased directly in ``Pi`` without running a Hermite
 reduction per candidate.  The constraints are non-linear in ``Pi``
 (they divide by gcds), so — exactly as the paper concedes — this is a
-general integer program; we solve it by the same monotone candidate
-enumeration as Procedure 5.1, with this constraint system as the
-acceptance test.
+general integer program; we solve it with Procedure 5.1's ring driver
+(:func:`repro.core.optimize.search_rings`), with this constraint system
+as the acceptance test.
 
 The clause-by-clause verdicts are exposed so the benchmark harness can
 print which row satisfied which clause, the way the paper's examples
@@ -31,9 +31,22 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
+from ..dse.progress import SearchStats
 from ..model import UniformDependenceAlgorithm
+from .conditions import ConditionVerdict
 from .mapping import MappingMatrix
-from .optimize import SearchResult, enumerate_schedule_vectors
+from .optimize import (
+    CODE_CONFLICT,
+    CODE_DEPS,
+    CODE_OK,
+    CODE_RANK,
+    Ring,
+    SearchResult,
+    search_bounds,
+    search_rings,
+)
 from .prop81 import prop81_applicable, prop81_columns
 from .schedule import LinearSchedule
 
@@ -125,60 +138,40 @@ def solve_bitlevel_formulation(
         )
     mu = algorithm.mu
     space_rows = tuple(tuple(int(x) for x in row) for row in space)
-    k = 3
+    alpha, initial_bound, max_bound = search_bounds(
+        algorithm, alpha=alpha, initial_bound=initial_bound, max_bound=max_bound
+    )
 
-    if alpha is None:
-        alpha = max(1, min(mu))
-    if initial_bound is None:
-        initial_bound = sum(mu)
-    if max_bound is None:
-        max_bound = (algorithm.n + 1) * (max(mu) + 1) * max(mu)
+    def code(pi: tuple[int, ...]) -> int:
+        if not LinearSchedule(pi=pi, index_set=algorithm.index_set).respects(
+            algorithm
+        ):  # clause 1
+            return CODE_DEPS
+        if MappingMatrix(space=space_rows, schedule=pi).rank() != 3:  # clause 2
+            return CODE_RANK
+        if not check_formulation_5_6(space_rows, pi, mu).holds:  # clauses 3-6
+            return CODE_CONFLICT
+        return CODE_OK
 
-    examined = 0
-    rings = 0
-    x_prev = -1
-    x = initial_bound
-    while x_prev < max_bound:
-        ring = [
-            LinearSchedule(pi=pi, index_set=algorithm.index_set)
-            for pi in enumerate_schedule_vectors(
-                mu, min(x, max_bound), f_min=x_prev + 1
-            )
-        ]
-        ring.sort(key=LinearSchedule.sort_key)
-        for cand in ring:
-            if not cand.respects(algorithm):  # clause 1
-                continue
-            t = MappingMatrix(space=space_rows, schedule=cand.pi)
-            examined += 1
-            if t.rank() != k:  # clause 2
-                continue
-            verdict = check_formulation_5_6(space_rows, cand.pi, mu)
-            if not verdict.holds:  # clauses 3-6
-                continue
-            from .conditions import ConditionVerdict
+    def judge(ring: Ring, start: int) -> np.ndarray:
+        codes = []
+        for pi in ring.candidates[start:].tolist():
+            codes.append(code(tuple(pi)))
+            if codes[-1] == CODE_OK:
+                break
+        return np.array(codes, dtype=np.int8)
 
-            return SearchResult(
-                schedule=cand,
-                mapping=t,
-                verdict=ConditionVerdict(
-                    holds=True,
-                    theorem="5.6",
-                    kind="sufficient",
-                    witnesses={"clause_rows": verdict.rows,
-                               "u4": verdict.u4, "u5": verdict.u5},
-                ),
-                candidates_examined=examined,
-                rings_expanded=rings,
-            )
-        rings += 1
-        x_prev = min(x, max_bound)
-        x += alpha
+    def verdict_of(t: MappingMatrix) -> ConditionVerdict:
+        verdict = check_formulation_5_6(space_rows, t.schedule, mu)
+        return ConditionVerdict(
+            holds=verdict.holds,
+            theorem="5.6",
+            kind="sufficient",
+            witnesses={"clause_rows": verdict.rows,
+                       "u4": verdict.u4, "u5": verdict.u5},
+        )
 
-    return SearchResult(
-        schedule=None,
-        mapping=None,
-        verdict=None,
-        candidates_examined=examined,
-        rings_expanded=rings,
+    return search_rings(
+        algorithm, space_rows, judge, verdict_of, alpha=alpha,
+        initial_bound=initial_bound, max_bound=max_bound, stats=SearchStats(),
     )

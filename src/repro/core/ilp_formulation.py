@@ -37,7 +37,6 @@ __all__ = [
     "conflict_functional_rows",
     "build_corank1_subproblems",
     "ILPMappingResult",
-    "schedule_lower_bound",
     "solve_corank1_optimal",
 ]
 
@@ -166,86 +165,6 @@ def build_corank1_subproblems(
                 (prog, {"disjunct": i, "sign": sign, "encoding": orthant})
             )
     return problems
-
-
-def _lower_bound_uncached(
-    algorithm: UniformDependenceAlgorithm,
-    space: tuple[tuple[int, ...], ...],
-) -> tuple[int | None, str | None]:
-    import math
-
-    from ..ilp.branch_bound import solve_lp_relaxation
-
-    try:
-        subs = build_corank1_subproblems(algorithm, space)
-    except ValueError:
-        return None, None  # structurally out of scope, not an LP failure
-    if not subs:
-        return None, "every conflict functional is identically zero"
-    best: float | None = None
-    try:
-        for prog, info in subs:
-            sol = solve_lp_relaxation(prog)
-            if sol.status == "infeasible":
-                # This disjunct admits no schedule at all; the bound is
-                # the min over the *satisfiable* disjuncts.
-                continue
-            if sol.status != "optimal":
-                return None, (
-                    f"LP relaxation of disjunct {info['disjunct']} "
-                    f"(sign {info['sign']:+d}) ended with status {sol.status}"
-                )
-            if sol.objective is not None and (
-                best is None or sol.objective < best
-            ):
-                best = sol.objective
-    except Exception as exc:  # scipy failures degrade, never propagate
-        return None, f"LP relaxation raised {type(exc).__name__}: {exc}"
-    if best is None:
-        return None, "every disjunct's LP relaxation is infeasible"
-    return max(0, math.ceil(best - 1e-6)), None
-
-
-_lower_bound_cache: dict[tuple, tuple[int | None, str | None]] = {}
-
-
-def schedule_lower_bound(
-    algorithm: UniformDependenceAlgorithm,
-    space: Sequence[Sequence[int]],
-) -> tuple[int | None, str | None]:
-    """LP-relaxation lower bound on ``f = sum mu_i |pi_i|``, or why not.
-
-    Conflict-freedom of a co-rank-1 mapping requires some raw conflict
-    functional to clear its box bound (``|f_i(Pi)| >= mu_i + 1`` — the
-    *necessary* half of formulation (5.1)-(5.2); the gcd normalization
-    only ever shrinks ``|f_i|``).  The minimum of the LP relaxations of
-    the ``2n`` disjunct programs therefore lower-bounds the objective of
-    every dependence-respecting conflict-free schedule, so candidates in
-    rings below it can skip the conflict screen entirely: the screen's
-    verdict for them is already known to be "conflict".
-
-    Returns ``(bound, None)`` on success and ``(None, reason)`` when no
-    bound is available.  A ``None`` reason alongside a ``None`` bound
-    means the formulation simply does not apply (co-rank != 1); a
-    non-``None`` reason is a genuine LP-level failure that callers may
-    surface as a ``ring_bound_failed`` trace event.  Failures never
-    raise: Procedure 5.1 degrades to the ordinary unbounded scan.
-    """
-    mu = tuple(int(m) for m in algorithm.mu)
-    deps = tuple(
-        tuple(int(x) for x in d) for d in algorithm.dependence_vectors()
-    )
-    space_rows = tuple(tuple(int(x) for x in row) for row in space)
-    if len(space_rows) != algorithm.n - 2:
-        return None, None  # the disjunctive formulation is co-rank-1 only
-    key = (mu, deps, space_rows)
-    hit = _lower_bound_cache.get(key)
-    if hit is None:
-        hit = _lower_bound_uncached(algorithm, space_rows)
-        if len(_lower_bound_cache) > 256:
-            _lower_bound_cache.clear()
-        _lower_bound_cache[key] = hit
-    return hit
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,16 @@ Candidates are enumerated in non-decreasing execution-time order
 (Theorem 2.1 justifies the expanding-ring strategy), exactly the
 paper's Steps 1-7 with the candidate set ``C_l = {Pi : sum |pi_i| mu_i
 <= x_l}`` and growth ``x_{l+1} = x_l + alpha``.
+
+One ring driver, :func:`search_rings`, owns that loop for every
+execution strategy: :func:`procedure_5_1` hands it an in-process judge,
+and :func:`repro.dse.executor.explore_schedule` a sharded, cached and
+journaled one.  Every judge evaluates candidates through the one
+vectorized :class:`BatchCandidateScanner`.
 """
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -27,6 +32,7 @@ from math import prod
 
 import numpy as np
 
+from ..dse.partition import ring_bounds
 from ..dse.progress import SearchStats
 from ..intlin import INT64_MAX, IntMat, as_intmat, as_intvec, kernel_basis
 from ..intlin.batch import (
@@ -34,7 +40,7 @@ from ..intlin.batch import (
     batch_nonzero_mask,
     batch_point_images,
 )
-from ..obs import Tracer, get_tracer
+from ..obs import Span, Tracer, get_tracer
 from ..model import UniformDependenceAlgorithm
 from .conditions import ConditionVerdict, check_conflict_free
 from .conflict import (
@@ -44,7 +50,6 @@ from .conflict import (
 )
 from .mapping import MappingMatrix
 from .schedule import LinearSchedule
-from .symmetry import SymmetryGroup, symmetry_group_for
 
 __all__ = [
     "BatchCandidateScanner",
@@ -54,19 +59,20 @@ __all__ = [
     "STAGE_NAMES",
     "STAGE_OK",
     "STAGE_RANK",
+    "Ring",
+    "RingJudge",
     "SearchResult",
-    "batch_disabled_reason",
-    "batch_supported",
     "enumerate_schedule_vectors",
     "find_all_optima",
     "procedure_5_1",
     "ring_candidate_array",
     "search_bounds",
+    "search_rings",
 ]
 
 # Stage codes of the candidate filter funnel, in rejection order; the
 # sharded engine (repro.dse.executor) transports the same codes in its
-# shard records.
+# shard outputs.
 STAGE_DEPS = "deps"
 STAGE_RANK = "rank"
 STAGE_CONFLICT = "conflict"
@@ -81,57 +87,7 @@ DEFAULT_BATCH_SIZE = 512
 # Cap on points x candidates cells materialized per conflict-image
 # chunk (~32 MB of int64).
 _BATCH_CELL_LIMIT = 4_194_304
-# Rings with budgets beyond this stay on the scalar path: the int64
-# sort keys and |pi_i| entries are only certified below it.
-_BATCH_MAX_BOUND = 2**31
-
-
-def batch_disabled_reason(method: str, max_bound: int) -> str | None:
-    """Why the batched funnel cannot run, or ``None`` when it can.
-
-    The vectorized conflict screen decides injectivity of ``tau`` on
-    ``J`` exactly — which matches :func:`check_conflict_free` for
-    ``method="auto"``/``"exact"`` but not for ``method="paper"``, whose
-    Theorem 4.7/4.8 sufficient conditions deliberately keep the paper's
-    necessity gap.  Oversized ring budgets also fall back to the scalar
-    walker so candidate entries stay certified int64.
-    """
-    if method not in ("auto", "exact"):
-        return (
-            f"method={method!r} has no exact vectorized form (the "
-            "Theorem 4.7/4.8 sufficient conditions are scalar-only)"
-        )
-    if max_bound > _BATCH_MAX_BOUND:
-        return (
-            f"max_bound {max_bound} exceeds 2^31, past the certified "
-            "int64 range of the batched funnel"
-        )
-    return None
-
-
-def batch_supported(method: str, max_bound: int) -> bool:
-    """Whether the batched funnel preserves bit-exact results.
-
-    Equivalent to ``batch_disabled_reason(method, max_bound) is None``;
-    see that function for the rationale behind each disqualifier.
-    """
-    return batch_disabled_reason(method, max_bound) is None
-
-
-_logger = logging.getLogger("repro.core.optimize")
-_warned_batch_reasons: set[str] = set()
-
-
-def _warn_batch_disabled(reason: str) -> None:
-    """One-time (per reason, per process) scalar-fallback warning."""
-    if reason in _warned_batch_reasons:
-        return
-    _warned_batch_reasons.add(reason)
-    _logger.warning(
-        "batched candidate evaluation disabled: %s; falling back to the "
-        "scalar scan (6-47x slower on Examples 5.1/5.2 at mu 4-18)",
-        reason,
-    )
+_METHODS = ("auto", "exact", "paper")
 
 
 @dataclass(frozen=True)
@@ -186,8 +142,9 @@ def enumerate_schedule_vectors(
 
     Lazy depth-first enumeration with exact budget pruning; the zero
     vector is excluded (it is never a valid schedule).  Order within
-    the ring is deterministic but unsorted — Procedure 5.1 sorts by
-    execution time afterwards.
+    the ring is deterministic but unsorted.  This is the reference
+    enumerator the tests check :func:`ring_candidate_array` against;
+    Procedure 5.1 itself scans the sorted ring arrays.
     """
     mu = [int(m) for m in mu]
     n = len(mu)
@@ -280,34 +237,27 @@ class BatchCandidateScanner:
     :meth:`stages` judges a whole ring (or shard span) at once and
     returns one ``int8`` stage code per candidate (index into
     :data:`STAGE_NAMES`): a ``Pi D > 0`` dependence mask, a rank mask,
-    then the exact conflict screen on the survivors only.  At co-rank 1
-    (``len(S) == n - 2``) the rank mask is ``gamma(Pi) != 0`` and the
-    screen is the paper's own test on that conflict vector
-    (:func:`~repro.core.conflict.batch_adjugate_screen`, Theorems 3.1 and
-    2.2).  Other co-ranks test ``Pi`` against the kernel basis of ``S``
-    and screen by mixed-radix distinct-image counts of ``[S j | Pi j]``
-    over the index box, in memory-capped chunks of at most
-    ``batch_size`` rows.  Rows whose int64 bounds cannot be certified
-    take the exact arbitrary-precision route.  The codes are the ones
-    the scalar loop would assign, so callers rebuild identical counters
-    and pick the identical winner.
+    then the conflict screen on the survivors only.  The screen depends
+    on ``method`` and the co-rank:
 
-    Only valid where :func:`batch_supported` holds; the screen *is* the
-    exact conflict decider there.
+    * ``"paper"`` — the paper's Step 5(3) dispatch
+      (:func:`check_conflict_free` with ``method="paper"``: Theorem
+      3.1, 4.7, 4.8 or 4.5), one candidate at a time, so a lazy scan
+      stops at the first conflict-free row.
+    * ``"auto"``/``"exact"`` at co-rank 1 (``len(S) == n - 2``) — the
+      paper's own test on the conflict vector ``gamma(Pi)``
+      (:func:`~repro.core.conflict.batch_adjugate_screen`, Theorems 3.1
+      and 2.2), one call for every survivor; the rank mask there is
+      ``gamma(Pi) != 0``.
+    * ``"auto"``/``"exact"`` at other co-ranks — ``Pi`` is tested
+      against the kernel basis of ``S``, and screened by mixed-radix
+      distinct-image counts of ``[S j | Pi j]`` over the index box, in
+      memory-capped chunks of at most ``batch_size`` rows.  Rows whose
+      int64 bounds cannot be certified take the exact
+      arbitrary-precision route.
 
-    Two optional pruners ride on top without changing any stage code:
-
-    * ``symmetry`` — a :class:`repro.core.symmetry.SymmetryGroup`; the
-      rows that reach the screen are canonicalized to orbit
-      representatives, each distinct representative is screened once,
-      and every member takes its verdict (valid because the group
-      construction certifies stage invariance).
-    * ``min_feasible_f`` — an LP-relaxation lower bound on the budget of
-      any conflict-free candidate
-      (:func:`repro.core.ilp_formulation.schedule_lower_bound`);
-      dependence/rank survivors below it are assigned
-      :data:`STAGE_CONFLICT` directly, which is exactly the verdict the
-      skipped screen would have computed.
+    Every screen is exact for its ``method``, so the codes are the
+    verdicts :func:`check_conflict_free` would give one by one.
 
     ``tracer`` receives one ``ring.mask`` and one ``ring.screen`` span
     per :meth:`stages` call (default: the process-wide tracer), and the
@@ -322,11 +272,11 @@ class BatchCandidateScanner:
         *,
         method: str = "auto",
         batch_size: int | None = None,
-        symmetry: SymmetryGroup | None = None,
-        min_feasible_f: int | None = None,
         tracer: Tracer | None = None,
         stats: SearchStats | None = None,
     ) -> None:
+        if method not in _METHODS:
+            raise ValueError(f"unknown method {method!r}")
         self.algorithm = algorithm
         self.space_rows = tuple(as_intvec(row) for row in space)
         self.method = method
@@ -336,17 +286,8 @@ class BatchCandidateScanner:
         self.batch_size = size
         self.tracer = tracer
         self.stats = SearchStats() if stats is None else stats
-        self.symmetry = (
-            symmetry if symmetry is not None and symmetry.order > 1 else None
-        )
-        self.min_feasible_f = min_feasible_f
-        self._mu_arr = np.array([int(m) for m in algorithm.mu], dtype=np.int64)
         self.n = algorithm.n
         self.k = len(self.space_rows) + 1
-        points = 1
-        for m in algorithm.mu:
-            points *= int(m) + 1
-        self._chunk = max(1, min(size, _BATCH_CELL_LIMIT // max(1, points)))
         deps = [tuple(int(x) for x in d) for d in algorithm.dependence_vectors()]
         self._dep_mat: IntMat | None = (
             as_intmat([list(row) for row in zip(*deps)]) if deps else None
@@ -377,18 +318,27 @@ class BatchCandidateScanner:
                 # Row-deficient S (or S already spanning Q^n): no Pi can
                 # lift [S; Pi] to rank k.
                 self._rank_fail = True
+        # The screen and its chunk size (None: every survivor at once).
+        self._chunk: int | None
+        if method == "paper":
+            self._chunk, self._screen_chunk = 1, self._paper_screen
+        elif self._adjugate is not None:
+            self._chunk, self._screen_chunk = None, self._adjugate_screen
+        else:
+            points = prod(int(m) + 1 for m in algorithm.mu)
+            self._chunk = max(1, min(size, _BATCH_CELL_LIMIT // max(1, points)))
+            self._screen_chunk = self._image_screen
         # (points, their S-images, certified |pi| bound), built on first use.
         self._box: tuple[np.ndarray, np.ndarray, int] | None = None
 
     def stages(self, pis: np.ndarray, *, stop_at_ok: bool = False) -> np.ndarray:
         """``int8`` stage codes for the rows of ``pis``, in order.
 
-        With ``stop_at_ok`` the chunked image screen (co-rank >= 2)
-        stops after the chunk holding the first conflict-free
-        representative, and the result covers only the prefix of
-        ``pis`` whose codes are final (at least one row when ``pis`` is
-        non-empty).  The adjugate screen is cheap enough to always judge
-        every row.
+        With ``stop_at_ok`` the screen stops after the chunk holding the
+        first conflict-free row, and the result covers only the prefix
+        of ``pis`` whose codes are final (at least one row when ``pis``
+        is non-empty).  The co-rank-1 adjugate screen is cheap enough to
+        always judge every row.
         """
         tracer = self.tracer if self.tracer is not None else get_tracer()
         self.stats.batches_evaluated += int(len(pis) > 0)
@@ -402,8 +352,8 @@ class BatchCandidateScanner:
             return codes[: self._screen(pis, idx, codes, stop_at_ok)]
 
     def _masks(self, pis: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Dependence, rank and LP-bound masks into ``codes``; returns
-        the indices of the rows left for the conflict screen."""
+        """Dependence and rank masks into ``codes``; returns the indices
+        of the rows left for the conflict screen."""
         idx = np.arange(len(pis))
         if self._dep_mat is not None and idx.size:
             dep_mask, promoted = batch_dependence_mask(pis, self._dep_mat)
@@ -421,52 +371,41 @@ class BatchCandidateScanner:
             codes[idx] = CODE_OK
             return idx[:0]
         codes[idx] = CODE_CONFLICT
-        if self.min_feasible_f is not None and idx.size:
-            # Budgets below the LP bound cannot be conflict-free; they
-            # keep the screen's inevitable verdict without running it.
-            below = np.abs(pis[idx]) @ self._mu_arr < self.min_feasible_f
-            self.stats.candidates_skipped += int(below.sum())
-            idx = idx[~below]
         return idx
 
     def _screen(
         self, pis: np.ndarray, idx: np.ndarray, codes: np.ndarray, stop_at_ok: bool
     ) -> int:
         """Screen rows ``idx`` into ``codes``; returns the final prefix length."""
-        if idx.size == 0:
-            return len(codes)
-        reps = pis[idx]
-        inverse = np.arange(idx.size)
-        if self.symmetry is not None:
-            canon = self.symmetry.canonicalize_rows(reps)
-            reps, first, inverse = np.unique(
-                canon, axis=0, return_index=True, return_inverse=True
-            )
-            # Renumber representatives by first occurrence, so a lazy
-            # screen decides the earliest rows first.
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            reps, inverse = reps[order], rank[inverse.reshape(-1)]
-        verdict = np.full(len(reps), -1, dtype=np.int8)
-        if self._adjugate is not None:
-            free, promoted = batch_adjugate_screen(reps, self._adjugate, self.algorithm.mu)
-            self.stats.fastpath_promotions += promoted
-            verdict[:] = np.where(free, CODE_OK, CODE_CONFLICT)
-            screened = len(reps)
-        else:
-            for start in range(0, len(reps), self._chunk):
-                screened = min(start + self._chunk, len(reps))
-                verdict[start:screened] = self._image_screen(reps[start:screened])
-                if stop_at_ok and (verdict[start:screened] == CODE_OK).any():
-                    break
+        rows = pis[idx]
+        step = self._chunk or max(1, len(rows))
+        screened = 0
+        while screened < len(rows):
+            start, screened = screened, min(screened + step, len(rows))
+            verdict = self._screen_chunk(rows[start:screened])
+            codes[idx[start:screened]] = verdict
+            if stop_at_ok and (verdict == CODE_OK).any():
+                break
         self.stats.conflict_screens += screened
-        self.stats.orbits_collapsed += int((inverse < screened).sum()) - screened
-        codes[idx] = verdict[inverse]
-        pending = np.flatnonzero(inverse >= screened)
-        return int(idx[pending[0]]) if pending.size else len(codes)
+        return int(idx[screened]) if screened < len(rows) else len(codes)
 
-    def _image_screen(self, reps: np.ndarray) -> np.ndarray:
+    def _adjugate_screen(self, rows: np.ndarray) -> np.ndarray:
+        """Conflict verdicts by the co-rank-1 conflict-vector test."""
+        assert self._adjugate is not None  # chosen only at co-rank 1
+        free, promoted = batch_adjugate_screen(rows, self._adjugate, self.algorithm.mu)
+        self.stats.fastpath_promotions += promoted
+        return np.where(free, CODE_OK, CODE_CONFLICT).astype(np.int8)
+
+    def _paper_screen(self, rows: np.ndarray) -> np.ndarray:
+        """Conflict verdicts by the paper's per-co-rank theorems."""
+        verdict = np.full(len(rows), CODE_CONFLICT, dtype=np.int8)
+        for i, row in enumerate(rows.tolist()):
+            t = MappingMatrix(space=self.space_rows, schedule=tuple(row))
+            if check_conflict_free(t, self.algorithm.mu, method="paper").holds:
+                verdict[i] = CODE_OK
+        return verdict
+
+    def _image_screen(self, rows: np.ndarray) -> np.ndarray:
         """Conflict verdicts by distinct images of the index box."""
         if self._box is None:
             pts = self.algorithm.index_set.points_array()
@@ -478,21 +417,21 @@ class BatchCandidateScanner:
             bound = int(np.abs(pts).max(initial=0)) * max(1, self.n)
             self._box = (pts, fixed, INT64_MAX if bound == 0 else INT64_MAX // bound)
         pts, fixed, col_thr = self._box
-        verdict = np.full(len(reps), CODE_CONFLICT, dtype=np.int8)
-        certified = np.abs(reps).max(axis=1, initial=0) <= col_thr
+        verdict = np.full(len(rows), CODE_CONFLICT, dtype=np.int8)
+        certified = np.abs(rows).max(axis=1, initial=0) <= col_thr
         if fixed.dtype == object:
             certified[:] = False
         fast = np.flatnonzero(certified)
         exact = np.flatnonzero(~certified).tolist()
         if fast.size:
-            t_cols, _ = batch_point_images(pts, reps[fast])
+            t_cols, _ = batch_point_images(pts, rows[fast])
             counts = batch_distinct_image_counts(fixed, t_cols[:, :, None])
             verdict[fast[counts == len(pts)]] = CODE_OK
             exact.extend(fast[counts < 0].tolist())
         for i in exact:
             self.stats.fastpath_promotions += 1
             t = MappingMatrix(
-                space=self.space_rows, schedule=tuple(int(v) for v in reps[i])
+                space=self.space_rows, schedule=tuple(int(v) for v in rows[i])
             )
             if check_conflict_free(t, self.algorithm.mu, method=self.method).holds:
                 verdict[i] = CODE_OK
@@ -508,9 +447,11 @@ def search_bounds(
 ) -> tuple[int, int, int]:
     """Resolve Procedure 5.1's ``(alpha, initial_bound, max_bound)`` defaults.
 
-    One place owns the defaulting rules so the serial search and the
-    sharded engine (:mod:`repro.dse.executor`) expand exactly the same
-    rings — a prerequisite for their results comparing equal.
+    One place owns the defaulting rules so every caller of
+    :func:`search_rings` expands exactly the same rings.  Ring budgets
+    are int64 throughout (the ring builder's sort keys and candidate
+    entries), so a ``max_bound`` past ``INT64_MAX`` is a
+    :class:`ValueError`.
     """
     mu = algorithm.mu
     n = algorithm.n
@@ -520,7 +461,146 @@ def search_bounds(
         initial_bound = sum(mu)
     if max_bound is None:
         max_bound = (n + 1) * (max(mu) + 1) * max(mu)
+    if max_bound > INT64_MAX:
+        raise ValueError(
+            f"max_bound {max_bound} exceeds INT64_MAX, the ring builder's "
+            "budget range"
+        )
     return alpha, initial_bound, max_bound
+
+
+@dataclass(frozen=True)
+class Ring:
+    """One expanding ring ``C_l`` as :func:`search_rings` hands it out.
+
+    ``candidates`` is the sorted :func:`ring_candidate_array` of the
+    budget window ``[f_min, f_max]``; ``span`` is the open trace span of
+    the ring, for judges that annotate it.
+    """
+
+    index: int
+    f_min: int
+    f_max: int
+    candidates: np.ndarray
+    span: Span
+
+
+_RingWinner = tuple[LinearSchedule, MappingMatrix, ConditionVerdict]
+
+#: ``judge(ring, start)`` returns ``int8`` stage codes for a non-empty
+#: prefix of ``ring.candidates[start:]``, in order.
+RingJudge = Callable[[Ring, int], np.ndarray]
+
+
+def search_rings(
+    algorithm: UniformDependenceAlgorithm,
+    space_rows: tuple,
+    judge: RingJudge,
+    verdict_of: Callable[[MappingMatrix], ConditionVerdict],
+    *,
+    alpha: int,
+    initial_bound: int,
+    max_bound: int,
+    stats: SearchStats,
+    extra_constraint: Callable[[MappingMatrix], bool] | None = None,
+    span_name: str = "core.ring",
+    before_ring: Callable[[int], None] | None = None,
+    after_ring: Callable[[Ring, bool], None] | None = None,
+) -> SearchResult:
+    """The ring loop of Procedure 5.1 (Steps 1-7), for any judge.
+
+    Rings follow :func:`~repro.dse.partition.ring_bounds`; each is
+    materialized once, judged by ``judge`` and walked in scan order.
+    The first ``ok`` candidate that passes ``extra_constraint`` wins;
+    the prefix counters of ``stats`` are tallied up to and including
+    it, and its verdict is recomputed by ``verdict_of``, so the result
+    is the same whichever judge ran.  ``before_ring``
+    receives each ring's ``f_max`` before it is materialized, and
+    ``after_ring`` each closed ring and whether it produced the winner.
+    """
+    tracer = get_tracer()
+    examined = 0
+    rings = 0
+    found: _RingWinner | None = None
+    for f_min, f_max in ring_bounds(initial_bound, alpha, max_bound):
+        if before_ring is not None:
+            before_ring(f_max)
+        with tracer.span(span_name, ring=rings, f_min=f_min, f_max=f_max) as span:
+            with tracer.detail("ring.materialize"):
+                candidates = ring_candidate_array(algorithm.mu, f_max, f_min=f_min)
+            span.set(candidates=len(candidates))
+            ring = Ring(rings, f_min, f_max, candidates, span)
+            stats.candidates_enumerated += len(candidates)
+            examined, found = _scan_ring(
+                judge, ring, algorithm, space_rows, verdict_of, extra_constraint,
+                stats=stats, examined=examined,
+            )
+            if found is not None:
+                span.set(winner=list(found[0].pi))
+        if after_ring is not None:
+            after_ring(ring, found is not None)
+        if found is not None:
+            break
+        rings += 1
+    stats.rings_expanded = rings
+    schedule, mapping, verdict = found if found is not None else (None, None, None)
+    return SearchResult(
+        schedule=schedule,
+        mapping=mapping,
+        verdict=verdict,
+        candidates_examined=examined,
+        rings_expanded=rings,
+        stats=stats,
+    )
+
+
+def _scan_ring(
+    judge: RingJudge,
+    ring: Ring,
+    algorithm: UniformDependenceAlgorithm,
+    space_rows: tuple,
+    verdict_of: Callable[[MappingMatrix], ConditionVerdict],
+    extra_constraint: Callable[[MappingMatrix], bool] | None,
+    *,
+    stats: SearchStats,
+    examined: int,
+) -> tuple[int, _RingWinner | None]:
+    """Walk one ring's stage codes in scan order; returns (examined, winner).
+
+    Counters follow the prefix semantics: they are tallied from the
+    stage codes only up to (and including) the winning candidate.
+    """
+    pos = 0
+    while pos < len(ring.candidates):
+        codes = judge(ring, pos)
+        for i in np.flatnonzero(codes == CODE_OK).tolist():
+            pi = tuple(int(v) for v in ring.candidates[pos + i])
+            t = MappingMatrix(space=space_rows, schedule=pi)
+            verdict = verdict_of(t)
+            if not verdict.holds:  # pragma: no cover - screens are exact
+                stats.conflicts_rejected += 1
+                continue
+            if extra_constraint is None or extra_constraint(t):
+                examined = _tally_stage_codes(stats, codes[: i + 1], examined)
+                cand = LinearSchedule(pi=pi, index_set=algorithm.index_set)
+                return examined, (cand, t, verdict)
+        examined = _tally_stage_codes(stats, codes, examined)
+        pos += len(codes)
+    return examined, None
+
+
+def _tally_stage_codes(stats: SearchStats, codes: np.ndarray, examined: int) -> int:
+    """Add a run of visited stage codes to the prefix counters.
+
+    By code: ``deps`` and ``rank`` are pruned, every code past ``deps``
+    is examined, ``conflict`` and ``ok`` are checked, ``conflict`` is
+    rejected.  Returns the updated ``examined`` count.
+    """
+    deps, rank, conflict, ok = np.bincount(codes, minlength=len(STAGE_NAMES)).tolist()
+    stats.candidates_pruned += deps + rank
+    stats.candidates_checked += conflict + ok
+    stats.conflicts_rejected += conflict
+    return examined + len(codes) - deps
 
 
 def procedure_5_1(
@@ -532,10 +612,7 @@ def procedure_5_1(
     initial_bound: int | None = None,
     max_bound: int | None = None,
     extra_constraint: Callable[[MappingMatrix], bool] | None = None,
-    batch: bool = True,
     batch_size: int | None = None,
-    symmetry: bool = True,
-    ring_bound: bool = True,
 ) -> SearchResult:
     """Find the time-optimal conflict-free schedule for a fixed ``S``.
 
@@ -546,10 +623,10 @@ def procedure_5_1(
     space:
         The given space mapping matrix ``S`` (Problem 2.2 assumes it).
     method:
-        Conflict-checking mode passed to
+        Conflict-checking mode, as in
         :func:`repro.core.conditions.check_conflict_free`; ``"auto"``
-        follows the paper's Step 5(3) dispatch, ``"exact"`` uses the
-        kernel-box oracle.
+        decides exactly, ``"paper"`` follows the paper's Step 5(3)
+        dispatch, ``"exact"`` uses the kernel-box oracle.
     alpha:
         Ring growth increment ``x_{l+1} = x_l + alpha`` (default: the
         smallest ``mu_i``).
@@ -560,35 +637,14 @@ def procedure_5_1(
         Hard stop; ``None`` derives a conservative cap of
         ``(n + 1) * (max mu + 1) * max mu`` — beyond the largest
         objective any of the closed-form optima in the paper reach.
+        Past ``INT64_MAX`` it is a :class:`ValueError`.
     extra_constraint:
         Optional predicate on the assembled mapping (used for
         Definition 2.2 condition 2 by :mod:`repro.core.pipeline`).
-    batch:
-        Evaluate rings through the vectorized
-        :class:`BatchCandidateScanner` funnel where
-        :func:`batch_supported` holds (the default); ``False`` forces
-        the one-candidate-at-a-time scalar loop.  Both produce the same
-        winner, tie order, counters and verdict — the escape hatch
-        exists for cross-checking and diagnosis, not for different
-        answers.
     batch_size:
-        Representatives per co-rank >= 2 image-screen chunk (default
+        Rows per co-rank >= 2 image-screen chunk (default
         :data:`DEFAULT_BATCH_SIZE`, memory-capped); rings are otherwise
         judged whole.
-    symmetry:
-        Collapse candidates related by the funnel's signed-permutation
-        symmetry group (:mod:`repro.core.symmetry`) onto one orbit
-        representative each (the default).  Only applied for the exact
-        conflict deciders (``method="auto"``/``"exact"``); the result —
-        winner, verdict, tie set and every deterministic counter — is
-        bit-identical either way, only the work changes.
-    ring_bound:
-        Skip conflict screens for candidates whose budget sits below
-        the LP-relaxation lower bound of the co-rank-1 disjunctive
-        programs (:func:`repro.core.ilp_formulation.schedule_lower_bound`),
-        the default.  LP failures degrade to "no bound, scan normally"
-        and are recorded as a ``ring_bound_failed`` trace event; results
-        are bit-identical with the flag on or off.
 
     Notes
     -----
@@ -597,115 +653,31 @@ def procedure_5_1(
     necessary for co-rank <= 3 (``method="auto"``), the first surviving
     candidate is optimal.
     """
-    mu = algorithm.mu
-    # Pre-normalized IntVec rows: MappingMatrix construction inside the
-    # candidate loop then reuses them as-is instead of re-validating.
     space_rows = tuple(as_intvec(row) for row in space)
     alpha, initial_bound, max_bound = search_bounds(
         algorithm, alpha=alpha, initial_bound=initial_bound, max_bound=max_bound
     )
-    disabled_reason = batch_disabled_reason(method, max_bound) if batch else None
-    use_batch = batch and disabled_reason is None
-    group: SymmetryGroup | None = None
-    if symmetry and method in ("auto", "exact"):
-        candidate_group = symmetry_group_for(algorithm, space_rows)
-        if candidate_group.order > 1:
-            group = candidate_group
-    min_f: int | None = None
-    bound_reason: str | None = None
-    if ring_bound:
-        # Lazy import: repro.core.ilp_formulation pulls in repro.ilp
-        # (scipy) which plain enumerative searches don't need.
-        from .ilp_formulation import schedule_lower_bound
-
-        min_f, bound_reason = schedule_lower_bound(algorithm, space_rows)
-    tracer = get_tracer()
     stats = SearchStats()
-    if use_batch:
-        stages = BatchCandidateScanner(
-            algorithm, space_rows, method=method, batch_size=batch_size,
-            symmetry=group, min_feasible_f=min_f, stats=stats,
-        ).stages
-    else:
-        stages = _scalar_stages(
-            algorithm, space_rows, method=method, symmetry=group,
-            min_feasible_f=min_f, stats=stats,
-        )
-    if disabled_reason is not None:
-        stats.batch_disabled_reason = disabled_reason
-        _warn_batch_disabled(disabled_reason)
-    examined = 0
-    rings = 0
-    x_prev = -1
-    x = initial_bound
-    result: SearchResult | None = None
+    scanner = BatchCandidateScanner(
+        algorithm, space_rows, method=method, batch_size=batch_size, stats=stats
+    )
     # The root span is the single timing source: SearchStats.wall_time
     # is read back from its monotonic duration after it closes.
-    root = tracer.span(
+    root = get_tracer().span(
         "core.procedure_5_1",
         algorithm=algorithm.name,
         method=method,
         alpha=alpha,
         initial_bound=initial_bound,
         max_bound=max_bound,
-        batch=use_batch,
-        symmetry_order=group.order if group is not None else 1,
-        ring_bound=min_f,
     )
-    if disabled_reason is not None:
-        root.set(batch_disabled_reason=disabled_reason)
     with root:
-        while x_prev < max_bound and result is None:
-            f_hi = min(x, max_bound)
-            ring_span = tracer.span(
-                "core.ring", ring=rings, f_min=x_prev + 1, f_max=f_hi
-            )
-            with ring_span:
-                if rings == 0 and bound_reason is not None:
-                    tracer.event("ring_bound_failed", reason=bound_reason)
-                    ring_span.set(ring_bound_failed=bound_reason)
-                if min_f is not None and f_hi < min_f:
-                    stats.rings_bounded_out += 1
-                    ring_span.set(bounded_out=True)
-                with tracer.detail("ring.materialize"):
-                    if use_batch:
-                        ring = ring_candidate_array(mu, f_hi, f_min=x_prev + 1)
-                    else:
-                        ring = sorted(
-                            enumerate_schedule_vectors(mu, f_hi, f_min=x_prev + 1),
-                            key=lambda pi: (sum(abs(v) * m for v, m in zip(pi, mu)), pi),
-                        )
-                examined, found = _scan_ring(
-                    stages, ring, algorithm, space_rows, method, extra_constraint,
-                    stats=stats, examined=examined,
-                )
-                ring_span.set(candidates=len(ring))
-                if found is not None:
-                    cand, t, verdict = found
-                    stats.rings_expanded = rings
-                    ring_span.set(winner=list(cand.pi))
-                    result = SearchResult(
-                        schedule=cand,
-                        mapping=t,
-                        verdict=verdict,
-                        candidates_examined=examined,
-                        rings_expanded=rings,
-                        stats=stats,
-                    )
-            if result is None:
-                rings += 1
-                x_prev = min(x, max_bound)
-                x += alpha
-
-    if result is None:
-        stats.rings_expanded = rings
-        result = SearchResult(
-            schedule=None,
-            mapping=None,
-            verdict=None,
-            candidates_examined=examined,
-            rings_expanded=rings,
-            stats=stats,
+        result = search_rings(
+            algorithm, space_rows,
+            lambda ring, start: scanner.stages(ring.candidates[start:], stop_at_ok=True),
+            lambda t: check_conflict_free(t, algorithm.mu, method=method),
+            alpha=alpha, initial_bound=initial_bound, max_bound=max_bound,
+            stats=stats, extra_constraint=extra_constraint,
         )
     # stats is shared with the result; the frozen dataclass holds the
     # reference, so deriving wall_time from the span after construction
@@ -713,119 +685,6 @@ def procedure_5_1(
     stats.wall_time = root.duration
     stats.shard_wall_times = (stats.wall_time,)
     return result
-
-
-_RingWinner = tuple[LinearSchedule, MappingMatrix, ConditionVerdict]
-_StageFn = Callable[..., np.ndarray]
-
-
-def _scalar_stages(
-    algorithm: UniformDependenceAlgorithm,
-    space: Sequence[Sequence[int]],
-    *,
-    method: str,
-    symmetry: SymmetryGroup | None,
-    min_feasible_f: int | None,
-    stats: SearchStats,
-) -> _StageFn:
-    """The one-candidate-at-a-time funnel, shaped like
-    :meth:`BatchCandidateScanner.stages`.
-
-    Judges rows in order with the scalar predicates and
-    :func:`check_conflict_free`; ``stop_at_ok`` stops right after the
-    first conflict-free row.  Pruning matches the batched funnel: below
-    ``min_feasible_f`` the conflict check is skipped, and with
-    ``symmetry`` the rows that reach the check are canonicalized so each
-    orbit representative is checked once (memoized for the function's
-    lifetime).  Pruning telemetry accumulates in ``stats``.
-    """
-    space_rows = tuple(as_intvec(row) for row in space)
-    k = len(space_rows) + 1
-    memo: dict[tuple[int, ...], int] = {}
-
-    def judge(pi: tuple[int, ...]) -> int:
-        sched = LinearSchedule(pi=pi, index_set=algorithm.index_set)
-        if not sched.respects(algorithm):
-            return CODE_DEPS
-        if MappingMatrix(space=space_rows, schedule=pi).rank() != k:
-            return CODE_RANK
-        if min_feasible_f is not None and sched.f < min_feasible_f:
-            stats.candidates_skipped += 1
-            return CODE_CONFLICT
-        rep = pi if symmetry is None else symmetry.canonicalize(pi)
-        if rep in memo:
-            stats.orbits_collapsed += 1
-        else:
-            stats.conflict_screens += 1
-            t = MappingMatrix(space=space_rows, schedule=rep)
-            holds = check_conflict_free(t, algorithm.mu, method=method).holds
-            memo[rep] = CODE_OK if holds else CODE_CONFLICT
-        return memo[rep]
-
-    def stages(rows: Sequence[Sequence[int]], *, stop_at_ok: bool = False) -> np.ndarray:
-        codes = []
-        for row in rows:
-            codes.append(judge(tuple(int(v) for v in row)))
-            if stop_at_ok and codes[-1] == CODE_OK:
-                break
-        return np.array(codes, dtype=np.int8)
-
-    return stages
-
-
-def _scan_ring(
-    stages: _StageFn,
-    ring: Sequence[Sequence[int]],
-    algorithm: UniformDependenceAlgorithm,
-    space_rows: tuple,
-    method: str,
-    extra_constraint: Callable[[MappingMatrix], bool] | None,
-    *,
-    stats: SearchStats,
-    examined: int,
-) -> tuple[int, _RingWinner | None]:
-    """One sorted ring through a stage function; returns (examined, winner).
-
-    Counters follow the scalar loop's prefix semantics exactly: they are
-    tallied from the stage codes only up to (and including) the winning
-    candidate, and the winner's verdict is recomputed by the scalar
-    :func:`check_conflict_free`, so the returned
-    :class:`ConditionVerdict` is the same whichever funnel judged it.
-    """
-    stats.candidates_enumerated += len(ring)
-    pos = 0
-    while True:
-        codes = stages(ring[pos:], stop_at_ok=True)
-        for i in np.flatnonzero(codes == CODE_OK).tolist():
-            pi = tuple(int(v) for v in ring[pos + i])
-            t = MappingMatrix(space=space_rows, schedule=pi)
-            verdict = check_conflict_free(t, algorithm.mu, method=method)
-            if not verdict.holds:  # pragma: no cover - screens are exact
-                stats.conflicts_rejected += 1
-                continue
-            if extra_constraint is None or extra_constraint(t):
-                examined = _tally_stage_codes(stats, codes[: i + 1], examined)
-                cand = LinearSchedule(pi=pi, index_set=algorithm.index_set)
-                return examined, (cand, t, verdict)
-        examined = _tally_stage_codes(stats, codes, examined)
-        pos += len(codes)
-        if pos >= len(ring):
-            return examined, None
-
-
-def _tally_stage_codes(stats: SearchStats, codes: np.ndarray, examined: int) -> int:
-    """Add a run of visited stage codes to the prefix counters.
-
-    The scalar loop's accounting, by code: ``deps`` and ``rank`` are
-    pruned, every code past ``deps`` is examined, ``conflict`` and
-    ``ok`` are checked, ``conflict`` is rejected.  Returns the updated
-    ``examined`` count.
-    """
-    deps, rank, conflict, ok = np.bincount(codes, minlength=len(STAGE_NAMES)).tolist()
-    stats.candidates_pruned += deps + rank
-    stats.candidates_checked += conflict + ok
-    stats.conflicts_rejected += conflict
-    return examined + len(codes) - deps
 
 
 def find_all_optima(
@@ -840,64 +699,33 @@ def find_all_optima(
     The paper's Example 5.1 notes two optima (``[1, mu, 1]`` and
     ``[mu, 1, 1]``); this returns every schedule achieving the minimal
     total time, each wrapped as a :class:`SearchResult`.  Runs the
-    standard search once for the optimum, then sweeps the optimal ring
-    exhaustively in the search's documented
-    :meth:`~repro.core.schedule.LinearSchedule.sort_key` order.
+    standard search once for the optimum, then judges the whole optimal
+    ring with the same :class:`BatchCandidateScanner`, in the search's
+    documented :meth:`~repro.core.schedule.LinearSchedule.sort_key`
+    order.
 
     Each returned result carries its *own* :class:`SearchStats` copy
     (same counter values — one search was performed); mutating one
     result's telemetry never leaks into its siblings.
-
-    The tie sweep honors the same ``symmetry`` keyword as
-    :func:`procedure_5_1`: orbits whose representative fails the
-    conflict screen are dismissed wholesale, while every *surviving*
-    member still gets its own verdict object — the returned tie list is
-    bit-identical to the unpruned sweep, in the same sort-key order.
     """
     first = procedure_5_1(algorithm, space, method=method, **kwargs)
     if not first.found:
         return []
-    mu = algorithm.mu
     space_rows = tuple(as_intvec(row) for row in space)
-    k = len(space_rows) + 1
-    group: SymmetryGroup | None = None
-    if kwargs.get("symmetry", True) and method in ("auto", "exact"):
-        candidate_group = symmetry_group_for(algorithm, space_rows)
-        if candidate_group.order > 1:
-            group = candidate_group
-    rep_holds: dict[tuple[int, ...], bool] = {}
     best_f = first.schedule.f
-    ties = [
-        LinearSchedule(pi=pi, index_set=algorithm.index_set)
-        for pi in enumerate_schedule_vectors(mu, best_f, f_min=best_f)
-    ]
-    ties.sort(key=LinearSchedule.sort_key)
+    ties = ring_candidate_array(algorithm.mu, best_f, f_min=best_f)
+    scanner = BatchCandidateScanner(
+        algorithm, space_rows, method=method, batch_size=kwargs.get("batch_size")
+    )
     results: list[SearchResult] = []
-    for cand in ties:
-        if not algorithm.is_acyclic_under(cand.pi):
-            continue
-        t = MappingMatrix(space=space_rows, schedule=cand.pi)
-        if t.rank() != k:
-            continue
-        if group is not None:
-            rep = group.canonicalize(cand.pi)
-            holds = rep_holds.get(rep)
-            if holds is None:
-                rep_t = MappingMatrix(space=space_rows, schedule=rep)
-                holds = check_conflict_free(rep_t, mu, method=method).holds
-                rep_holds[rep] = holds
-            if not holds:
-                continue
-        verdict = check_conflict_free(t, mu, method=method)
-        if not verdict.holds:
-            # Unreachable when group pre-screened the orbit (invariance);
-            # the ordinary rejection path otherwise.
-            continue
+    for i in np.flatnonzero(scanner.stages(ties) == CODE_OK).tolist():
+        pi = tuple(int(v) for v in ties[i])
+        t = MappingMatrix(space=space_rows, schedule=pi)
         results.append(
             SearchResult(
-                schedule=cand,
+                schedule=LinearSchedule(pi=pi, index_set=algorithm.index_set),
                 mapping=t,
-                verdict=verdict,
+                verdict=check_conflict_free(t, algorithm.mu, method=method),
                 candidates_examined=first.candidates_examined,
                 rings_expanded=first.rings_expanded,
                 stats=replace(first.stats),
@@ -908,5 +736,3 @@ def find_all_optima(
 
 # Backwards-friendly alias matching the paper's wording.
 find_time_optimal_schedule = procedure_5_1
-
-_ = field  # keep dataclass import grouped for linters

@@ -136,12 +136,9 @@ def find_time_optimal_mapping(
         routes the search through the engine; the ILP route, whose
         closed-form subproblems finish in milliseconds, ignores them.
     **solver_kwargs:
-        Forwarded to the search route verbatim — this is where the
-        result-preserving pruning switches (``symmetry=False``,
-        ``ring_bound=False``) land, on both the serial
-        :func:`~repro.core.optimize.procedure_5_1` and the engine
-        route.  Pruning defaults to on; either setting returns the
-        same mapping, time and verdict.
+        Forwarded to the search route verbatim: the serial
+        :func:`~repro.core.optimize.procedure_5_1` or the engine
+        route.
 
     Raises
     ------

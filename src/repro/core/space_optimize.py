@@ -300,11 +300,7 @@ def evaluate_joint_candidate(
     the search bound, ``"routing"`` when the winner is unroutable, else
     ``"ok"``.  Shared by :func:`solve_joint_optimal` and the engine.
 
-    ``schedule_kwargs`` reaches the inner Procedure 5.1 verbatim, so
-    the pruning switches (``symmetry``/``ring_bound``) apply here too —
-    by default every per-candidate schedule search runs with orbit
-    collapsing and the LP ring bound on, which is safe because both are
-    result-preserving (the judged status and design never change).
+    ``schedule_kwargs`` reaches the inner Procedure 5.1 verbatim.
     """
     kwargs = schedule_kwargs or {}
     search = procedure_5_1(algorithm, space, **kwargs)
@@ -331,7 +327,6 @@ def solve_space_optimal(
     magnitude: int = 1,
     objective: Callable[[ArrayCost], float] | None = None,
     keep_ranking: int = 10,
-    batch: bool = True,
     batch_size: int | None = None,
 ) -> SpaceOptimizationResult:
     """Problem 6.1: given ``Pi``, find the cheapest conflict-free ``S``.
@@ -350,12 +345,9 @@ def solve_space_optimal(
         Cost aggregation; defaults to processors + wire length.
     keep_ranking:
         How many runner-up designs to retain.
-    batch:
-        Judge candidates through :func:`evaluate_designs_batched` (the
-        default); ``False`` keeps the one-at-a-time
-        :func:`evaluate_design` loop.  Identical outcome either way.
     batch_size:
-        Candidates per vectorized batch.
+        Candidates per vectorized batch of
+        :func:`evaluate_designs_batched`.
     """
     pi_t = tuple(int(x) for x in pi)
     sched = LinearSchedule(pi=pi_t, index_set=algorithm.index_set)
@@ -370,21 +362,14 @@ def solve_space_optimal(
         algorithm=algorithm.name,
         array_dim=array_dim,
         magnitude=magnitude,
-        batch=batch,
     )
     with root:
         spaces = list(enumerate_space_mappings(algorithm.n, array_dim, magnitude))
-        if batch:
-            outcomes, stats.batches_evaluated, stats.fastpath_promotions = (
-                evaluate_designs_batched(
-                    algorithm, spaces, pi_t, objective, batch_size=batch_size
-                )
+        outcomes, stats.batches_evaluated, stats.fastpath_promotions = (
+            evaluate_designs_batched(
+                algorithm, spaces, pi_t, objective, batch_size=batch_size
             )
-        else:
-            outcomes = [
-                evaluate_design(algorithm, space, pi_t, objective)
-                for space in spaces
-            ]
+        )
         for status, design in outcomes:
             stats.candidates_enumerated += 1
             if status == "rank":

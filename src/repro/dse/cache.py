@@ -37,22 +37,10 @@ logger = logging.getLogger("repro.dse.cache")
 __all__ = ["ResultCache", "canonical_key", "default_cache_dir"]
 
 # Bump when the stored-entry layout or the key canonicalization changes;
-# old entries are then simply never looked up again.  v2: matrix-valued
-# key components are rendered as IntMat digests instead of nested lists.
-# v3: entries carry a content checksum (``"crc"``) so silent on-disk
-# corruption that still parses as JSON is detected and quarantined.
-# v4: schedule run params grew the pruning switches ("symmetry",
-# "ring_bound"), so every schedule key changed — a run with pruning on
-# and one with pruning off are distinct queries and must never answer
-# each other from cache.
-CACHE_SCHEMA_VERSION = 4
-
-# v2 entries differ from v3+ only by the absence of the checksum, so
-# they stay readable (no checksum to verify) instead of forcing a cold
-# cache; v3 entries differ from v4 only by which keys can reach them
-# (pre-pruning canonical keys), so any v3 entry a v4 key *does* reach
-# is byte-compatible and stays readable too.
-_READABLE_SCHEMAS = (2, 3, CACHE_SCHEMA_VERSION)
+# entries of any other version are then inert misses, overwritten by the
+# next put.  Only this version is read: v5 schedule keys have the same
+# shape as v3 ones, and the bump keeps v3 entries from answering them.
+CACHE_SCHEMA_VERSION = 5
 
 
 def default_cache_dir() -> Path:
@@ -152,14 +140,13 @@ class ResultCache:
         """The stored entry for ``key``, or ``None`` (counted as a miss).
 
         A malformed entry — unparsable JSON, a non-object document, a
-        schema-valid object missing its ``"value"``, or a v3 entry whose
+        current-schema object missing its ``"value"``, or one whose
         content checksum no longer matches — is a miss too: the file is
         quarantined aside (renamed ``*.json.corrupt``) so the search
         re-runs and overwrites it, instead of crashing on (or silently
         trusting) a truncated, bit-rotted, or hand-edited file.  A
-        well-formed entry of an unknown schema version is an ordinary
-        miss (version skew, not damage); v2 entries predate the
-        checksum and are read without one.
+        well-formed entry of any other schema version is an ordinary
+        miss (version skew, not damage).
         """
         if self.enabled:
             path = self._path(key)
@@ -174,12 +161,11 @@ class ResultCache:
                 entry = None  # file exists but is damaged
             if isinstance(entry, dict):
                 schema = entry.get("schema")
-                if schema in _READABLE_SCHEMAS:
+                if schema == CACHE_SCHEMA_VERSION:
                     value = entry.get("value")
-                    if isinstance(value, dict) and (
-                        schema == 2
-                        or entry.get("crc") == _content_checksum(value)
-                    ):
+                    if isinstance(value, dict) and entry.get(
+                        "crc"
+                    ) == _content_checksum(value):
                         self.hits += 1
                         tracer = get_tracer()
                         tracer.event("cache.hit", key=key)

@@ -65,7 +65,8 @@ __all__ = [
 
 #: Bump when the journal record layout changes; old journals are then
 #: rejected with a :class:`CheckpointError` instead of being misread.
-JOURNAL_SCHEMA_VERSION = 1
+#: v2: schedule shard outputs carry stage codes instead of records.
+JOURNAL_SCHEMA_VERSION = 2
 
 
 class CheckpointError(RuntimeError):

@@ -9,10 +9,12 @@ work-queue architecture:
   (:func:`~repro.core.optimize.ring_candidate_array`): a shard payload
   carries ``(ring bounds, start, stop)`` and the worker re-derives its
   slice locally, judging it through the vectorized
-  :class:`~repro.core.optimize.BatchCandidateScanner` funnel (or the
-  scalar loop, for ``batch=False`` / ``method="paper"``).  Per-candidate
-  verdicts are merged back in the serial scan order, so the winner, the
-  verdict *and every stats counter* equal the serial search's exactly.
+  :class:`~repro.core.optimize.BatchCandidateScanner` funnel.  Shards
+  are contiguous ranges of the sorted ring, so their stage codes,
+  concatenated in range order, are already in the serial scan order;
+  the ring loop itself is Procedure 5.1's one driver
+  (:func:`~repro.core.optimize.search_rings`), so the winner, the
+  verdict *and every deterministic counter* equal the serial search's.
   Shard granularity is cost-adaptive by default: a
   :class:`~repro.dse.partition.ShardAutotuner` feeds observed shard
   wall-times back into the fan-out decision, so cheap rings stay serial
@@ -52,19 +54,15 @@ import numpy as np
 from ..core.conditions import check_conflict_free
 from ..core.mapping import MappingMatrix
 from ..core.optimize import (
-    STAGE_NAMES,
     BatchCandidateScanner,
+    Ring,
     SearchResult,
-    _scalar_stages,
-    _warn_batch_disabled,
-    batch_disabled_reason,
-    batch_supported,
     ring_candidate_array,
     search_bounds,
+    search_rings,
 )
 from ..core.schedule import LinearSchedule
-from ..core.symmetry import SymmetryGroup, symmetry_group_for
-from ..intlin import INT64_MAX, as_intvec
+from ..intlin import as_intvec
 from ..core.space_optimize import (
     SpaceDesign,
     SpaceOptimizationResult,
@@ -91,7 +89,6 @@ from .partition import (
     ShardAutotuner,
     calibration_probe,
     effective_shards,
-    ring_bounds,
     ring_ranges,
     round_robin,
 )
@@ -114,13 +111,6 @@ logger = logging.getLogger("repro.dse.executor")
 #: (the job server, CI, a cron wrapper) cap worker parallelism without
 #: threading a flag through every call site.
 JOBS_ENV_VAR = "REPRO_JOBS"
-
-# Per-candidate scan outcomes, in serial rejection order.
-_DEPS = "deps"          # Pi D <= 0 — pruned before the mapping is built
-_RANK = "rank"          # rank([S; Pi]) < k
-_CONFLICT = "conflict"  # conflict checker rejected
-_EXTRA = "extra"        # user extra_constraint rejected
-_OK = "ok"              # fully valid candidate
 
 
 def resolve_jobs(jobs: int | None, max_useful: int | None = None) -> int:
@@ -224,20 +214,12 @@ def schedule_run_params(
     alpha: int | None = None,
     initial_bound: int | None = None,
     max_bound: int | None = None,
-    symmetry: bool = True,
-    ring_bound: bool = True,
 ) -> dict:
     """Canonical run parameters of a Problem 2.2 (schedule) search.
 
     Defaults resolve exactly as :func:`explore_schedule` resolves them
     (one shared :func:`~repro.core.optimize.search_bounds`), so a
     digest computed at submission time equals the engine's.
-
-    The pruning switches (``symmetry``, ``ring_bound``) are part of the
-    run's identity even though pruning is proven result-preserving: a
-    cache or journal entry produced under one pruning configuration
-    must never answer a query made under another, so a suspect entry
-    can always be invalidated by rerunning with pruning off.
     """
     space_rows = tuple(as_intvec(row) for row in space)
     alpha, initial_bound, max_bound = search_bounds(
@@ -252,8 +234,6 @@ def schedule_run_params(
         "alpha": alpha,
         "initial_bound": initial_bound,
         "max_bound": max_bound,
-        "symmetry": bool(symmetry),
-        "ring_bound": bool(ring_bound),
     }
 
 
@@ -318,88 +298,52 @@ def _shard_span(payload: dict, kind: str, candidates: int) -> tuple[Tracer, Span
     return tracer, tracer.span("dse.shard", kind=kind, candidates=candidates)
 
 
-def _shard_output(tracer: Tracer, span: Span, data_key: str, data: list) -> dict:
+def _shard_output(tracer: Tracer, span: Span, data_key: str, data) -> dict:
     out = {data_key: data, "wall_time": span.duration}
     if tracer.enabled:
         out["spans"] = tracer.records()
     return out
 
 
-def _candidate_keys(
-    chunk: np.ndarray, mu: Sequence[int]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Serial sort keys ``(total_time, pi)`` for a slice of a ring array."""
-    if len(chunk) == 0:
-        return []
-    mu_arr = np.array([int(m) for m in mu], dtype=np.int64)
-    times = (np.abs(chunk) @ mu_arr + 1).tolist()
-    return list(zip(times, map(tuple, chunk.tolist())))
+def _codes_text(codes: np.ndarray) -> str:
+    """Stage codes as a string of digits (compact in pickles and JSON)."""
+    return (codes + ord("0")).astype(np.uint8).tobytes().decode("ascii")
 
 
-def _shard_symmetry(payload: dict, algo: UniformDependenceAlgorithm):
-    """Rebuild the funnel symmetry group inside a worker, if enabled.
-
-    The group itself never travels in the payload (numpy matrices are
-    picklable but re-deriving is cheaper and keeps payloads JSON-ish);
-    :func:`~repro.core.symmetry.symmetry_group` is ``lru_cache``'d, so
-    each worker process pays the enumeration once per ``(mu, D, S)``.
-    """
-    if not payload.get("symmetry"):
-        return None
-    group = symmetry_group_for(algo, payload["space"])
-    return group if group.order > 1 else None
+def _codes_array(text: str) -> np.ndarray:
+    return (np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")).astype(
+        np.int8
+    )
 
 
 def _scan_schedule_shard(payload: dict) -> dict:
-    """Judge one shard of a schedule ring; returns per-candidate records.
+    """Judge one shard of a schedule ring; returns its stage codes.
 
     The payload names the ring (``(f_min, f_max)`` bounds) and a
     contiguous ``(start, stop)`` range of the canonical sorted ring
     array; the worker re-derives its slice locally via the cached
     :func:`~repro.core.optimize.ring_candidate_array` instead of
-    receiving candidates over the wire.  A record is ``(sort_key,
-    outcome)`` with ``sort_key = (total_time, pi)`` — the same total
-    order the serial scan sorts by — so the parent can merge shards
-    back into the exact serial visit sequence.
-
-    Pruning (``payload["symmetry"]`` / ``payload["min_f"]``) changes
-    only *how* a stage code is computed, never which code a candidate
-    gets — orbit members rehydrate their representative's stage, and
-    candidates whose budget sits below the LP lower bound take the
-    ``conflict`` verdict the screen would have produced — so the merged
-    record stream is identical to the unpruned one.
+    receiving candidates over the wire.  The codes travel as a string
+    of stage digits covering the prefix of the slice whose codes are
+    final (the whole slice unless a lazy screen stopped at a
+    conflict-free row).
     """
     maybe_slow()
     algo = _algorithm_from_spec(payload["algorithm"])
-    space = payload["space"]  # tuple of IntVec rows, reused as-is
-    method = payload["method"]
     f_min, f_max = payload["ring"]
     start, stop = payload["span"]
-    group = _shard_symmetry(payload, algo)
-    min_f = payload.get("min_f")
     local = SearchStats()
     tracer, span = _shard_span(payload, "schedule", stop - start)
     with span:
         with tracer.detail("ring.materialize"):
             chunk = ring_candidate_array(algo.mu, f_max, f_min=f_min)[start:stop]
-        if payload.get("batch"):
-            stages = BatchCandidateScanner(
-                algo, space, method=method,
-                batch_size=payload.get("batch_size"),
-                symmetry=group, min_feasible_f=min_f, tracer=tracer, stats=local,
-            ).stages
-        else:
-            stages = _scalar_stages(
-                algo, space, method=method, symmetry=group,
-                min_feasible_f=min_f, stats=local,
-            )
-        names = [STAGE_NAMES[c] for c in stages(chunk).tolist()]
-        records = list(zip(_candidate_keys(chunk, algo.mu), names))
-    out = _shard_output(tracer, span, "records", records)
+        codes = BatchCandidateScanner(
+            algo, payload["space"], method=payload["method"],
+            batch_size=payload.get("batch_size"), tracer=tracer, stats=local,
+        ).stages(chunk, stop_at_ok=True)
+    out = _shard_output(tracer, span, "codes", _codes_text(codes))
     out["batches"] = local.batches_evaluated
     out["promotions"] = local.fastpath_promotions
-    out["orbits"] = local.orbits_collapsed
-    out["skipped"] = local.candidates_skipped
     out["screens"] = local.conflict_screens
     return out
 
@@ -426,17 +370,11 @@ def _evaluate_space_shard(payload: dict) -> dict:
     algo = _algorithm_from_spec(payload["algorithm"])
     pi = payload["pi"]
     spaces = _shard_spaces(algo, payload)
-    batches = promotions = 0
     tracer, span = _shard_span(payload, "space", len(spaces))
     with span:
-        if payload.get("batch"):
-            evaluated, batches, promotions = evaluate_designs_batched(
-                algo, spaces, pi, batch_size=payload.get("batch_size")
-            )
-        else:
-            evaluated = [
-                evaluate_design(algo, space, pi) for space in spaces
-            ]
+        evaluated, batches, promotions = evaluate_designs_batched(
+            algo, spaces, pi, batch_size=payload.get("batch_size")
+        )
     out = _shard_output(tracer, span, "evaluated", evaluated)
     out["batches"] = batches
     out["promotions"] = promotions
@@ -448,10 +386,9 @@ def _evaluate_joint_shard(payload: dict) -> dict:
     maybe_slow()
     algo = _algorithm_from_spec(payload["algorithm"])
     spaces = _shard_spaces(algo, payload)
-    # Batch preferences travel outside schedule_kwargs (they are not
-    # part of the run's identity); explicit user kwargs always win.
+    # The batch size travels outside schedule_kwargs (it is not part of
+    # the run's identity); explicit user kwargs always win.
     kwargs = dict(payload["schedule_kwargs"])
-    kwargs.setdefault("batch", payload.get("schedule_batch", True))
     size = payload.get("schedule_batch_size")
     if size is not None:
         kwargs.setdefault("batch_size", size)
@@ -481,42 +418,27 @@ def _evaluate_joint_shard(payload: dict) -> dict:
 # -- journal transport ------------------------------------------------------
 
 # Shard outputs must round-trip through the checkpoint journal as plain
-# JSON.  Both encodings are exact — sort keys and costs are ints, the
+# JSON.  Both encodings are exact — stage codes are digits, costs are ints, the
 # objective float survives JSON unchanged — so a replayed shard merges
 # identically to a recomputed one.  Worker-side trace spans are dropped:
 # they belong to the run that produced them, not to the journal.
 
 
 def _encode_schedule_out(out: dict) -> dict:
-    # Records are ((t, pi), stage) tuples of ints; json renders tuples
-    # as arrays natively, so no per-record rebuild is needed (this is
-    # on the per-candidate checkpointing hot path).  Spans stay out of
-    # the journal either way.
+    # Codes are already a digit string; spans stay out of the journal.
     return {
-        "records": out["records"],
-        "wall_time": out["wall_time"],
-        "batches": out.get("batches", 0),
-        "promotions": out.get("promotions", 0),
-        "orbits": out.get("orbits", 0),
-        "skipped": out.get("skipped", 0),
-        "screens": out.get("screens", 0),
+        key: out[key]
+        for key in ("codes", "wall_time", "batches", "promotions", "screens")
     }
 
 
 def _decode_schedule_out(data: dict) -> dict:
-    # ``.get(..., 0)`` on the pruning telemetry keeps journals written
-    # before the pruning release replayable (they carry no such keys).
     return {
-        "records": [
-            ((int(key[0]), tuple(int(x) for x in key[1])), str(stage))
-            for key, stage in data["records"]
-        ],
+        "codes": str(data["codes"]),
         "wall_time": data["wall_time"],
-        "batches": int(data.get("batches", 0)),
-        "promotions": int(data.get("promotions", 0)),
-        "orbits": int(data.get("orbits", 0)),
-        "skipped": int(data.get("skipped", 0)),
-        "screens": int(data.get("screens", 0)),
+        "batches": int(data["batches"]),
+        "promotions": int(data["promotions"]),
+        "screens": int(data["screens"]),
     }
 
 
@@ -652,11 +574,8 @@ def explore_schedule(
     initial_bound: int | None = None,
     max_bound: int | None = None,
     extra_constraint: Callable[[MappingMatrix], bool] | None = None,
-    batch: bool = True,
     batch_size: int | None = None,
     adaptive: bool = True,
-    symmetry: bool = True,
-    ring_bound: bool = True,
     cache: ResultCache | None = None,
     resilience: ResiliencePolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
@@ -679,14 +598,9 @@ def explore_schedule(
         Worker processes (``None``: one per available CPU).
         ``extra_constraint`` forces the in-process fallback — arbitrary
         callbacks do not cross process boundaries.
-    batch, batch_size:
-        Evaluation strategy inside each shard: the vectorized
-        :class:`~repro.core.optimize.BatchCandidateScanner` funnel by
-        default, the scalar loop with ``batch=False`` (and always
-        scalar where :func:`~repro.core.optimize.batch_supported` says
-        batching cannot be bit-exact, e.g. ``method="paper"``).  Never
-        part of the run's cache/journal identity — a cached or
-        journaled decision replays regardless of strategy.
+    batch_size:
+        Rows per co-rank >= 2 image-screen chunk inside each shard.
+        Never part of the run's cache/journal identity.
     adaptive:
         Cost-adaptive shard granularity (default).  Observed shard
         wall-times feed a :class:`~repro.dse.partition.ShardAutotuner`
@@ -695,13 +609,6 @@ def explore_schedule(
         ``effective_shards`` policy (every ring cut ``jobs`` ways).
         Decisions are deterministic given the journal, so resumes
         re-derive identical shard ranges.
-    symmetry, ring_bound:
-        Result-preserving pruning, mirroring
-        :func:`repro.core.optimize.procedure_5_1`: orbit collapsing
-        under the funnel symmetry group of ``(mu, D, S)`` and the
-        LP-relaxation ring lower bound.  Unlike ``batch``, these *are*
-        part of the run's cache/journal identity (see
-        :func:`schedule_run_params`).
     cache:
         Optional persistent :class:`~repro.dse.cache.ResultCache`; hits
         skip the search and re-derive the verdict exactly.
@@ -738,7 +645,6 @@ def explore_schedule(
     """
     validate_algorithm(algorithm)
     jobs = resolve_jobs(jobs)
-    mu = algorithm.mu
     # Pre-normalized IntVec rows: every MappingMatrix built from them —
     # in shards and in the final result — reuses them without validation.
     space_rows = tuple(as_intvec(row) for row in space)
@@ -751,114 +657,172 @@ def explore_schedule(
     alpha, initial_bound, max_bound = search_bounds(
         algorithm, alpha=alpha, initial_bound=initial_bound, max_bound=max_bound
     )
-    tracer = get_tracer()
-    root = tracer.span(
+    run_params = schedule_run_params(
+        algorithm, space_rows, method=method, alpha=alpha,
+        initial_bound=initial_bound, max_bound=max_bound,
+    )
+    root = get_tracer().span(
         "dse.explore_schedule",
         algorithm=algorithm.name,
         jobs=jobs,
         method=method,
-        batch=batch and batch_supported(method, max_bound),
         adaptive=adaptive,
     )
-    if batch:
-        disabled = batch_disabled_reason(method, max_bound)
-        if disabled is not None:
-            root.set(batch_disabled_reason=disabled)
     with root:
-        result = _explore_schedule_traced(
-            algorithm, space_rows, jobs=jobs, method=method, alpha=alpha,
-            initial_bound=initial_bound, max_bound=max_bound,
-            extra_constraint=extra_constraint, batch=batch,
-            batch_size=batch_size, adaptive=adaptive,
-            symmetry=symmetry, ring_bound=ring_bound, cache=cache,
-            resilience=resilience, tracer=tracer,
-            checkpoint=checkpoint, resume=resume, budget=budget,
-            stop=stop, on_progress=on_progress,
-        )
+        cache_key = None
+        entry = None
+        if cache is not None and extra_constraint is None:
+            cache_key = canonical_key(run_params)
+            entry = cache.get(cache_key)
+        if entry is not None:
+            logger.debug("explore_schedule: warm cache hit, skipping search")
+            result = _schedule_result_from_entry(algorithm, space_rows, method, entry)
+        else:
+            control = _run_control(
+                run_params, "procedure-5.1", checkpoint, resume, budget,
+                stop=stop, on_progress=on_progress,
+            )
+            with control if control is not None else nullcontext():
+                if control is not None and control.resume_entry is not None:
+                    # The journal already holds the final decision:
+                    # short-circuit exactly like a warm cache hit.
+                    logger.debug("explore_schedule: journal holds a completed run")
+                    result = _schedule_result_from_entry(
+                        algorithm, space_rows, method, control.resume_entry
+                    )
+                    result.stats.cache_hits = 0
+                    result.stats.shards_resumed = control.journal.resumed_shards
+                else:
+                    stats = SearchStats()
+                    with ResilientShardRunner(
+                        jobs, in_process=extra_constraint is not None,
+                        policy=resilience,
+                    ) as runner:
+                        judge = _ShardedJudge(
+                            _algorithm_spec(algorithm), space_rows, method,
+                            batch_size, stats, runner, control, jobs, adaptive,
+                        )
+                        result = search_rings(
+                            algorithm, space_rows, judge,
+                            lambda t: check_conflict_free(t, algorithm.mu, method=method),
+                            alpha=alpha, initial_bound=initial_bound,
+                            max_bound=max_bound, stats=stats,
+                            extra_constraint=extra_constraint, span_name="dse.ring",
+                            before_ring=(
+                                control.check_ring if control is not None else None
+                            ),
+                            after_ring=judge.ring_done,
+                        )
+                    stats.shards = judge.max_shards
+                    if judge.tuner is not None:
+                        stats.shards_autotuned = judge.tuner.autotuned
+                    runner.apply_telemetry(stats)
+                    if control is not None:
+                        stats.shards_resumed = control.shards_resumed
+                        control.record_result(_schedule_entry_from_result(result))
+            result.stats.cache_misses = int(cache_key is not None)
+            if cache_key is not None:
+                cache.put(cache_key, _schedule_entry_from_result(result))
     # One timing source: the search's wall time is the root span.
     result.stats.wall_time = root.duration
     return result
 
 
-def _explore_schedule_traced(
-    algorithm: UniformDependenceAlgorithm,
-    space_rows: tuple,
-    *,
-    jobs: int,
-    method: str,
-    alpha: int,
-    initial_bound: int,
-    max_bound: int,
-    extra_constraint: Callable[[MappingMatrix], bool] | None,
-    batch: bool,
-    batch_size: int | None,
-    adaptive: bool,
-    symmetry: bool,
-    ring_bound: bool,
-    cache: ResultCache | None,
-    resilience: ResiliencePolicy | None,
-    tracer,
-    checkpoint: str | os.PathLike | None = None,
-    resume: bool = False,
-    budget: RunBudget | None = None,
-    stop=None,
-    on_progress: Callable[[dict], None] | None = None,
-) -> SearchResult:
-    run_params = schedule_run_params(
-        algorithm, space_rows, method=method, alpha=alpha,
-        initial_bound=initial_bound, max_bound=max_bound,
-        symmetry=symmetry, ring_bound=ring_bound,
-    )
-    cache_key = None
-    if cache is not None and extra_constraint is None:
-        cache_key = canonical_key(run_params)
-        entry = cache.get(cache_key)
-        if entry is not None:
-            logger.debug("explore_schedule: warm cache hit, skipping search")
-            return _schedule_result_from_entry(
-                algorithm, space_rows, method, entry
+class _ShardedJudge:
+    """The engine's ring judge: contiguous shard ranges, run through the
+    (optionally journaled) resilient runner, codes concatenated in range
+    order — which, the ring being sorted, is the serial scan order."""
+
+    def __init__(
+        self,
+        spec: dict,
+        space_rows: tuple,
+        method: str,
+        batch_size: int | None,
+        stats: SearchStats,
+        runner: ResilientShardRunner,
+        control: RunControl | None,
+        jobs: int,
+        adaptive: bool,
+    ) -> None:
+        self.payload = {
+            "algorithm": spec,
+            "space": space_rows,
+            "method": method,
+            "batch_size": batch_size,
+            "trace": get_tracer().enabled,
+        }
+        self.stats = stats
+        self.runner = runner
+        self.control = control
+        self.jobs = jobs
+        self.tuner = (
+            ShardAutotuner(jobs=jobs, calibration=_calibration_seconds(control))
+            if adaptive
+            else None
+        )
+        self.max_shards = 1
+        # Per-ring tallies for the ring's progress event.
+        self.shards = self.batches = self.promotions = 0
+
+    def __call__(self, ring: Ring, start: int) -> np.ndarray:
+        total = len(ring.candidates) - start
+        if self.tuner is not None:
+            shards = self.tuner.shards_for(total)
+        else:
+            shards = effective_shards(total, self.jobs)
+        self.max_shards = max(self.max_shards, shards)
+        ring.span.set(shards=shards)
+        ranges = [(start + a, start + b) for a, b in ring_ranges(total, shards)]
+        payloads = [
+            dict(self.payload, ring=(ring.f_min, ring.f_max), span=rng)
+            for rng in ranges
+        ]
+        outs = _run_shards(
+            self.runner, _scan_schedule_shard, payloads, self.control,
+            kind="schedule", ring=ring.index, content_key="span",
+            encode=_encode_schedule_out, decode=_decode_schedule_out,
+        )
+        stats = self.stats
+        wall_times = tuple(out["wall_time"] for out in outs)
+        stats.shard_wall_times += wall_times
+        batches = sum(out["batches"] for out in outs)
+        promotions = sum(out["promotions"] for out in outs)
+        stats.batches_evaluated += batches
+        stats.fastpath_promotions += promotions
+        stats.conflict_screens += sum(out["screens"] for out in outs)
+        self.shards += shards
+        self.batches += batches
+        self.promotions += promotions
+        if self.tuner is not None:
+            # Feed only journal-exact signals (shard wall times) so a
+            # resumed run re-derives identical shard ranges.
+            self.tuner.observe(total, sum(wall_times))
+        tracer = get_tracer()
+        codes = []
+        for shard, ((a, b), out) in enumerate(zip(ranges, outs)):
+            tracer.absorb(out.get("spans"), shard=shard, ring=ring.index)
+            codes.append(_codes_array(out["codes"]))
+            if len(codes[-1]) < b - a:
+                break  # a lazy screen stopped: later codes are not final
+        return np.concatenate(codes)
+
+    def ring_done(self, ring: Ring, won: bool) -> None:
+        if self.control is not None:
+            # Materialize the closed ring span as a progress event: a
+            # subscriber sees the same data a --trace file would hold.
+            # candidates/shards travel explicitly — Span.set() drops
+            # attrs when the tracer is disabled.
+            self.control.emit_span(
+                ring.span, winner=won, candidates=len(ring.candidates),
+                shards=self.shards, batches=self.batches,
+                promotions=self.promotions,
             )
-
-    control = _run_control(
-        run_params, "procedure-5.1", checkpoint, resume, budget,
-        stop=stop, on_progress=on_progress,
-    )
-
-    spec = _algorithm_spec(algorithm)
-    stats = SearchStats(cache_misses=1 if cache_key is not None else 0)
-
-    with control if control is not None else nullcontext():
-        if control is not None and control.resume_entry is not None:
-            # The journal already holds the final decision: short-circuit
-            # exactly like a warm cache hit (and warm the cache, if any).
-            logger.debug("explore_schedule: journal holds a completed run")
-            if cache_key is not None:
-                cache.put(cache_key, control.resume_entry)
-            result = _schedule_result_from_entry(
-                algorithm, space_rows, method, control.resume_entry
+        if won:
+            logger.debug(
+                "explore_schedule: ring %d produced the winner", ring.index
             )
-            result.stats.cache_hits = 0
-            result.stats.cache_misses = 1 if cache_key is not None else 0
-            result.stats.shards_resumed = control.journal.resumed_shards
-            return result
-
-        with ResilientShardRunner(
-            jobs, in_process=extra_constraint is not None, policy=resilience
-        ) as runner:
-            result = _scan_rings(
-                algorithm, space_rows, spec, stats, runner, control,
-                jobs=jobs, method=method, alpha=alpha,
-                initial_bound=initial_bound, max_bound=max_bound,
-                extra_constraint=extra_constraint, batch=batch,
-                batch_size=batch_size, adaptive=adaptive,
-                symmetry=symmetry, ring_bound=ring_bound, tracer=tracer,
-            )
-        if control is not None:
-            stats.shards_resumed = control.shards_resumed
-            control.record_result(_schedule_entry_from_result(result))
-    if cache_key is not None:
-        cache.put(cache_key, _schedule_entry_from_result(result))
-    return result
+        self.shards = self.batches = self.promotions = 0
 
 
 # One probe per process: explore_* is called in tight loops by tests
@@ -894,201 +858,6 @@ def _calibration_seconds(control: RunControl | None) -> float:
     return _process_calibration
 
 
-def _scan_rings(
-    algorithm: UniformDependenceAlgorithm,
-    space_rows: tuple,
-    spec: dict,
-    stats: SearchStats,
-    runner: ResilientShardRunner,
-    control: RunControl | None,
-    *,
-    jobs: int,
-    method: str,
-    alpha: int,
-    initial_bound: int,
-    max_bound: int,
-    extra_constraint: Callable[[MappingMatrix], bool] | None,
-    batch: bool,
-    batch_size: int | None,
-    adaptive: bool,
-    symmetry: bool,
-    ring_bound: bool,
-    tracer,
-) -> SearchResult:
-    """The ring loop of Procedure 5.1, sharded; fills ``stats`` in place."""
-    mu = algorithm.mu
-    examined = 0
-    rings = 0
-    winner_pi: tuple[int, ...] | None = None
-    max_shards = 1
-    trace = tracer.enabled
-    use_batch = batch and batch_supported(method, max_bound)
-    if batch and not use_batch:
-        reason = batch_disabled_reason(method, max_bound)
-        stats.batch_disabled_reason = reason
-        _warn_batch_disabled(reason)
-    # Pruning setup mirrors the serial procedure_5_1 exactly: orbit
-    # collapsing only under the exact conflict deciders (the paper's
-    # sufficient conditions are not syntactically symmetric), and the
-    # LP ring bound degrading to "no bound" on any solver failure.
-    group: SymmetryGroup | None = None
-    if symmetry and method in ("auto", "exact"):
-        group = symmetry_group_for(algorithm, space_rows)
-        if group.order <= 1:
-            group = None
-    min_f: int | None = None
-    bound_reason: str | None = None
-    if ring_bound:
-        from ..core.ilp_formulation import schedule_lower_bound
-
-        min_f, bound_reason = schedule_lower_bound(algorithm, space_rows)
-    tuner = (
-        ShardAutotuner(jobs=jobs, calibration=_calibration_seconds(control))
-        if adaptive
-        else None
-    )
-    for f_min, f_max in ring_bounds(initial_bound, alpha, max_bound):
-        if control is not None:
-            control.check_ring(f_max)
-        ring_span = tracer.span("dse.ring", ring=rings, f_min=f_min, f_max=f_max)
-        with ring_span:
-            if rings == 0 and bound_reason is not None:
-                tracer.event("ring_bound_failed", reason=bound_reason)
-                ring_span.set(ring_bound_failed=bound_reason)
-            if min_f is not None and f_max < min_f:
-                stats.rings_bounded_out += 1
-                ring_span.set(bounded_out=True)
-            ring_arr = ring_candidate_array(mu, f_max, f_min=f_min)
-            total = len(ring_arr)
-            stats.candidates_enumerated += total
-            # The autotuner's work measure is orbit *representatives*
-            # when symmetry collapsing is on: shard ranges still cover
-            # every enumerated candidate (the merge needs every record),
-            # but the cost of a ring is what actually gets evaluated.
-            reps = total
-            if group is not None and total and tuner is not None:
-                canon = group.canonicalize_rows(ring_arr)
-                # Rows as balanced base-(2B+1) numbers: one int64 key each.
-                base = 2 * int(np.abs(canon).max()) + 1
-                if base ** canon.shape[1] <= INT64_MAX:
-                    canon = canon @ base ** np.arange(canon.shape[1], dtype=np.int64)
-                reps = len(np.unique(canon, axis=0))
-            if tuner is not None:
-                shards = tuner.shards_for(total, representatives=reps)
-            else:
-                shards = effective_shards(total, jobs)
-            max_shards = max(max_shards, shards)
-            ring_span.set(candidates=total, shards=shards)
-            payloads = [
-                {
-                    "algorithm": spec,
-                    "space": space_rows,
-                    "method": method,
-                    "ring": (f_min, f_max),
-                    "span": (start, stop),
-                    "batch": use_batch,
-                    "batch_size": batch_size,
-                    "symmetry": group is not None,
-                    "min_f": min_f,
-                    "trace": trace,
-                }
-                for start, stop in ring_ranges(total, shards)
-            ]
-            if extra_constraint is None:
-                outs = _run_shards(
-                    runner, _scan_schedule_shard, payloads, control,
-                    kind="schedule", ring=rings, content_key="span",
-                    encode=_encode_schedule_out, decode=_decode_schedule_out,
-                )
-            else:
-                outs = [
-                    _scan_constrained_shard(p, extra_constraint)
-                    for p in payloads
-                ]
-            records = [rec for out in outs for rec in out["records"]]
-            stats.shard_wall_times = stats.shard_wall_times + tuple(
-                out["wall_time"] for out in outs
-            )
-            ring_batches = sum(out.get("batches", 0) for out in outs)
-            ring_promotions = sum(out.get("promotions", 0) for out in outs)
-            stats.batches_evaluated += ring_batches
-            stats.fastpath_promotions += ring_promotions
-            stats.orbits_collapsed += sum(out.get("orbits", 0) for out in outs)
-            stats.candidates_skipped += sum(
-                out.get("skipped", 0) for out in outs
-            )
-            stats.conflict_screens += sum(
-                out.get("screens", 0) for out in outs
-            )
-            if tuner is not None:
-                # Feed only journal-exact signals (shard wall times) so a
-                # resumed run re-derives identical shard ranges.  The work
-                # measure matches shards_for: representatives, since those
-                # are what the shard wall time was spent on.
-                tuner.observe(reps, sum(out["wall_time"] for out in outs))
-            for shard_idx, out in enumerate(outs):
-                tracer.absorb(out.get("spans"), shard=shard_idx, ring=rings)
-
-            # Deterministic merge: replay the serial visit order.
-            for key, stage in sorted(records):
-                if stage == _DEPS:
-                    stats.candidates_pruned += 1
-                    continue
-                examined += 1
-                if stage == _RANK:
-                    stats.candidates_pruned += 1
-                    continue
-                stats.candidates_checked += 1
-                if stage == _CONFLICT:
-                    stats.conflicts_rejected += 1
-                    continue
-                if stage == _EXTRA:
-                    continue
-                winner_pi = tuple(key[1])
-                break
-        if control is not None:
-            # Materialize the closed ring span as a progress event: a
-            # subscriber sees the same data a --trace file would hold.
-            # candidates/shards travel explicitly — Span.set() drops
-            # attrs when the tracer is disabled.
-            control.emit_span(
-                ring_span, winner=winner_pi is not None,
-                candidates=total, shards=shards,
-                batches=ring_batches, promotions=ring_promotions,
-            )
-        if winner_pi is not None:
-            logger.debug(
-                "explore_schedule: ring %d produced winner %s", rings, winner_pi
-            )
-            break  # later rings are never submitted
-        rings += 1
-
-    stats.rings_expanded = rings
-    stats.shards = max_shards
-    if tuner is not None:
-        stats.shards_autotuned = tuner.autotuned
-    runner.apply_telemetry(stats)
-
-    if winner_pi is None:
-        return SearchResult(
-            schedule=None,
-            mapping=None,
-            verdict=None,
-            candidates_examined=examined,
-            rings_expanded=rings,
-            stats=stats,
-        )
-    mapping = MappingMatrix(space=space_rows, schedule=winner_pi)
-    return SearchResult(
-        schedule=LinearSchedule(pi=winner_pi, index_set=algorithm.index_set),
-        mapping=mapping,
-        verdict=check_conflict_free(mapping, mu, method=method),
-        candidates_examined=examined,
-        rings_expanded=rings,
-        stats=stats,
-    )
-
-
 def _schedule_entry_from_result(result: SearchResult) -> dict:
     """The persistent decision record — shared by the result cache and
     the checkpoint journal, so either can rebuild the result exactly."""
@@ -1099,25 +868,6 @@ def _schedule_entry_from_result(result: SearchResult) -> dict:
         "rings_expanded": result.rings_expanded,
         "counters": result.stats.counter_dict(),
     }
-
-
-def _scan_constrained_shard(
-    payload: dict, extra_constraint: Callable[[MappingMatrix], bool]
-) -> dict:
-    """In-process variant of :func:`_scan_schedule_shard` that applies the
-    (non-picklable) user constraint after the conflict check, exactly
-    where the serial scan applies it."""
-    out = _scan_schedule_shard(payload)
-    space = payload["space"]
-    records = []
-    for key, stage in out["records"]:
-        if stage == _OK and not extra_constraint(
-            MappingMatrix(space=space, schedule=key[1])
-        ):
-            stage = _EXTRA
-        records.append((key, stage))
-    out["records"] = records
-    return out
 
 
 def _schedule_result_from_entry(
@@ -1168,7 +918,6 @@ def explore_space(
     magnitude: int = 1,
     objective=None,
     keep_ranking: int = 10,
-    batch: bool = True,
     batch_size: int | None = None,
     cache: ResultCache | None = None,
     resilience: ResiliencePolicy | None = None,
@@ -1183,8 +932,8 @@ def explore_space(
     A custom ``objective`` callable forces the in-process fallback and
     bypasses the cache (it is part of the answer but not of any
     canonical key); for the same reason it is incompatible with
-    ``checkpoint``.  ``batch`` / ``batch_size`` select the vectorized
-    conflict screen of
+    ``checkpoint``.  ``batch_size`` sizes the vectorized conflict
+    screen of
     :func:`~repro.core.space_optimize.evaluate_designs_batched` inside
     each shard (never part of the run's identity).  ``checkpoint`` /
     ``resume`` / ``budget`` / ``stop`` / ``on_progress`` behave as in
@@ -1244,11 +993,7 @@ def explore_space(
                         enumerate_space_mappings(algorithm.n, array_dim, magnitude)
                     )
                     root.set(candidates=len(candidates))
-                    payload_extra = {
-                        "pi": pi_t,
-                        "batch": batch,
-                        "batch_size": batch_size,
-                    }
+                    payload_extra = {"pi": pi_t, "batch_size": batch_size}
                     runner = None
                     if objective is None:
                         outs, runner = _fan_out_designs(
@@ -1257,7 +1002,7 @@ def explore_space(
                             array_dim=array_dim, magnitude=magnitude,
                             control=control, kind="space",
                         )
-                    elif batch:
+                    else:
                         outs = []
                         for part in round_robin(
                             candidates, effective_shards(len(candidates), jobs)
@@ -1274,19 +1019,6 @@ def explore_space(
                                 "batches": n_batches,
                                 "promotions": promoted,
                             })
-                    else:
-                        outs = [
-                            {
-                                "evaluated": [
-                                    evaluate_design(algorithm, space, pi_t, objective)
-                                    for space in part
-                                ],
-                                "wall_time": 0.0,
-                            }
-                            for part in round_robin(
-                                candidates, effective_shards(len(candidates), jobs)
-                            )
-                        ]
 
                     result = _merge_design_outs(
                         candidates, outs, keep_ranking,
@@ -1354,7 +1086,6 @@ def explore_joint(
     space_weight: float = 1.0,
     keep_ranking: int = 10,
     schedule_kwargs: dict | None = None,
-    batch: bool = True,
     batch_size: int | None = None,
     cache: ResultCache | None = None,
     resilience: ResiliencePolicy | None = None,
@@ -1368,10 +1099,10 @@ def explore_joint(
 
     ``schedule_kwargs`` containing callbacks (``extra_constraint``)
     forces the in-process fallback, bypasses the cache and is
-    incompatible with ``checkpoint``.  ``batch`` / ``batch_size`` set
-    the default evaluation strategy of every per-candidate inner
-    schedule search (explicit ``schedule_kwargs`` entries win, and only
-    those enter the run's identity).  ``checkpoint`` / ``resume`` /
+    incompatible with ``checkpoint``.  ``batch_size`` sets the default
+    image-screen chunk of every per-candidate inner schedule search
+    (an explicit ``schedule_kwargs`` entry wins, and only that enters
+    the run's identity).  ``checkpoint`` / ``resume`` /
     ``budget`` / ``stop`` / ``on_progress`` behave as in
     :func:`explore_schedule`.
     """
@@ -1438,15 +1169,13 @@ def explore_joint(
                         "time_weight": time_weight,
                         "space_weight": space_weight,
                         "schedule_kwargs": kwargs,
-                        "schedule_batch": batch,
                         "schedule_batch_size": batch_size,
                     }
                     runner = None
                     if has_callback:
-                        # Same merge the worker applies: batch preferences
-                        # default in without entering the run's identity.
+                        # Same merge the worker applies: the batch size
+                        # defaults in without entering the run's identity.
                         exec_kwargs = dict(kwargs)
-                        exec_kwargs.setdefault("batch", batch)
                         if batch_size is not None:
                             exec_kwargs.setdefault("batch_size", batch_size)
                         outs = [

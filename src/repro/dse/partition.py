@@ -6,10 +6,10 @@ that cheap to guarantee downstream:
 
 * **Stable candidate order.**  Candidates are always materialized in the
   serial enumerator's order (sorted schedule rings from
-  :func:`repro.core.optimize.enumerate_schedule_vectors`, combination
-  order from :func:`repro.core.space_optimize.enumerate_space_mappings`)
-  *before* sharding, so the merge step can reconstruct exactly the
-  sequence the serial scan would have visited.
+  :func:`repro.core.optimize.ring_candidate_array`, combination order
+  from :func:`repro.core.space_optimize.enumerate_space_mappings`)
+  *before* sharding, so shard outputs taken in shard order are exactly
+  the sequence the serial scan would have visited.
 * **Compact work descriptions.**  Schedule rings ship to workers as
   *ranges* over the canonical sorted ring array
   (:func:`repro.core.optimize.ring_candidate_array`), not as candidate
@@ -228,28 +228,15 @@ class ShardAutotuner:
         self.observed_candidates += candidates
         self.observed_seconds += seconds
 
-    def shards_for(
-        self, num_candidates: int, representatives: int | None = None
-    ) -> int:
-        """Shard count for the next ring of ``num_candidates``.
-
-        With symmetry collapsing, the engine deals shard *ranges* over
-        all ``num_candidates`` enumerated rows (the merge step needs a
-        record for every candidate) but only orbit representatives cost
-        evaluation work — so the cost prediction uses
-        ``representatives`` when given, while the shard-count cap stays
-        at ``num_candidates``.  The caller must then feed the same
-        measure to :meth:`observe`, keeping the rate's numerator and
-        denominator in the same unit.
-        """
-        work = num_candidates if representatives is None else representatives
+    def shards_for(self, num_candidates: int) -> int:
+        """Shard count for the next ring of ``num_candidates``."""
         baseline = effective_shards(num_candidates, self.jobs)
         if self.observed_candidates <= 0:
             # No cost data yet: scan the first ring serially as a probe.
             decision = 1
         else:
             rate = self.observed_seconds / self.observed_candidates
-            predicted = work * rate
+            predicted = num_candidates * rate
             if predicted < self.min_fanout_seconds:
                 decision = 1
             else:

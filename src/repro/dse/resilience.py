@@ -137,8 +137,9 @@ def _output_ok(out: object) -> bool:
         return False
     if not isinstance(out.get("wall_time"), (int, float)):
         return False
-    data = out.get("records", out.get("evaluated"))
-    return isinstance(data, list)
+    if "codes" in out:
+        return isinstance(out["codes"], str)
+    return isinstance(out.get("evaluated"), list)
 
 
 # -- policy -----------------------------------------------------------------

@@ -13,7 +13,6 @@ path with automatic promotion to arbitrary-precision arithmetic; the
 memoized normal-form kernels key directly on the matrix.
 """
 
-import warnings
 
 from .batch import (
     batch_dependence_mask,
@@ -85,7 +84,6 @@ __all__ = [
     "cofactor",
     "det_bareiss",
     "extended_gcd",
-    "freeze_matrix",
     "gcd_list",
     "hermite_normal_form",
     "hnf",
@@ -116,31 +114,3 @@ __all__ = [
     "verify_smith",
 ]
 
-
-def _deprecated_freeze_matrix(a):
-    """Former tuple-of-tuples memoization adapter (PR 1), now redundant."""
-    return as_intmat(a)
-
-
-def __getattr__(name):
-    # Deprecated pre-IntMat memoization surface: freeze_matrix produced a
-    # hashable tuple-of-tuples key, FrozenIntMatrix was its type alias.
-    # IntMat is itself hashable (and hash-compatible with the frozen
-    # form), so both now resolve to the IntMat machinery.
-    if name == "freeze_matrix":
-        warnings.warn(
-            "repro.intlin.freeze_matrix is deprecated; IntMat is hashable — "
-            "use repro.intlin.as_intmat instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _deprecated_freeze_matrix
-    if name == "FrozenIntMatrix":
-        warnings.warn(
-            "repro.intlin.FrozenIntMatrix is deprecated; "
-            "use repro.intlin.IntMat instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return IntMat
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

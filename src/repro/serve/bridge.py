@@ -24,10 +24,16 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 from ..dse.cache import ResultCache
-from ..dse.checkpoint import BudgetExceeded, RunBudget, RunInterrupted
+from ..dse.checkpoint import (
+    BudgetExceeded,
+    CheckpointError,
+    RunBudget,
+    RunInterrupted,
+)
 from ..dse.executor import explore_joint, explore_schedule, explore_space
 from ..dse.resilience import ResiliencePolicy
 from .hardening import FAULT_HANG_ENV_VAR, take_fault
@@ -84,7 +90,6 @@ def execute_job(
         return JobOutcome(state="interrupted",
                           error="InjectedFault: hang (REPRO_SERVE_FAULT)")
     algorithm = spec.build_algorithm()
-    opts = spec.options
     common = dict(
         jobs=jobs, cache=cache, resilience=resilience,
         checkpoint=journal_path, resume=True, budget=budget,
@@ -92,25 +97,10 @@ def execute_job(
     )
     try:
         if spec.task == "parametric":
-            return _execute_parametric(spec, algorithm, cache, common)
-        if spec.task == "schedule":
-            result = explore_schedule(
-                algorithm, opts["space"], method=opts["method"], **common
-            )
-        elif spec.task == "space":
-            result = explore_space(
-                algorithm, opts["pi"], array_dim=opts["array_dim"],
-                magnitude=opts["magnitude"],
-                keep_ranking=opts["keep_ranking"], **common,
-            )
-        else:
-            result = explore_joint(
-                algorithm, array_dim=opts["array_dim"],
-                magnitude=opts["magnitude"],
-                time_weight=opts["time_weight"],
-                space_weight=opts["space_weight"],
-                keep_ranking=opts["keep_ranking"], **common,
-            )
+            return _fresh_on_stale(journal_path, lambda: _execute_parametric(
+                spec, algorithm, cache, common))
+        result = _fresh_on_stale(
+            journal_path, lambda: _explore(spec, algorithm, common))
     except RunInterrupted as exc:
         logger.info("job interrupted: %s", exc)
         return JobOutcome(state="interrupted", error=str(exc))
@@ -126,6 +116,47 @@ def execute_job(
         result=encode_result(spec.task, result),
         telemetry=result.stats.to_dict(),
         cache_hit=result.stats.cache_hits > 0,
+    )
+
+
+def _fresh_on_stale(journal_path, run: Callable):
+    """``run()``, restarted once on a fresh journal when the job's
+    journal cannot be resumed.
+
+    A journal written before an upgrade has an older schema or run key
+    (:class:`CheckpointError`); it is set aside as ``<journal>.stale``
+    and the job starts over instead of failing.
+    """
+    try:
+        return run()
+    except CheckpointError as exc:
+        stale = Path(f"{journal_path}.stale")
+        logger.warning("journal %s cannot be resumed (%s); restarting the "
+                       "job fresh, old journal kept as %s",
+                       journal_path, exc, stale.name)
+        os.replace(journal_path, stale)
+        return run()
+
+
+def _explore(spec: JobSpec, algorithm, common: dict):
+    """One engine search for a schedule, space or joint job."""
+    opts = spec.options
+    if spec.task == "schedule":
+        return explore_schedule(
+            algorithm, opts["space"], method=opts["method"], **common
+        )
+    if spec.task == "space":
+        return explore_space(
+            algorithm, opts["pi"], array_dim=opts["array_dim"],
+            magnitude=opts["magnitude"],
+            keep_ranking=opts["keep_ranking"], **common,
+        )
+    return explore_joint(
+        algorithm, array_dim=opts["array_dim"],
+        magnitude=opts["magnitude"],
+        time_weight=opts["time_weight"],
+        space_weight=opts["space_weight"],
+        keep_ranking=opts["keep_ranking"], **common,
     )
 
 

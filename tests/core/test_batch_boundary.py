@@ -1,18 +1,12 @@
-"""Regression tests pinning the batch auto-disable cutoff at 2^31.
+"""Regression tests at the int64 edges of the ring driver.
 
-The vectorized funnel only runs while the ring budget keeps every
-candidate entry certified int64; ``_BATCH_MAX_BOUND = 2**31`` is the
-gate (inclusive — a budget of exactly 2^31 still batches).  These tests
-straddle the boundary with budgets of 2^31 - 1, 2^31 and 2^31 + 1 and
-pin:
-
-* batched == scalar full-result equality on either side,
-* exactly-at-the-boundary budgets take the batched path,
-* past-the-boundary budgets fall back to the scalar scan *visibly*
-  (``SearchStats.batch_disabled_reason``, ``format_stats``, a one-time
-  ``repro.*`` log warning) and still find the same winner,
-* the conflict primitive's own key-range certification returns the
-  ``-1`` certified-fallback sentinel exactly past int64.
+Ring budgets are int64 end to end (the ring builder's sort keys and
+candidate entries), so the old 2^31 batch cutoff is gone: budgets of
+2^31 - 1, 2^31 and 2^31 + 1 all run the one vectorized driver and must
+agree with the scalar reference loop (:func:`enumerate_schedule_vectors`
+plus the kernel-box oracle).  A ``max_bound`` past ``INT64_MAX`` is a
+``ValueError``.  The conflict primitive's own key-range certification
+returns the ``-1`` certified-fallback sentinel exactly past int64.
 
 The search fixture keeps huge-``mu`` runs cheap by construction: with
 ``n == 2``, identity dependences and one space row, ``[S; Pi]`` is
@@ -20,20 +14,22 @@ square, so the conflict stage never materializes the 2^60-point index
 set — the ring at budget 2^31 holds a couple dozen candidates total.
 """
 
-import logging
-
 import numpy as np
 import pytest
 
-from repro.core import optimize
-from repro.core.conflict import batch_distinct_image_counts
-from repro.core.optimize import (
-    batch_disabled_reason,
-    batch_supported,
-    procedure_5_1,
+from repro.core.conflict import (
+    batch_distinct_image_counts,
+    is_conflict_free_kernel_box,
 )
-from repro.dse.progress import format_stats
-from repro.model import ConstantBoundedIndexSet, UniformDependenceAlgorithm
+from repro.core.mapping import MappingMatrix
+from repro.core.optimize import enumerate_schedule_vectors, procedure_5_1
+from repro.dse.executor import explore_schedule
+from repro.intlin import INT64_MAX
+from repro.model import (
+    ConstantBoundedIndexSet,
+    UniformDependenceAlgorithm,
+    matrix_multiplication,
+)
 
 BOUNDARY = 2**31
 MU = 2**30
@@ -57,25 +53,20 @@ def run(max_bound: int, **kwargs):
     )
 
 
-class TestBatchSupportedCutoff:
-    @pytest.mark.parametrize("method", ["auto", "exact"])
-    def test_inclusive_at_two_to_the_31(self, method):
-        assert batch_supported(method, BOUNDARY - 1)
-        assert batch_supported(method, BOUNDARY)
-        assert not batch_supported(method, BOUNDARY + 1)
-
-    def test_paper_method_never_batches(self):
-        assert not batch_supported("paper", 10)
-
-    def test_reason_matches_supported(self):
-        for method in ("auto", "exact", "paper"):
-            for bound in (BOUNDARY - 1, BOUNDARY, BOUNDARY + 1):
-                reason = batch_disabled_reason(method, bound)
-                assert (reason is None) == batch_supported(method, bound)
-
-    def test_reason_texts_name_the_disqualifier(self):
-        assert "paper" in batch_disabled_reason("paper", 10)
-        assert "2^31" in batch_disabled_reason("auto", BOUNDARY + 1)
+def reference_winner(max_bound: int):
+    """The scalar reference loop over the same single ring."""
+    algo = boundary_algorithm()
+    ring = sorted(
+        enumerate_schedule_vectors(algo.mu, max_bound),
+        key=lambda pi: (sum(abs(v) * m for v, m in zip(pi, algo.mu)), pi),
+    )
+    for pi in ring:
+        if not algo.is_acyclic_under(pi):
+            continue
+        t = MappingMatrix(space=SPACE, schedule=pi)
+        if t.rank() == 2 and is_conflict_free_kernel_box(t, algo.mu):
+            return pi
+    return None
 
 
 class TestBoundaryBudgets:
@@ -83,10 +74,9 @@ class TestBoundaryBudgets:
         "max_bound", [BOUNDARY - 1, BOUNDARY, BOUNDARY + 1]
     )
     def test_batched_equals_scalar(self, max_bound):
-        batched = run(max_bound)
-        scalar = run(max_bound, batch=False)
-        assert batched == scalar
-        assert batched.stats == scalar.stats
+        result = run(max_bound)
+        expected = reference_winner(max_bound)
+        assert (result.schedule.pi if result.found else None) == expected
 
     def test_below_boundary_no_winner_fits_the_budget(self):
         # Both dependences force pi >= (1, 1), whose objective is
@@ -94,7 +84,6 @@ class TestBoundaryBudgets:
         result = run(BOUNDARY - 1)
         assert not result.found
         assert result.stats.batches_evaluated > 0
-        assert result.stats.batch_disabled_reason is None
 
     def test_at_boundary_still_batched(self):
         result = run(BOUNDARY)
@@ -102,66 +91,30 @@ class TestBoundaryBudgets:
         assert result.schedule.pi == (1, 1)
         assert result.total_time == BOUNDARY + 1
         assert result.stats.batches_evaluated > 0
-        assert result.stats.batch_disabled_reason is None
 
-    def test_past_boundary_scalar_fallback_same_winner(self):
+    def test_past_boundary_same_winner(self):
         at = run(BOUNDARY)
         past = run(BOUNDARY + 1)
         assert past.found
         assert past.schedule.pi == at.schedule.pi == (1, 1)
         assert past.total_time == at.total_time
-        # The fallback is visible, not silent.
-        assert past.stats.batches_evaluated == 0
-        assert "2^31" in past.stats.batch_disabled_reason
+        assert past.stats.batches_evaluated > 0
 
 
-class TestFallbackVisibility:
-    def test_explicit_scalar_request_reports_no_reason(self):
-        result = run(BOUNDARY, batch=False)
-        assert result.stats.batch_disabled_reason is None
-
-    def test_method_paper_reports_reason(self):
-        from repro.model import matrix_multiplication
-
+class TestInt64Budget:
+    def test_max_bound_at_int64_max_is_accepted(self):
+        algo = boundary_algorithm()
         result = procedure_5_1(
-            matrix_multiplication(3), [[1, 1, -1]], method="paper"
+            algo, SPACE, initial_bound=BOUNDARY, max_bound=INT64_MAX
         )
-        assert "paper" in result.stats.batch_disabled_reason
+        assert result.schedule.pi == (1, 1)
 
-    def test_format_stats_surfaces_the_reason(self):
-        result = run(BOUNDARY + 1)
-        assert "batch disabled" in format_stats(result.stats)
-        assert "2^31" in format_stats(result.stats)
-
-    def test_reason_round_trips_to_dict(self):
-        from repro.dse.progress import SearchStats
-
-        result = run(BOUNDARY + 1)
-        data = result.stats.to_dict()
-        assert "2^31" in data["batch_disabled_reason"]
-        rebuilt = SearchStats.from_dict(data)
-        assert rebuilt.batch_disabled_reason == result.stats.batch_disabled_reason
-
-    def test_warning_emitted_once_per_reason(self, monkeypatch, caplog):
-        monkeypatch.setattr(optimize, "_warned_batch_reasons", set())
-        with caplog.at_level(logging.WARNING, logger="repro.core.optimize"):
-            run(BOUNDARY + 1)
-            run(BOUNDARY + 1)
-        warnings = [
-            rec for rec in caplog.records
-            if "batched candidate evaluation disabled" in rec.message
-        ]
-        assert len(warnings) == 1
-        assert warnings[0].name.startswith("repro.")
-
-    def test_executor_surfaces_reason_too(self):
-        from repro.dse.executor import explore_schedule
-        from repro.model import matrix_multiplication
-
-        result = explore_schedule(
-            matrix_multiplication(3), [[1, 1, -1]], jobs=1, method="paper"
-        )
-        assert "paper" in result.stats.batch_disabled_reason
+    @pytest.mark.parametrize("search", [procedure_5_1, explore_schedule])
+    def test_max_bound_past_int64_max_raises(self, search):
+        with pytest.raises(ValueError, match="INT64_MAX"):
+            search(
+                matrix_multiplication(2), [[1, 1, -1]], max_bound=INT64_MAX + 1
+            )
 
 
 class TestConflictKeyRangeCertification:

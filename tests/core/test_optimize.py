@@ -12,6 +12,7 @@ from repro.model import (
     ConstantBoundedIndexSet,
     UniformDependenceAlgorithm,
     matrix_multiplication,
+    transitive_closure,
 )
 
 
@@ -223,39 +224,41 @@ class TestFindAllOptima:
 
 
 class TestPruningTelemetry:
-    """Example 5.1 at mu=6: the batched funnel's work counters, pinned.
+    """Example 5.1 at mu=6: the driver's work counters, pinned.
 
-    The batched path judges whole rings at once: one funnel call per
-    ring, one screen per distinct orbit representative in the ring.
+    The co-rank-1 screen judges whole rings at once: one funnel call per
+    ring, one conflict screen per dependence and rank survivor.
     """
 
     SPACE = ((1, 1, -1),)
 
-    def test_batched_counters_with_pruning(self):
+    def test_batched_counters_without_pruning(self):
         stats = procedure_5_1(matrix_multiplication(6), self.SPACE).stats
         assert stats.batches_evaluated == 6  # rings 0..5
-        assert stats.conflict_screens == 12
-        assert stats.orbits_collapsed == 9
-        assert stats.candidates_skipped == 35
-        assert stats.rings_bounded_out == 5
-
-    def test_batched_counters_without_pruning(self):
-        stats = procedure_5_1(
-            matrix_multiplication(6), self.SPACE,
-            symmetry=False, ring_bound=False,
-        ).stats
-        assert stats.batches_evaluated == 6
         assert stats.conflict_screens == 56
-        assert stats.orbits_collapsed == 0
-        assert stats.candidates_skipped == 0
+        assert stats.fastpath_promotions == 0
 
-    def test_scalar_path_shares_the_definitions(self):
-        batched = procedure_5_1(matrix_multiplication(6), self.SPACE).stats
-        scalar = procedure_5_1(
-            matrix_multiplication(6), self.SPACE, batch=False
-        ).stats
-        # Same skip rule on both paths; the scalar path stops screening
-        # at the winner, the batched path screens its whole ring.
-        assert scalar.candidates_skipped == batched.candidates_skipped
-        assert scalar.conflict_screens <= batched.conflict_screens
-        assert scalar.batches_evaluated == 0
+
+class TestCountersAcrossPaths:
+    """Work counters mean one thing on every path: the in-process
+    search and the engine at ``jobs=1`` report identical values."""
+
+    COUNTERS = ("batches_evaluated", "conflict_screens", "fastpath_promotions")
+
+    @pytest.mark.parametrize("method", ["auto", "paper"])
+    @pytest.mark.parametrize(
+        "algo,space",
+        [
+            (matrix_multiplication(6), ((1, 1, -1),)),
+            (transitive_closure(6), ((0, 0, 1),)),
+        ],
+        ids=["example_5_1", "example_5_2"],
+    )
+    def test_procedure_5_1_and_engine_agree(self, algo, space, method):
+        from repro.dse.executor import explore_schedule
+
+        serial = procedure_5_1(algo, space, method=method)
+        engine = explore_schedule(algo, space, jobs=1, method=method)
+        assert engine == serial
+        for name in self.COUNTERS:
+            assert getattr(engine.stats, name) == getattr(serial.stats, name), name

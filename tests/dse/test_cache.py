@@ -159,7 +159,7 @@ class TestMalformedEntries:
 
 
 class TestContentChecksum:
-    """v3 entries carry a checksum; bit-rot that parses is still caught."""
+    """Entries carry a checksum; bit-rot that parses is still caught."""
 
     def test_entries_are_written_with_checksum(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -191,15 +191,20 @@ class TestContentChecksum:
         assert cache.get(key) is None
         assert cache.quarantined == 1
 
-    def test_v2_entry_without_checksum_still_reads(self, tmp_path):
-        # Read compatibility: v2 predates the checksum and stays valid.
+    @pytest.mark.parametrize("schema", [2, 3, 4])
+    def test_older_schema_entries_are_plain_misses(self, tmp_path, schema):
+        # Only the current schema is read.  v3 schedule keys coincide
+        # with v5 ones (both lack the removed pruning switches), so a v3
+        # entry must miss rather than answer, and is not damage either.
         cache = ResultCache(tmp_path)
         key = canonical_key({"q": 33})
-        (tmp_path / f"{key}.json").write_text(
-            json.dumps({"schema": 2, "value": {"found": False, "pi": None}})
-        )
-        assert cache.get(key) == {"found": False, "pi": None}
-        assert cache.hits == 1 and cache.quarantined == 0
+        value = {"found": False, "pi": None}
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"schema": schema, "value": value}))
+        assert cache.get(key) is None
+        assert cache.hits == 0 and cache.quarantined == 0
+        cache.put(key, value)
+        assert cache.get(key) == value
 
     def test_checksum_survives_key_reordering(self, tmp_path):
         # sort_keys canonicalization: rewriting the file with different

@@ -256,3 +256,47 @@ class TestRunControl:
         with RunControl(journal=j):
             pass
         assert j._fh is None
+
+
+class TestEngineResume:
+    """Seams between the schedule engine and its journal."""
+
+    @staticmethod
+    def journaled_shards(path):
+        records = [json.loads(line)["rec"] for line in path.read_text().splitlines()]
+        return [r for r in records if r["kind"] == "shard"]
+
+    def test_resumed_run_rederives_identical_shard_ranges(self, tmp_path):
+        from repro import matrix_multiplication
+        from repro.core.optimize import procedure_5_1
+        from repro.dse.executor import explore_schedule
+
+        algo, space = matrix_multiplication(6), ((1, 1, -1),)
+        journal = tmp_path / "run.ckpt"
+        with pytest.raises(BudgetExceeded):
+            explore_schedule(
+                algo, space, jobs=2, adaptive=True, checkpoint=journal,
+                budget=RunBudget(max_shards=3),
+            )
+        recorded = len(self.journaled_shards(journal))
+        resumed = explore_schedule(
+            algo, space, jobs=2, adaptive=True, checkpoint=journal, resume=True
+        )
+        # Every journaled shard (the calibration probe included) is hit:
+        # the resumed autotuner cut exactly the ranges the first run cut.
+        assert resumed.stats.shards_resumed == recorded >= 3
+        assert resumed == procedure_5_1(algo, space)
+
+    def test_schedule_shards_journal_stage_codes(self, tmp_path):
+        from repro import matrix_multiplication
+        from repro.dse.executor import explore_schedule
+
+        journal = tmp_path / "run.ckpt"
+        explore_schedule(
+            matrix_multiplication(4), ((1, 1, -1),), jobs=1, checkpoint=journal
+        )
+        outs = [r["out"] for r in self.journaled_shards(journal) if "codes" in r["out"]]
+        assert outs
+        for out in outs:
+            assert "records" not in out
+            assert set(out["codes"]) <= set("0123")

@@ -36,34 +36,37 @@ class TestExploreSchedule:
         assert rc == 0
         assert len(list(tmp_path.glob("*.json"))) == 0
 
-    def test_pruning_on_by_default_and_reported(self, capsys, tmp_path):
-        rc = main([
-            "explore", "-a", "matmul", "--mu", "6", "-s", "1,1,-1",
-            "--jobs", "1", "--cache-dir", str(tmp_path),
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "pruning        :" in out
-        assert "orbit member(s) rehydrated" in out
-
-    def test_no_symmetry_no_ring_bound_same_answer(self, capsys, tmp_path):
+    def test_jobs_1_and_2_print_same_answer(self, capsys, tmp_path):
         base_args = [
             "explore", "-a", "matmul", "--mu", "6", "-s", "1,1,-1",
-            "--jobs", "1", "--no-cache", "--cache-dir", str(tmp_path),
+            "--no-cache", "--cache-dir", str(tmp_path),
         ]
-        assert main(base_args) == 0
-        pruned_out = capsys.readouterr().out
-        assert main(base_args + ["--no-symmetry", "--no-ring-bound"]) == 0
-        plain_out = capsys.readouterr().out
-        assert "pruning        :" not in plain_out
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(base_args + ["--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
 
         def answer(text):
             return [
                 line for line in text.splitlines()
-                if line.startswith(("optimal Pi", "total time"))
+                if line.startswith((
+                    "optimal Pi", "total time", "enumerated", "pruned",
+                    "checked", "conflicted", "rings expanded",
+                ))
             ]
 
-        assert answer(pruned_out) == answer(plain_out)
+        assert len(answer(outputs[0])) == 7
+        assert answer(outputs[0]) == answer(outputs[1])
+
+    @pytest.mark.parametrize(
+        "flag", ["--no-batch", "--no-symmetry", "--no-ring-bound"]
+    )
+    def test_removed_switches_are_rejected(self, flag, tmp_path):
+        with pytest.raises(SystemExit):
+            main([
+                "explore", "-a", "matmul", "--mu", "3", "-s", "1,1,-1",
+                "--cache-dir", str(tmp_path), flag,
+            ])
 
 
 class TestExploreSpaceAndJoint:

@@ -94,13 +94,6 @@ class TestScheduleEquivalence:
         assert adaptive.stats.shards == 1
         assert adaptive.stats.shards_autotuned > 0
 
-    def test_batch_flag_matches_scalar_engine(self, matmul4):
-        batched = explore_schedule(matmul4, [[1, 1, -1]], jobs=2)
-        scalar = explore_schedule(matmul4, [[1, 1, -1]], jobs=2, batch=False)
-        assert batched == scalar
-        assert batched.stats.batches_evaluated > 0
-        assert scalar.stats.batches_evaluated == 0
-
 
 class TestScheduleCache:
     def test_warm_equals_cold_equals_serial(self, matmul4, tmp_path):

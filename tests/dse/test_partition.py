@@ -172,25 +172,43 @@ class TestShardAutotuner:
         with pytest.raises(ValueError):
             tuner.observe(1, -0.5)
 
-    def test_representatives_drive_the_cost_prediction(self):
-        # 200 enumerated candidates of which only 5 are orbit reps:
-        # the predicted cost must use 5, keeping the ring serial even
-        # though 200 raw candidates would clear the fan-out bar.
-        tuner = ShardAutotuner(jobs=8)
-        tuner.observe(100, 1.0)  # 10 ms per representative
-        assert tuner.shards_for(200) == 8
-        assert tuner.shards_for(200, representatives=5) == 1
-
-    def test_representatives_none_matches_plain_call(self):
-        a = ShardAutotuner(jobs=8)
-        b = ShardAutotuner(jobs=8)
-        a.observe(100, 1.0)
-        b.observe(100, 1.0)
-        assert a.shards_for(300) == b.shards_for(300, representatives=None)
-
     def test_shard_cap_stays_at_enumerated_count(self):
-        # Fan-out is capped by how many candidates can be dealt, not by
-        # how many representatives exist: ranges cover every candidate.
+        # Fan-out is capped by how many candidates can be dealt.
         tuner = ShardAutotuner(jobs=8)
-        tuner.observe(10, 10.0)  # 1 s per representative: always fan out
-        assert tuner.shards_for(3, representatives=3) == 3
+        tuner.observe(10, 10.0)  # 1 s per candidate: always fan out
+        assert tuner.shards_for(3) == 3
+
+
+class TestAutotunerAccounting:
+    """The adaptive engine's serial-probe ring is counted exactly once."""
+
+    ALGO_MU = 4
+    SPACE = ((1, 1, -1),)
+
+    def test_adaptive_counts_equal_serial(self):
+        from repro import matrix_multiplication
+        from repro.core.optimize import procedure_5_1
+        from repro.dse.executor import explore_schedule
+
+        algo = matrix_multiplication(self.ALGO_MU)
+        serial = procedure_5_1(algo, self.SPACE)
+        for jobs in (1, 2):
+            adaptive = explore_schedule(algo, self.SPACE, jobs=jobs, adaptive=True)
+            assert adaptive == serial
+            assert adaptive.stats.counter_dict() == serial.stats.counter_dict()
+
+    def test_probed_ring_wall_time_counted_once(self):
+        """One wall-time sample per dispatched shard — the probe ring
+        contributes exactly one, never a probe + re-deal pair."""
+        from repro import matrix_multiplication
+        from repro.dse.executor import explore_schedule
+
+        result = explore_schedule(
+            matrix_multiplication(self.ALGO_MU), self.SPACE, jobs=2, adaptive=True
+        )
+        rings_scanned = result.stats.rings_expanded + 1
+        assert len(result.stats.shard_wall_times) >= rings_scanned
+        assert (
+            len(result.stats.shard_wall_times)
+            <= rings_scanned * result.stats.shards
+        )

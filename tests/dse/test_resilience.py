@@ -205,9 +205,9 @@ class TestCorruptCacheRecovery:
 class TestRunnerUnit:
     def test_single_payload_stays_in_process(self):
         runner = ResilientShardRunner(4, policy=FAST)
-        out = runner.run(lambda p: {"wall_time": 0.0, "records": [p["x"]]},
+        out = runner.run(lambda p: {"wall_time": 0.0, "evaluated": [p["x"]]},
                          [{"x": 1}])
-        assert out == [{"wall_time": 0.0, "records": [1]}]
+        assert out == [{"wall_time": 0.0, "evaluated": [1]}]
         assert runner.pool_restarts == 0
 
     def test_telemetry_application(self):

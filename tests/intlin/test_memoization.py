@@ -15,7 +15,6 @@ import pytest
 
 import repro.intlin as intlin
 from repro.intlin import (
-    IntMat,
     as_intmat,
     hnf,
     hnf_cached,
@@ -37,17 +36,10 @@ def _random_matrices(rng, count=25):
 
 
 class TestDeprecatedFreezeSurface:
-    def test_freeze_matrix_warns_and_returns_intmat(self):
-        with pytest.warns(DeprecationWarning, match="freeze_matrix"):
-            frozen = intlin.freeze_matrix([[1, 2], [3, 4]])
-        assert isinstance(frozen, IntMat)
-        assert frozen == ((1, 2), (3, 4))
-        assert hash(frozen) == hash(((1, 2), (3, 4)))
-
-    def test_frozen_int_matrix_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="FrozenIntMatrix"):
-            alias = intlin.FrozenIntMatrix
-        assert alias is IntMat
+    def test_freeze_shims_are_gone(self):
+        for name in ("freeze_matrix", "FrozenIntMatrix"):
+            assert not hasattr(intlin, name)
+            assert name not in intlin.__all__
 
     def test_no_other_deprecated_attributes(self):
         with pytest.raises(AttributeError):

@@ -1,10 +1,14 @@
-"""Property tests: the batched funnel is bit-identical to the scalar scan.
+"""Property tests: every search path equals the scalar reference loop.
 
-The batched candidate engine's whole contract is *invisibility*: for any
-algorithm/space pair, ``procedure_5_1(batch=True)`` must return the same
-winner, the same tie order, and the same deterministic counters as the
-scalar loop — and the batch primitives must produce exact results on
-both sides of the int64 promotion boundary.
+Procedure 5.1 has one ring driver and one vectorized evaluator; the
+contract is that, for any algorithm/space pair, every way of running
+it — ``procedure_5_1``, ``explore_schedule`` at ``jobs`` 1 and 2, and
+an interrupted-then-resumed engine run — returns the winner, verdict,
+tie set and deterministic counters of a plain reference loop:
+:func:`enumerate_schedule_vectors` rings sorted by ``(f, Pi)`` and
+judged one candidate at a time by the kernel-box oracle.  The batch
+primitives must also produce exact results on both sides of the int64
+promotion boundary.
 """
 
 import numpy as np
@@ -27,6 +31,7 @@ from repro.core.optimize import (
     find_all_optima,
     procedure_5_1,
     ring_candidate_array,
+    search_bounds,
 )
 from repro.core.schedule import LinearSchedule
 from repro.core.space_optimize import (
@@ -34,8 +39,16 @@ from repro.core.space_optimize import (
     evaluate_design,
     evaluate_designs_batched,
 )
+from repro.dse.checkpoint import BudgetExceeded, RunBudget
+from repro.dse.executor import explore_schedule
+from repro.dse.partition import ring_bounds
 from repro.intlin import INT64_MAX, as_intmat, batch_matmul, batch_point_images
-from repro.model import ConstantBoundedIndexSet, UniformDependenceAlgorithm
+from repro.model import (
+    ConstantBoundedIndexSet,
+    UniformDependenceAlgorithm,
+    matrix_multiplication,
+    transitive_closure,
+)
 
 
 @st.composite
@@ -60,36 +73,129 @@ def algorithm_and_space(draw):
     return algo, space
 
 
+def reference_search(algo, space):
+    """Procedure 5.1 as a plain loop: ``(winner, counters, ties)``.
+
+    ``counters`` are the deterministic :class:`SearchStats` counters
+    plus ``candidates_examined``; ``ties`` lists every conflict-free
+    candidate of the winning ring, in scan order.
+    """
+    alpha, initial_bound, max_bound = search_bounds(algo)
+    k = len(space) + 1
+    counters = dict.fromkeys(
+        ("candidates_enumerated", "candidates_pruned", "candidates_checked",
+         "conflicts_rejected", "candidates_examined"), 0,
+    )
+    for ring_index, (f_min, f_max) in enumerate(
+        ring_bounds(initial_bound, alpha, max_bound)
+    ):
+        ring = sorted(
+            enumerate_schedule_vectors(algo.mu, f_max, f_min=f_min),
+            key=lambda pi: (sum(abs(v) * m for v, m in zip(pi, algo.mu)), pi),
+        )
+        counters["candidates_enumerated"] += len(ring)
+        ties = []
+        for pi in ring:
+            if not LinearSchedule(pi=pi, index_set=algo.index_set).respects(algo):
+                if not ties:
+                    counters["candidates_pruned"] += 1
+                continue
+            t = MappingMatrix(space=space, schedule=pi)
+            if not ties:
+                counters["candidates_examined"] += 1
+            if t.rank() != k:
+                if not ties:
+                    counters["candidates_pruned"] += 1
+                continue
+            free = is_conflict_free_kernel_box(t, algo.mu)
+            if not ties:
+                counters["candidates_checked"] += 1
+                counters["conflicts_rejected"] += not free
+            if free:
+                ties.append(pi)
+        if ties:
+            counters["rings_expanded"] = ring_index
+            return ties[0], counters, ties
+    counters["rings_expanded"] = ring_index + 1
+    return None, counters, []
+
+
+def summary(result):
+    """What the reference loop can be compared on."""
+    counters = dict(result.stats.counter_dict())
+    del counters["routing_rejected"]
+    counters["candidates_examined"] = result.candidates_examined
+    return (result.schedule.pi if result.found else None), counters
+
+
+def assert_every_path_equals_reference(algo, space, tmp_path):
+    winner, counters, ties = reference_search(algo, space)
+    serial = procedure_5_1(algo, space)
+    assert summary(serial) == (winner, counters)
+    if serial.found:
+        assert serial.verdict == check_conflict_free(serial.mapping, algo.mu)
+    assert [r.schedule.pi for r in find_all_optima(algo, space)] == ties
+    one = explore_schedule(algo, space, jobs=1, cache=None)
+    two = explore_schedule(algo, space, jobs=2, adaptive=False, cache=None)
+    assert one == serial and two == serial
+    for name in ("batches_evaluated", "conflict_screens", "fastpath_promotions"):
+        assert getattr(one.stats, name) == getattr(serial.stats, name), name
+    journal = tmp_path / "run.ckpt"
+    try:
+        explore_schedule(
+            algo, space, jobs=1, adaptive=False, cache=None,
+            checkpoint=journal, budget=RunBudget(max_shards=1),
+        )
+    except BudgetExceeded:
+        pass
+    resumed = explore_schedule(
+        algo, space, jobs=1, adaptive=False, cache=None,
+        checkpoint=journal, resume=True,
+    )
+    assert resumed == serial
+
+
 class TestSearchEquivalence:
     @given(algorithm_and_space())
     @settings(max_examples=40, deadline=None)
     def test_procedure_5_1_batched_equals_scalar(self, case):
         algo, space = case
-        batched = procedure_5_1(algo, space, batch=True)
-        scalar = procedure_5_1(algo, space, batch=False)
-        # Dataclass equality covers winner, verdict, examined counts and
-        # every deterministic SearchStats counter.
-        assert batched == scalar
-        assert batched.stats.counter_dict() == scalar.stats.counter_dict()
-        assert scalar.stats.batches_evaluated == 0
+        winner, counters, _ties = reference_search(algo, space)
+        assert summary(procedure_5_1(algo, space)) == (winner, counters)
+
+    @given(case=algorithm_and_space())
+    @settings(max_examples=8, deadline=None)
+    def test_every_path_equals_reference(self, tmp_path_factory, case):
+        algo, space = case
+        assert_every_path_equals_reference(
+            algo, space, tmp_path_factory.mktemp("journal")
+        )
+
+    @pytest.mark.parametrize(
+        "algo,space",
+        [
+            (matrix_multiplication(4), ((1, 1, -1),)),
+            (transitive_closure(4), ((0, 0, 1),)),
+        ],
+        ids=["example_5_1", "example_5_2"],
+    )
+    def test_paper_examples_every_path_equals_reference(self, algo, space, tmp_path):
+        assert_every_path_equals_reference(algo, space, tmp_path)
 
     @given(algorithm_and_space())
     @settings(max_examples=15, deadline=None)
     def test_tie_order_preserved(self, case):
         algo, space = case
-        batched = find_all_optima(algo, space, batch=True)
-        scalar = find_all_optima(algo, space, batch=False)
-        assert [r.schedule.pi for r in batched] == [
-            r.schedule.pi for r in scalar
-        ]
+        _winner, _counters, ties = reference_search(algo, space)
+        assert [r.schedule.pi for r in find_all_optima(algo, space)] == ties
 
-    @given(algorithm_and_space())
+    @given(algorithm_and_space(), st.sampled_from(["auto", "paper"]))
     @settings(max_examples=30, deadline=None)
-    def test_scanner_stage_codes_match_scalar_funnel(self, case):
+    def test_scanner_stage_codes_match_scalar_funnel(self, case, method):
         algo, space = case
         f_max = sum(algo.mu) + 2
         pis = ring_candidate_array(algo.mu, f_max)
-        scanner = BatchCandidateScanner(algo, space, batch_size=7)
+        scanner = BatchCandidateScanner(algo, space, method=method, batch_size=7)
         batched = [STAGE_NAMES[c] for c in scanner.stages(pis).tolist()]
         k = len(space) + 1
         expected = []
@@ -103,7 +209,7 @@ class TestSearchEquivalence:
             if t.rank() != k:
                 expected.append("rank")
                 continue
-            holds = check_conflict_free(t, algo.mu, method="auto").holds
+            holds = check_conflict_free(t, algo.mu, method=method).holds
             expected.append("ok" if holds else "conflict")
         assert batched == expected
 

@@ -99,3 +99,46 @@ class TestKillAndRestart:
             assert again["id"] == record["id"]
         finally:
             gen2.stop()
+
+
+class TestUpgradeRestart:
+    def test_old_schema_journal_restarts_the_job_fresh(self, tmp_path):
+        """An interrupted job whose journal predates the current journal
+        schema (and run key) is restarted from scratch — the old journal
+        set aside as ``<id>.ckpt.stale`` — instead of failing and
+        counting a quarantine strike."""
+        from repro.dse.checkpoint import _record_line
+        from repro.serve.protocol import parse_job_spec
+        from repro.serve.store import ID_LENGTH, JobRecord, JobStore
+
+        state = tmp_path / "state"
+        spec = parse_job_spec(MATMUL6_SPEC)
+        job_id = spec.digest[:ID_LENGTH]
+        store = JobStore(state)
+        store.save(JobRecord(
+            id=job_id, digest=spec.digest, spec=spec.to_dict(),
+            task=spec.task, tenant=spec.tenant, state="interrupted",
+        ))
+        journal = store.journal_path(job_id)
+        journal.write_text(
+            _record_line({"kind": "run", "schema": 1, "run": "0" * 64,
+                          "task": "procedure-5.1"})
+            + _record_line({"kind": "shard", "key": "1" * 64,
+                            "out": {"records": [], "wall_time": 0.0}})
+        )
+
+        server = ServerProc(state)
+        try:
+            final = server.client().wait(job_id, timeout=120)
+            assert final["state"] == "done", final.get("error")
+            assert final.get("error") is None
+            assert not final.get("quarantined")
+            assert final["telemetry"]["shards_resumed"] == 0
+            serial = explore_schedule(
+                matrix_multiplication(6), [[1, 1, -1]], jobs=1
+            )
+            assert final["result"] == encode_result("schedule", serial)
+        finally:
+            server.stop()
+        stale = journal.with_name(journal.name + ".stale")
+        assert '"schema":1' in stale.read_text()
