@@ -78,6 +78,7 @@ from .space_optimize import (
     enumerate_space_rows,
     joint_objective,
     pareto_frontier,
+    search_designs,
     solve_joint_optimal,
     solve_space_optimal,
 )
@@ -133,6 +134,7 @@ __all__ = [
     "objective_f",
     "optimal_free_schedule",
     "pareto_frontier",
+    "search_designs",
     "procedure_5_1",
     "prop81_applicable",
     "prop81_columns",

@@ -16,7 +16,9 @@ magnitude]``, normalized to primitive rows with positive leading
 entry, full row rank, deduplicated up to row order) — complete within
 the bound, which covers every space mapping appearing in the paper
 (all of whose entries are in ``{-1, 0, 1}``).  Conflict-freedom uses
-the exact ``auto`` checker, so reported optima are certified.
+the exact ``auto`` checker, so reported optima are certified.  Every
+solver, serial or sharded, runs the one tally-and-rank loop
+:func:`search_designs` with its own judge.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from ..dse.progress import SearchStats
 from ..intlin import INT64_MAX, as_intmat, normalize_primitive, rank
 from ..intlin.batch import batch_point_images, batch_rows
 from ..obs import get_tracer
-from ..model import UniformDependenceAlgorithm
+from ..model import SpecBoundsError, UniformDependenceAlgorithm
 from ..systolic.cost import ArrayCost, evaluate_cost
 from ..systolic.interconnect import RoutingError
 from .conditions import check_conflict_free
@@ -41,8 +43,10 @@ from .optimize import _BATCH_CELL_LIMIT, DEFAULT_BATCH_SIZE, procedure_5_1
 from .schedule import LinearSchedule
 
 __all__ = [
+    "DesignJudge",
     "SpaceDesign",
     "SpaceOptimizationResult",
+    "check_design_args",
     "enumerate_space_rows",
     "evaluate_design",
     "evaluate_designs_batched",
@@ -51,6 +55,7 @@ __all__ = [
     "pareto_frontier",
     "enumerate_space_mappings",
     "rank_designs",
+    "search_designs",
     "solve_space_optimal",
     "solve_joint_optimal",
 ]
@@ -160,9 +165,8 @@ def evaluate_design(
 
     Returns ``(status, design)`` with status one of ``"rank"``,
     ``"conflict"``, ``"routing"`` (design is ``None``) or ``"ok"``.
-    This is the unit of work both :func:`solve_space_optimal` and the
-    sharded engine execute, so a sharded search judges candidates
-    exactly as the serial one does.
+    This is the scalar reference of :func:`evaluate_designs_batched`,
+    and the engine's warm rebuild re-derives cached designs with it.
     """
     pi_t = tuple(int(x) for x in pi)
     space_rows = tuple(tuple(int(x) for x in row) for row in space)
@@ -172,11 +176,20 @@ def evaluate_design(
         return "rank", None
     if not check_conflict_free(t, algorithm.mu, method="auto").holds:
         return "conflict", None
+    return _costed(algorithm, t, obj)
+
+
+def _costed(
+    algorithm: UniformDependenceAlgorithm,
+    t: MappingMatrix,
+    objective: Callable[[ArrayCost], float],
+) -> tuple[str, SpaceDesign | None]:
+    """The last stage of every judge: route and cost a conflict-free ``T``."""
     try:
         cost = evaluate_cost(algorithm, t)
     except RoutingError:
         return "routing", None
-    return "ok", SpaceDesign(mapping=t, cost=cost, objective=obj(cost))
+    return "ok", SpaceDesign(mapping=t, cost=cost, objective=objective(cost))
 
 
 def evaluate_designs_batched(
@@ -205,22 +218,16 @@ def evaluate_designs_batched(
     norm_spaces = [
         tuple(tuple(int(x) for x in row) for row in space) for space in spaces
     ]
-    outcomes: list[tuple[str, SpaceDesign | None] | None] = [None] * len(
-        norm_spaces
-    )
     batches = 0
     promotions = 0
+    # Rank survivors, in candidate order.
     mappings: dict[int, MappingMatrix] = {}
-    survivors: list[int] = []
     for i, space_rows in enumerate(norm_spaces):
         t = MappingMatrix(space=space_rows, schedule=pi_t)
-        if t.rank() != len(space_rows) + 1:
-            outcomes[i] = ("rank", None)
-        else:
+        if t.rank() == len(space_rows) + 1:
             mappings[i] = t
-            survivors.append(i)
     free: dict[int, bool] = {}
-    if survivors:
+    if mappings:
         pts = algorithm.index_set.points_array()
         n_pts = pts.shape[0]
         pts_max = int(np.abs(pts).max(initial=0))
@@ -229,7 +236,7 @@ def evaluate_designs_batched(
         fixed = as_intmat([list(pi_t)]).image_of_points(pts)
         # Group by row count so each batch reshapes to (P, C, width).
         by_width: dict[int, list[int]] = {}
-        for i in survivors:
+        for i in mappings:
             by_width.setdefault(len(norm_spaces[i]), []).append(i)
         size = DEFAULT_BATCH_SIZE if batch_size is None else int(batch_size)
         if size < 1:
@@ -272,18 +279,13 @@ def evaluate_designs_batched(
                     free[i] = check_conflict_free(
                         mappings[i], algorithm.mu, method="auto"
                     ).holds
-    for i in survivors:
-        if not free[i]:
-            outcomes[i] = ("conflict", None)
-            continue
-        t = mappings[i]
-        try:
-            cost = evaluate_cost(algorithm, t)
-        except RoutingError:
-            outcomes[i] = ("routing", None)
-            continue
-        outcomes[i] = ("ok", SpaceDesign(mapping=t, cost=cost, objective=obj(cost)))
-    return [out for out in outcomes if out is not None], batches, promotions
+    outcomes = [
+        ("rank", None) if i not in mappings
+        else _costed(algorithm, mappings[i], obj) if free[i]
+        else ("conflict", None)
+        for i in range(len(norm_spaces))
+    ]
+    return outcomes, batches, promotions
 
 
 def evaluate_joint_candidate(
@@ -306,17 +308,80 @@ def evaluate_joint_candidate(
     search = procedure_5_1(algorithm, space, **kwargs)
     if not search.found:
         return "conflict", None
-    try:
-        cost = evaluate_cost(algorithm, search.mapping)
-    except RoutingError:
-        return "routing", None
-    objective = joint_objective(cost, time_weight, space_weight)
-    return "ok", SpaceDesign(mapping=search.mapping, cost=cost, objective=objective)
+    return _costed(
+        algorithm, search.mapping,
+        lambda cost: joint_objective(cost, time_weight, space_weight),
+    )
 
 
 def rank_designs(designs: list[SpaceDesign]) -> list[SpaceDesign]:
     """Deterministic total order: objective first, then the space rows."""
     return sorted(designs, key=lambda d: (d.objective, d.mapping.space))
+
+
+#: A design judge: candidate spaces in, one ``(status, design)`` per
+#: candidate out, in candidate order.
+DesignJudge = Callable[[list], Sequence[tuple[str, SpaceDesign | None]]]
+
+
+def check_design_args(array_dim: int, magnitude: int, keep_ranking: int) -> None:
+    """Reject a design-space bound below 1 with a typed error."""
+    bounds = {"array_dim": array_dim, "magnitude": magnitude, "keep_ranking": keep_ranking}
+    for name, value in bounds.items():
+        if value < 1:
+            raise SpecBoundsError(f"{name} must be >= 1, got {value}")
+
+
+def search_designs(
+    algorithm: UniformDependenceAlgorithm,
+    judge: DesignJudge,
+    *,
+    array_dim: int,
+    magnitude: int,
+    keep_ranking: int,
+    stats: SearchStats,
+    span_name: str,
+) -> SpaceOptimizationResult:
+    """The tally-and-rank loop of Problems 6.1 and 6.2, for any judge.
+
+    Enumerates the bounded design space, hands it to ``judge`` and
+    tallies the outcomes into ``stats``: ``rank`` is pruned, every other
+    status is checked, ``conflict`` and ``routing`` are rejected and
+    ``ok`` designs are ranked by :func:`rank_designs` and cut to
+    ``keep_ranking``.  The result is the same whichever judge ran.  The
+    ``span_name`` span times the search into ``stats.wall_time``.
+    """
+    check_design_args(array_dim, magnitude, keep_ranking)
+    span = get_tracer().span(
+        span_name, algorithm=algorithm.name, array_dim=array_dim,
+        magnitude=magnitude,
+    )
+    designs: list[SpaceDesign] = []
+    with span:
+        spaces = list(enumerate_space_mappings(algorithm.n, array_dim, magnitude))
+        for status, design in judge(spaces):
+            stats.candidates_enumerated += 1
+            if status == "rank":
+                stats.candidates_pruned += 1
+                continue
+            stats.candidates_checked += 1
+            if status == "conflict":
+                stats.conflicts_rejected += 1
+            elif status == "routing":
+                stats.routing_rejected += 1
+            else:
+                designs.append(design)
+        designs = rank_designs(designs)
+        span.set(candidates=stats.candidates_enumerated, surviving=len(designs))
+    stats.wall_time = span.duration
+    return SpaceOptimizationResult(
+        best=designs[0] if designs else None,
+        ranking=tuple(designs[:keep_ranking]),
+        candidates_examined=stats.candidates_enumerated,
+        rejected_conflicts=stats.conflicts_rejected,
+        rejected_routing=stats.routing_rejected,
+        stats=stats,
+    )
 
 
 def solve_space_optimal(
@@ -350,51 +415,26 @@ def solve_space_optimal(
         :func:`evaluate_designs_batched`.
     """
     pi_t = tuple(int(x) for x in pi)
-    sched = LinearSchedule(pi=pi_t, index_set=algorithm.index_set)
-    if not sched.respects(algorithm):
+    if not LinearSchedule(pi=pi_t, index_set=algorithm.index_set).respects(algorithm):
         raise ValueError("the given Pi violates the dependence condition Pi D > 0")
 
-    tracer = get_tracer()
     stats = SearchStats()
-    designs: list[SpaceDesign] = []
-    root = tracer.span(
-        "core.solve_space_optimal",
-        algorithm=algorithm.name,
-        array_dim=array_dim,
-        magnitude=magnitude,
-    )
-    with root:
-        spaces = list(enumerate_space_mappings(algorithm.n, array_dim, magnitude))
+
+    def judge(spaces):
         outcomes, stats.batches_evaluated, stats.fastpath_promotions = (
             evaluate_designs_batched(
                 algorithm, spaces, pi_t, objective, batch_size=batch_size
             )
         )
-        for status, design in outcomes:
-            stats.candidates_enumerated += 1
-            if status == "rank":
-                stats.candidates_pruned += 1
-                continue
-            stats.candidates_checked += 1
-            if status == "conflict":
-                stats.conflicts_rejected += 1
-            elif status == "routing":
-                stats.routing_rejected += 1
-            else:
-                designs.append(design)
-        designs = rank_designs(designs)
-        root.set(candidates=stats.candidates_enumerated, surviving=len(designs))
+        return outcomes
 
-    stats.wall_time = root.duration
-    stats.shard_wall_times = (stats.wall_time,)
-    return SpaceOptimizationResult(
-        best=designs[0] if designs else None,
-        ranking=tuple(designs[:keep_ranking]),
-        candidates_examined=stats.candidates_enumerated,
-        rejected_conflicts=stats.conflicts_rejected,
-        rejected_routing=stats.routing_rejected,
-        stats=stats,
+    result = search_designs(
+        algorithm, judge, array_dim=array_dim, magnitude=magnitude,
+        keep_ranking=keep_ranking, stats=stats,
+        span_name="core.solve_space_optimal",
     )
+    stats.shard_wall_times = (stats.wall_time,)
+    return result
 
 
 def pareto_frontier(
@@ -413,19 +453,11 @@ def pareto_frontier(
     Problem 6.2 — instead of committing to a weighting, see the whole
     trade-off curve.
     """
-    kwargs = schedule_kwargs or {}
-    candidates: list[SpaceDesign] = []
-    for space in enumerate_space_mappings(algorithm.n, array_dim, magnitude):
-        search = procedure_5_1(algorithm, space, **kwargs)
-        if not search.found:
-            continue
-        try:
-            cost = evaluate_cost(algorithm, search.mapping)
-        except RoutingError:
-            continue
-        candidates.append(
-            SpaceDesign(mapping=search.mapping, cost=cost, objective=0.0)
-        )
+    outcomes = (
+        evaluate_joint_candidate(algorithm, space, schedule_kwargs=schedule_kwargs)
+        for space in enumerate_space_mappings(algorithm.n, array_dim, magnitude)
+    )
+    candidates = [design for _, design in outcomes if design is not None]
 
     def metrics(d: SpaceDesign) -> tuple[int, int, int, int]:
         return (
@@ -474,38 +506,20 @@ def solve_joint_optimal(
     "combination of the total execution time and the VLSI area"
     criterion Section 2 mentions.
     """
-    tracer = get_tracer()
     stats = SearchStats()
-    designs: list[SpaceDesign] = []
-    root = tracer.span(
-        "core.solve_joint_optimal",
-        algorithm=algorithm.name,
-        array_dim=array_dim,
-        magnitude=magnitude,
-    )
-    with root:
-        for space in enumerate_space_mappings(algorithm.n, array_dim, magnitude):
-            stats.candidates_enumerated += 1
-            stats.candidates_checked += 1
-            status, design = evaluate_joint_candidate(
+
+    def judge(spaces):
+        return [
+            evaluate_joint_candidate(
                 algorithm, space, time_weight, space_weight, schedule_kwargs
             )
-            if status == "conflict":
-                stats.conflicts_rejected += 1
-            elif status == "routing":
-                stats.routing_rejected += 1
-            else:
-                designs.append(design)
-        designs = rank_designs(designs)
-        root.set(candidates=stats.candidates_enumerated, surviving=len(designs))
+            for space in spaces
+        ]
 
-    stats.wall_time = root.duration
-    stats.shard_wall_times = (stats.wall_time,)
-    return SpaceOptimizationResult(
-        best=designs[0] if designs else None,
-        ranking=tuple(designs[:keep_ranking]),
-        candidates_examined=stats.candidates_enumerated,
-        rejected_conflicts=stats.conflicts_rejected,
-        rejected_routing=stats.routing_rejected,
-        stats=stats,
+    result = search_designs(
+        algorithm, judge, array_dim=array_dim, magnitude=magnitude,
+        keep_ranking=keep_ranking, stats=stats,
+        span_name="core.solve_joint_optimal",
     )
+    stats.shard_wall_times = (stats.wall_time,)
+    return result

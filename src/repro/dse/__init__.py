@@ -19,7 +19,7 @@ Public surface:
   :class:`RunInterrupted`, :class:`BudgetExceeded`,
   :class:`CheckpointError` — crash-safe checkpoint/resume, graceful
   shutdown and run budgets (:mod:`repro.dse.checkpoint`).
-* :func:`round_robin`, :func:`ring_bounds`, :func:`effective_shards` —
+* :func:`ring_bounds`, :func:`effective_shards` —
   deterministic sharding primitives (:mod:`repro.dse.partition`).
 
 Only :mod:`~repro.dse.progress` is imported eagerly: :mod:`repro.core`
@@ -52,7 +52,6 @@ __all__ = [
     "RunInterrupted",
     "BudgetExceeded",
     "CheckpointError",
-    "round_robin",
     "ring_bounds",
     "effective_shards",
 ]
@@ -75,7 +74,6 @@ _LAZY = {
     "RunInterrupted": "checkpoint",
     "BudgetExceeded": "checkpoint",
     "CheckpointError": "checkpoint",
-    "round_robin": "partition",
     "ring_bounds": "partition",
     "effective_shards": "partition",
 }

@@ -23,16 +23,19 @@ work-queue architecture:
   early-termination broadcast: the moment one ring proves an optimum,
   no candidate of any later ring is ever submitted.
 * :func:`explore_space` / :func:`explore_joint` — Problems 6.1 / 6.2.
-  The bounded space-mapping design space is dealt across workers; each
-  judged design travels back whole and the merge re-ranks with the same
-  total order the serial solvers use.
+  The bounded space-mapping design space is cut into contiguous ranges;
+  each judged design travels back whole, and the one design driver
+  (:func:`~repro.core.space_optimize.search_designs`) tallies and ranks
+  the outcomes exactly as the serial solvers do.
 
-Execution strategy is a detail, never a semantic: ``jobs=1``, the
-in-process fallback (forced whenever a non-picklable callback such as
-``extra_constraint`` is supplied), and any ``jobs=N`` all return results
-that compare equal.  Workers never receive live algorithm objects —
-only a plain spec ``(mu, D, name)`` — so the executable semantics
-attached to library algorithms (closures, ufuncs) never need to pickle.
+Execution strategy is a detail, never a semantic: ``jobs=1``, an
+in-process run of the same shard workers (forced whenever a
+non-picklable callback such as ``extra_constraint`` is supplied), and
+any ``jobs=N`` all return results that compare equal.  All three
+``explore_*`` entry points share one cache and journal wrapper.
+Workers never receive live algorithm objects — only a plain spec
+``(mu, D, name)`` — so the executable semantics attached to library
+algorithms (closures, ufuncs) never need to pickle.
 
 Results are optionally backed by a persistent :class:`~repro.dse.cache.
 ResultCache`: the cache stores the search *decision* (winning vector,
@@ -48,6 +51,7 @@ import os
 from collections.abc import Callable, Sequence
 from contextlib import nullcontext
 from itertools import islice
+from typing import TypeVar
 
 import numpy as np
 
@@ -66,12 +70,13 @@ from ..intlin import as_intvec
 from ..core.space_optimize import (
     SpaceDesign,
     SpaceOptimizationResult,
+    check_design_args,
     enumerate_space_mappings,
     evaluate_design,
     evaluate_designs_batched,
     evaluate_joint_candidate,
     joint_objective,
-    rank_designs,
+    search_designs,
 )
 from ..model import (
     ConstantBoundedIndexSet,
@@ -90,7 +95,6 @@ from .partition import (
     calibration_probe,
     effective_shards,
     ring_ranges,
-    round_robin,
 )
 from .progress import SearchStats
 from .resilience import ResiliencePolicy, ResilientShardRunner, maybe_slow
@@ -106,6 +110,11 @@ __all__ = [
 ]
 
 logger = logging.getLogger("repro.dse.executor")
+
+R = TypeVar("R")
+
+#: Each run task's kind: names its root span and tags its shard keys.
+_KINDS = {"procedure-5.1": "schedule", "space-optimal": "space", "joint-optimal": "joint"}
 
 #: Environment override for ``resolve_jobs(None)``: lets a deployment
 #: (the job server, CI, a cron wrapper) cap worker parallelism without
@@ -353,27 +362,22 @@ def _shard_spaces(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Re-derive a design-space shard's slice from its range payload."""
     start, stop = payload["span"]
-    return list(
-        islice(
-            enumerate_space_mappings(
-                algo.n, payload["array_dim"], payload["magnitude"]
-            ),
-            start,
-            stop,
-        )
+    spaces = enumerate_space_mappings(
+        algo.n, payload["array_dim"], payload["magnitude"]
     )
+    return list(islice(spaces, start, stop))
 
 
 def _evaluate_space_shard(payload: dict) -> dict:
     """Judge one shard of Problem 6.1's design space."""
     maybe_slow()
     algo = _algorithm_from_spec(payload["algorithm"])
-    pi = payload["pi"]
     spaces = _shard_spaces(algo, payload)
     tracer, span = _shard_span(payload, "space", len(spaces))
     with span:
         evaluated, batches, promotions = evaluate_designs_batched(
-            algo, spaces, pi, batch_size=payload.get("batch_size")
+            algo, spaces, payload["pi"], payload.get("objective"),
+            batch_size=payload.get("batch_size"),
         )
     out = _shard_output(tracer, span, "evaluated", evaluated)
     out["batches"] = batches
@@ -396,23 +400,11 @@ def _evaluate_joint_shard(payload: dict) -> dict:
     with span:
         evaluated = [
             evaluate_joint_candidate(
-                algo,
-                space,
-                payload["time_weight"],
-                payload["space_weight"],
-                kwargs,
+                algo, space, payload["time_weight"], payload["space_weight"], kwargs
             )
             for space in spaces
         ]
     return _shard_output(tracer, span, "evaluated", evaluated)
-
-
-# -- fan-out helper ---------------------------------------------------------
-
-# The fan-out loop lives in repro.dse.resilience: ResilientShardRunner
-# runs payloads in-process or on a supervised pool, retrying/re-judging
-# failed shards so the serial-equality contract survives worker death,
-# hangs and corrupted outputs.
 
 
 # -- journal transport ------------------------------------------------------
@@ -442,28 +434,34 @@ def _decode_schedule_out(data: dict) -> dict:
     }
 
 
-def _encode_design_out(out: dict) -> dict:
-    evaluated = []
-    for status, design in out["evaluated"]:
-        if design is None:
-            evaluated.append([status, None])
-            continue
-        evaluated.append([
-            status,
-            {
-                "space": [list(row) for row in design.mapping.space],
-                "pi": list(design.mapping.schedule),
-                "cost": [
-                    design.cost.processors,
-                    design.cost.wire_length,
-                    design.cost.buffers,
-                    design.cost.total_time,
-                ],
-                "objective": design.objective,
-            },
-        ])
+def _encode_design(design: SpaceDesign | None) -> dict | None:
+    if design is None:
+        return None
+    cost = design.cost
     return {
-        "evaluated": evaluated,
+        "space": [list(row) for row in design.mapping.space],
+        "pi": list(design.mapping.schedule),
+        "cost": [cost.processors, cost.wire_length, cost.buffers, cost.total_time],
+        "objective": design.objective,
+    }
+
+
+def _decode_design(item: dict | None) -> SpaceDesign | None:
+    if item is None:
+        return None
+    mapping = MappingMatrix(
+        space=tuple(tuple(int(x) for x in row) for row in item["space"]),
+        schedule=tuple(int(x) for x in item["pi"]),
+    )
+    cost = ArrayCost(*(int(c) for c in item["cost"]))
+    return SpaceDesign(mapping=mapping, cost=cost, objective=item["objective"])
+
+
+def _encode_design_out(out: dict) -> dict:
+    return {
+        "evaluated": [
+            [status, _encode_design(design)] for status, design in out["evaluated"]
+        ],
         "wall_time": out["wall_time"],
         "batches": out.get("batches", 0),
         "promotions": out.get("promotions", 0),
@@ -471,22 +469,10 @@ def _encode_design_out(out: dict) -> dict:
 
 
 def _decode_design_out(data: dict) -> dict:
-    evaluated = []
-    for status, item in data["evaluated"]:
-        if item is None:
-            evaluated.append((status, None))
-            continue
-        mapping = MappingMatrix(
-            space=tuple(tuple(int(x) for x in row) for row in item["space"]),
-            schedule=tuple(int(x) for x in item["pi"]),
-        )
-        cost = ArrayCost(*(int(c) for c in item["cost"]))
-        evaluated.append(
-            (status, SpaceDesign(mapping=mapping, cost=cost,
-                                 objective=item["objective"]))
-        )
     return {
-        "evaluated": evaluated,
+        "evaluated": [
+            (status, _decode_design(item)) for status, item in data["evaluated"]
+        ],
         "wall_time": data["wall_time"],
         "batches": int(data.get("batches", 0)),
         "promotions": int(data.get("promotions", 0)),
@@ -596,7 +582,7 @@ def explore_schedule(
 
     jobs:
         Worker processes (``None``: one per available CPU).
-        ``extra_constraint`` forces the in-process fallback — arbitrary
+        ``extra_constraint`` runs the same shards in process — arbitrary
         callbacks do not cross process boundaries.
     batch_size:
         Rows per co-rank >= 2 image-screen chunk inside each shard.
@@ -649,11 +635,6 @@ def explore_schedule(
     # in shards and in the final result — reuses them without validation.
     space_rows = tuple(as_intvec(row) for row in space)
     validate_space(space_rows, algorithm.n)
-    if checkpoint is not None and extra_constraint is not None:
-        raise ValueError(
-            "checkpoint is incompatible with extra_constraint: a live "
-            "callback cannot be canonicalized into the journal's run key"
-        )
     alpha, initial_bound, max_bound = search_bounds(
         algorithm, alpha=alpha, initial_bound=initial_bound, max_bound=max_bound
     )
@@ -661,71 +642,43 @@ def explore_schedule(
         algorithm, space_rows, method=method, alpha=alpha,
         initial_bound=initial_bound, max_bound=max_bound,
     )
-    root = get_tracer().span(
-        "dse.explore_schedule",
-        algorithm=algorithm.name,
-        jobs=jobs,
-        method=method,
-        adaptive=adaptive,
-    )
-    with root:
-        cache_key = None
-        entry = None
-        if cache is not None and extra_constraint is None:
-            cache_key = canonical_key(run_params)
-            entry = cache.get(cache_key)
-        if entry is not None:
-            logger.debug("explore_schedule: warm cache hit, skipping search")
-            result = _schedule_result_from_entry(algorithm, space_rows, method, entry)
-        else:
-            control = _run_control(
-                run_params, "procedure-5.1", checkpoint, resume, budget,
-                stop=stop, on_progress=on_progress,
+
+    def search(control: RunControl | None) -> SearchResult:
+        stats = SearchStats()
+        with ResilientShardRunner(
+            jobs, in_process=extra_constraint is not None, policy=resilience,
+        ) as runner:
+            judge = _ShardedJudge(
+                _algorithm_spec(algorithm), space_rows, method,
+                batch_size, stats, runner, control, jobs, adaptive,
             )
-            with control if control is not None else nullcontext():
-                if control is not None and control.resume_entry is not None:
-                    # The journal already holds the final decision:
-                    # short-circuit exactly like a warm cache hit.
-                    logger.debug("explore_schedule: journal holds a completed run")
-                    result = _schedule_result_from_entry(
-                        algorithm, space_rows, method, control.resume_entry
-                    )
-                    result.stats.cache_hits = 0
-                    result.stats.shards_resumed = control.journal.resumed_shards
-                else:
-                    stats = SearchStats()
-                    with ResilientShardRunner(
-                        jobs, in_process=extra_constraint is not None,
-                        policy=resilience,
-                    ) as runner:
-                        judge = _ShardedJudge(
-                            _algorithm_spec(algorithm), space_rows, method,
-                            batch_size, stats, runner, control, jobs, adaptive,
-                        )
-                        result = search_rings(
-                            algorithm, space_rows, judge,
-                            lambda t: check_conflict_free(t, algorithm.mu, method=method),
-                            alpha=alpha, initial_bound=initial_bound,
-                            max_bound=max_bound, stats=stats,
-                            extra_constraint=extra_constraint, span_name="dse.ring",
-                            before_ring=(
-                                control.check_ring if control is not None else None
-                            ),
-                            after_ring=judge.ring_done,
-                        )
-                    stats.shards = judge.max_shards
-                    if judge.tuner is not None:
-                        stats.shards_autotuned = judge.tuner.autotuned
-                    runner.apply_telemetry(stats)
-                    if control is not None:
-                        stats.shards_resumed = control.shards_resumed
-                        control.record_result(_schedule_entry_from_result(result))
-            result.stats.cache_misses = int(cache_key is not None)
-            if cache_key is not None:
-                cache.put(cache_key, _schedule_entry_from_result(result))
-    # One timing source: the search's wall time is the root span.
-    result.stats.wall_time = root.duration
-    return result
+            result = search_rings(
+                algorithm, space_rows, judge,
+                lambda t: check_conflict_free(t, algorithm.mu, method=method),
+                alpha=alpha, initial_bound=initial_bound,
+                max_bound=max_bound, stats=stats,
+                extra_constraint=extra_constraint, span_name="dse.ring",
+                before_ring=control.check_ring if control is not None else None,
+                after_ring=judge.ring_done,
+            )
+        stats.shards = judge.max_shards
+        if judge.tuner is not None:
+            stats.shards_autotuned = judge.tuner.autotuned
+        runner.apply_telemetry(stats)
+        return result
+
+    return _explore(
+        run_params, search, _schedule_entry_from_result,
+        lambda entry: _schedule_result_from_entry(
+            algorithm, space_rows, method, entry
+        ),
+        span_attrs=dict(
+            algorithm=algorithm.name, jobs=jobs, method=method, adaptive=adaptive
+        ),
+        callback="extra_constraint" if extra_constraint is not None else None,
+        cache=cache, checkpoint=checkpoint, resume=resume, budget=budget,
+        stop=stop, on_progress=on_progress,
+    )
 
 
 class _ShardedJudge:
@@ -876,7 +829,7 @@ def _schedule_result_from_entry(
     method: str,
     entry: dict,
 ) -> SearchResult:
-    """Rebuild a :class:`SearchResult` from a cache hit.
+    """Rebuild a :class:`SearchResult` from a cache or journal entry.
 
     The entry stores only the decision; the verdict is re-derived with
     the same checker call the search would have made, so the rebuilt
@@ -884,7 +837,6 @@ def _schedule_result_from_entry(
     caller's root span to fill in.
     """
     stats = SearchStats.from_dict(entry["counters"])
-    stats.cache_hits = 1
     if not entry["found"]:
         return SearchResult(
             schedule=None,
@@ -904,6 +856,81 @@ def _schedule_result_from_entry(
         rings_expanded=entry["rings_expanded"],
         stats=stats,
     )
+
+
+# -- one cache and journal wrapper ----------------------------------------
+
+
+def _explore(
+    run_params: dict,
+    search: Callable[[RunControl | None], R],
+    to_entry: Callable[[R], dict],
+    from_entry: Callable[[dict], R],
+    *,
+    span_attrs: dict,
+    callback: str | None,
+    cache: ResultCache | None,
+    checkpoint: str | os.PathLike | None,
+    resume: bool,
+    budget: RunBudget | None,
+    stop,
+    on_progress: Callable[[dict], None] | None,
+) -> R:
+    """Run one ``explore_*`` search behind the result cache and journal.
+
+    A cache hit, or a journal that already holds the final decision,
+    rebuilds the result with ``from_entry`` instead of searching; a
+    fresh ``search(control)`` result is journaled and cached through
+    ``to_entry``.  ``callback`` names a live callable of the query: it
+    bypasses the cache and rules out a checkpoint, since neither can be
+    part of a canonical key.  The root span times the whole call.
+    """
+    if checkpoint is not None and callback is not None:
+        raise ValueError(
+            f"checkpoint is incompatible with {callback}: a live "
+            "callback cannot be canonicalized into the journal's run key"
+        )
+    task = run_params["task"]
+    root = get_tracer().span(f"dse.explore_{_KINDS[task]}", **span_attrs)
+    with root:
+        use_cache = cache is not None and callback is None
+        cache_key = canonical_key(run_params) if use_cache else None
+        entry = cache.get(cache_key) if use_cache else None
+        if entry is not None:
+            logger.debug("%s: warm cache hit, skipping search", task)
+            result = from_entry(entry)
+            result.stats.cache_hits = 1
+        else:
+            control = None
+            if any(x is not None for x in (checkpoint, budget, stop, on_progress)):
+                journal = None
+                if checkpoint is not None:
+                    journal = CheckpointJournal(checkpoint)
+                    journal.open(canonical_key(run_params), task=task, resume=resume)
+                control = RunControl(
+                    journal=journal, budget=budget, stop=stop,
+                    on_progress=on_progress,
+                )
+            with control if control is not None else nullcontext():
+                if control is not None and control.resume_entry is not None:
+                    # The journal already holds the final decision:
+                    # short-circuit exactly like a warm cache hit.
+                    logger.debug("%s: journal holds a completed run", task)
+                    entry = control.resume_entry
+                    result = from_entry(entry)
+                    result.stats.shards_resumed = control.journal.resumed_shards
+                else:
+                    result = search(control)
+                    entry = to_entry(result)
+                    if control is not None:
+                        result.stats.shards_resumed = control.shards_resumed
+                        control.record_result(entry)
+            result.stats.cache_misses = int(cache_key is not None)
+            if cache_key is not None:
+                cache.put(cache_key, entry)
+    # One timing source: the search's wall time is the root span.
+    result.stats.wall_time = root.duration
+    return result
 
 
 # -- Problems 6.1 / 6.2: design-space search -------------------------------
@@ -929,12 +956,11 @@ def explore_space(
 ) -> SpaceOptimizationResult:
     """Problem 6.1 through the engine; equal to ``solve_space_optimal``.
 
-    A custom ``objective`` callable forces the in-process fallback and
+    A custom ``objective`` callable runs the same shards in process and
     bypasses the cache (it is part of the answer but not of any
     canonical key); for the same reason it is incompatible with
-    ``checkpoint``.  ``batch_size`` sizes the vectorized conflict
-    screen of
-    :func:`~repro.core.space_optimize.evaluate_designs_batched` inside
+    ``checkpoint``.  ``batch_size`` sizes the vectorized conflict screen
+    of :func:`~repro.core.space_optimize.evaluate_designs_batched` inside
     each shard (never part of the run's identity).  ``checkpoint`` /
     ``resume`` / ``budget`` / ``stop`` / ``on_progress`` behave as in
     :func:`explore_schedule`.
@@ -942,138 +968,21 @@ def explore_space(
     validate_algorithm(algorithm)
     pi_t = as_intvec(pi)
     validate_vector(pi_t, algorithm.n, "pi")
-    sched = LinearSchedule(pi=pi_t, index_set=algorithm.index_set)
-    if not sched.respects(algorithm):
+    if not LinearSchedule(pi=pi_t, index_set=algorithm.index_set).respects(algorithm):
         raise ValueError("the given Pi violates the dependence condition Pi D > 0")
-    if checkpoint is not None and objective is not None:
-        raise ValueError(
-            "checkpoint is incompatible with a custom objective: a live "
-            "callback cannot be canonicalized into the journal's run key"
-        )
-    jobs = resolve_jobs(jobs)
-    tracer = get_tracer()
-    root = tracer.span(
-        "dse.explore_space",
-        algorithm=algorithm.name,
-        jobs=jobs,
-        array_dim=array_dim,
-        magnitude=magnitude,
-    )
-    result: SpaceOptimizationResult | None = None
-    with root:
-        run_params = space_run_params(
+    return _explore_designs(
+        algorithm,
+        space_run_params(
             algorithm, pi_t, array_dim=array_dim, magnitude=magnitude,
             keep_ranking=keep_ranking,
-        )
-
-        def rebuild(space):
-            return evaluate_design(algorithm, space, pi_t)[1]
-
-        cache_key = None
-        if cache is not None and objective is None:
-            cache_key = canonical_key(run_params)
-            entry = cache.get(cache_key)
-            if entry is not None:
-                logger.debug("explore_space: warm cache hit, skipping search")
-                result = _space_result_from_entry(algorithm, entry, rebuild=rebuild)
-
-        if result is None:
-            control = _run_control(
-                run_params, "space-optimal", checkpoint, resume, budget,
-                stop=stop, on_progress=on_progress,
-            )
-            with control if control is not None else nullcontext():
-                if control is not None and control.resume_entry is not None:
-                    logger.debug("explore_space: journal holds a completed run")
-                    result = _resumed_design_result(
-                        algorithm, control, cache, cache_key, rebuild
-                    )
-                else:
-                    candidates = list(
-                        enumerate_space_mappings(algorithm.n, array_dim, magnitude)
-                    )
-                    root.set(candidates=len(candidates))
-                    payload_extra = {"pi": pi_t, "batch_size": batch_size}
-                    runner = None
-                    if objective is None:
-                        outs, runner = _fan_out_designs(
-                            algorithm, candidates, jobs, _evaluate_space_shard,
-                            payload_extra, resilience,
-                            array_dim=array_dim, magnitude=magnitude,
-                            control=control, kind="space",
-                        )
-                    else:
-                        outs = []
-                        for part in round_robin(
-                            candidates, effective_shards(len(candidates), jobs)
-                        ):
-                            evaluated, n_batches, promoted = (
-                                evaluate_designs_batched(
-                                    algorithm, part, pi_t, objective,
-                                    batch_size=batch_size,
-                                )
-                            )
-                            outs.append({
-                                "evaluated": evaluated,
-                                "wall_time": 0.0,
-                                "batches": n_batches,
-                                "promotions": promoted,
-                            })
-
-                    result = _merge_design_outs(
-                        candidates, outs, keep_ranking,
-                        cache_misses=1 if cache_key is not None else 0,
-                    )
-                    if runner is not None:
-                        runner.apply_telemetry(result.stats)
-                    if control is not None:
-                        result.stats.shards_resumed = control.shards_resumed
-                        control.record_result(_space_entry_from_result(result))
-                    if cache_key is not None:
-                        cache.put(cache_key, _space_entry_from_result(result))
-    result.stats.wall_time = root.duration
-    return result
-
-
-def _run_control(
-    run_params: dict,
-    task: str,
-    checkpoint: str | os.PathLike | None,
-    resume: bool,
-    budget: RunBudget | None,
-    stop=None,
-    on_progress: Callable[[dict], None] | None = None,
-) -> RunControl | None:
-    """Build the (optional) run control for one search invocation."""
-    if (checkpoint is None and budget is None and stop is None
-            and on_progress is None):
-        return None
-    journal = None
-    if checkpoint is not None:
-        journal = CheckpointJournal(checkpoint)
-        journal.open(canonical_key(run_params), task=task, resume=resume)
-    return RunControl(
-        journal=journal, budget=budget, stop=stop, on_progress=on_progress
+        ),
+        _evaluate_space_shard,
+        {"pi": pi_t, "objective": objective, "batch_size": batch_size},
+        lambda space, _pi: evaluate_design(algorithm, space, pi_t)[1],
+        callback="a custom objective" if objective is not None else None,
+        jobs=jobs, cache=cache, resilience=resilience, checkpoint=checkpoint,
+        resume=resume, budget=budget, stop=stop, on_progress=on_progress,
     )
-
-
-def _resumed_design_result(
-    algorithm: UniformDependenceAlgorithm,
-    control: RunControl,
-    cache: ResultCache | None,
-    cache_key: str | None,
-    rebuild: Callable[..., SpaceDesign | None],
-) -> SpaceOptimizationResult:
-    """Short-circuit a design search whose journal holds the decision —
-    exactly like a warm cache hit (and warm the cache, if any)."""
-    entry = control.resume_entry
-    if cache_key is not None:
-        cache.put(cache_key, entry)
-    result = _space_result_from_entry(algorithm, entry, rebuild=rebuild)
-    result.stats.cache_hits = 0
-    result.stats.cache_misses = 1 if cache_key is not None else 0
-    result.stats.shards_resumed = control.journal.resumed_shards
-    return result
 
 
 def explore_joint(
@@ -1098,7 +1007,7 @@ def explore_joint(
     """Problem 6.2 through the engine; equal to ``solve_joint_optimal``.
 
     ``schedule_kwargs`` containing callbacks (``extra_constraint``)
-    forces the in-process fallback, bypasses the cache and is
+    runs the same shards in process, bypasses the cache and is
     incompatible with ``checkpoint``.  ``batch_size`` sets the default
     image-screen chunk of every per-candidate inner schedule search
     (an explicit ``schedule_kwargs`` entry wins, and only that enters
@@ -1107,197 +1016,112 @@ def explore_joint(
     :func:`explore_schedule`.
     """
     validate_algorithm(algorithm)
-    jobs = resolve_jobs(jobs)
     kwargs = dict(schedule_kwargs or {})
     has_callback = any(callable(v) for v in kwargs.values())
-    if checkpoint is not None and has_callback:
-        raise ValueError(
-            "checkpoint is incompatible with callback schedule_kwargs: a "
-            "live callback cannot be canonicalized into the journal's run key"
-        )
-    tracer = get_tracer()
-    root = tracer.span(
-        "dse.explore_joint",
-        algorithm=algorithm.name,
-        jobs=jobs,
-        array_dim=array_dim,
-        magnitude=magnitude,
-    )
-    result: SpaceOptimizationResult | None = None
-    with root:
-        run_params = joint_run_params(
+
+    def rebuild(space, pi):
+        # Shares joint_objective with evaluate_joint_candidate, so a
+        # warm rebuild can never drift from the cold path's cost model.
+        mapping = MappingMatrix(space=space, schedule=tuple(pi))
+        cost = evaluate_cost(algorithm, mapping)
+        objective = joint_objective(cost, time_weight, space_weight)
+        return SpaceDesign(mapping=mapping, cost=cost, objective=objective)
+
+    return _explore_designs(
+        algorithm,
+        joint_run_params(
             algorithm, array_dim=array_dim, magnitude=magnitude,
             time_weight=time_weight, space_weight=space_weight,
             keep_ranking=keep_ranking, schedule_kwargs=kwargs,
-        )
-
-        def rebuild(space, pi=None):
-            # Shares joint_objective with evaluate_joint_candidate, so a
-            # warm rebuild can never drift from the cold path's cost model.
-            mapping = MappingMatrix(space=space, schedule=pi)
-            cost = evaluate_cost(algorithm, mapping)
-            objective = joint_objective(cost, time_weight, space_weight)
-            return SpaceDesign(mapping=mapping, cost=cost, objective=objective)
-
-        cache_key = None
-        if cache is not None and not has_callback:
-            cache_key = canonical_key(run_params)
-            entry = cache.get(cache_key)
-            if entry is not None:
-                logger.debug("explore_joint: warm cache hit, skipping search")
-                result = _space_result_from_entry(
-                    algorithm, entry, rebuild=rebuild
-                )
-
-        if result is None:
-            control = _run_control(
-                run_params, "joint-optimal", checkpoint, resume, budget,
-                stop=stop, on_progress=on_progress,
-            )
-            with control if control is not None else nullcontext():
-                if control is not None and control.resume_entry is not None:
-                    logger.debug("explore_joint: journal holds a completed run")
-                    result = _resumed_design_result(
-                        algorithm, control, cache, cache_key, rebuild
-                    )
-                else:
-                    candidates = list(
-                        enumerate_space_mappings(algorithm.n, array_dim, magnitude)
-                    )
-                    root.set(candidates=len(candidates))
-                    payload_extra = {
-                        "time_weight": time_weight,
-                        "space_weight": space_weight,
-                        "schedule_kwargs": kwargs,
-                        "schedule_batch_size": batch_size,
-                    }
-                    runner = None
-                    if has_callback:
-                        # Same merge the worker applies: the batch size
-                        # defaults in without entering the run's identity.
-                        exec_kwargs = dict(kwargs)
-                        if batch_size is not None:
-                            exec_kwargs.setdefault("batch_size", batch_size)
-                        outs = [
-                            {
-                                "evaluated": [
-                                    evaluate_joint_candidate(
-                                        algorithm, space, time_weight,
-                                        space_weight, exec_kwargs,
-                                    )
-                                    for space in part
-                                ],
-                                "wall_time": 0.0,
-                            }
-                            for part in round_robin(
-                                candidates, effective_shards(len(candidates), jobs)
-                            )
-                        ]
-                    else:
-                        outs, runner = _fan_out_designs(
-                            algorithm, candidates, jobs, _evaluate_joint_shard,
-                            payload_extra, resilience,
-                            array_dim=array_dim, magnitude=magnitude,
-                            control=control, kind="joint",
-                        )
-
-                    result = _merge_design_outs(
-                        candidates, outs, keep_ranking,
-                        cache_misses=1 if cache_key is not None else 0,
-                    )
-                    if runner is not None:
-                        runner.apply_telemetry(result.stats)
-                    if control is not None:
-                        result.stats.shards_resumed = control.shards_resumed
-                        control.record_result(
-                            _space_entry_from_result(result, with_pi=True)
-                        )
-                    if cache_key is not None:
-                        cache.put(
-                            cache_key, _space_entry_from_result(result, with_pi=True)
-                        )
-    result.stats.wall_time = root.duration
-    return result
-
-
-def _fan_out_designs(
-    algorithm: UniformDependenceAlgorithm,
-    candidates: list,
-    jobs: int,
-    worker: Callable[[dict], dict],
-    payload_extra: dict,
-    resilience: ResiliencePolicy | None,
-    *,
-    array_dim: int,
-    magnitude: int,
-    control: RunControl | None = None,
-    kind: str = "space",
-) -> tuple[list[dict], ResilientShardRunner]:
-    spec = _algorithm_spec(algorithm)
-    tracer = get_tracer()
-    shards = effective_shards(len(candidates), jobs)
-    payloads = [
-        {
-            "algorithm": spec,
-            "array_dim": array_dim,
-            "magnitude": magnitude,
-            "span": rng,
-            "trace": tracer.enabled,
-            **payload_extra,
-        }
-        for rng in ring_ranges(len(candidates), shards)
-    ]
-    # Never spawn workers that could only idle: the pool is capped at
-    # the number of pending shards.
-    jobs = resolve_jobs(jobs, max_useful=len(payloads))
-    with ResilientShardRunner(jobs, policy=resilience) as runner:
-        outs = _run_shards(
-            runner, worker, payloads, control,
-            kind=kind, ring=0, content_key="span",
-            encode=_encode_design_out, decode=_decode_design_out,
-        )
-    for shard_idx, out in enumerate(outs):
-        tracer.absorb(out.get("spans"), shard=shard_idx)
-    return outs, runner
-
-
-def _merge_design_outs(
-    candidates: list,
-    outs: list[dict],
-    keep_ranking: int,
-    *,
-    cache_misses: int,
-) -> SpaceOptimizationResult:
-    # stats.wall_time stays 0.0 here: the caller's root span fills it in.
-    stats = SearchStats(
-        candidates_enumerated=len(candidates),
-        shards=max(1, len(outs)),
-        cache_misses=cache_misses,
-        shard_wall_times=tuple(out["wall_time"] for out in outs),
-        batches_evaluated=sum(out.get("batches", 0) for out in outs),
-        fastpath_promotions=sum(out.get("promotions", 0) for out in outs),
+        ),
+        _evaluate_joint_shard,
+        dict(
+            time_weight=time_weight, space_weight=space_weight,
+            schedule_kwargs=kwargs, schedule_batch_size=batch_size,
+        ),
+        rebuild,
+        callback="callback schedule_kwargs" if has_callback else None,
+        jobs=jobs, cache=cache, resilience=resilience, checkpoint=checkpoint,
+        resume=resume, budget=budget, stop=stop, on_progress=on_progress,
     )
-    designs: list[SpaceDesign] = []
-    for out in outs:
-        for status, design in out["evaluated"]:
-            if status == "rank":
-                stats.candidates_pruned += 1
-                continue
-            stats.candidates_checked += 1
-            if status == "conflict":
-                stats.conflicts_rejected += 1
-            elif status == "routing":
-                stats.routing_rejected += 1
-            else:
-                designs.append(design)
-    designs = rank_designs(designs)
-    return SpaceOptimizationResult(
-        best=designs[0] if designs else None,
-        ranking=tuple(designs[:keep_ranking]),
-        candidates_examined=stats.candidates_enumerated,
-        rejected_conflicts=stats.conflicts_rejected,
-        rejected_routing=stats.routing_rejected,
-        stats=stats,
+
+
+def _explore_designs(
+    algorithm: UniformDependenceAlgorithm,
+    run_params: dict,
+    worker: Callable[[dict], dict],
+    fields: dict,
+    rebuild: Callable[..., SpaceDesign | None],
+    *,
+    callback: str | None,
+    jobs: int | None,
+    resilience: ResiliencePolicy | None,
+    **cache_and_control,
+) -> SpaceOptimizationResult:
+    """The one explore body of Problems 6.1 and 6.2.
+
+    The design space is cut into contiguous ranges, one shard payload
+    each (``fields`` plus the range), and run by ``worker`` through the
+    resilient runner — in process when ``callback`` names a live
+    callable in ``fields``, so stop, budget and progress behave the same
+    either way.  Outcomes concatenate in range order, which is candidate
+    order, and :func:`~repro.core.space_optimize.search_designs` tallies
+    and ranks them as the serial solvers do.  ``rebuild(space, pi)``
+    re-derives a ranked design from a cache or journal entry (``pi`` is
+    ``None`` for Problem 6.1, whose entries do not store it).
+    """
+    array_dim = run_params["array_dim"]
+    magnitude = run_params["magnitude"]
+    keep_ranking = run_params["keep_ranking"]
+    # Reject bad bounds before any cache or journal lookup.
+    check_design_args(array_dim, magnitude, keep_ranking)
+    jobs = resolve_jobs(jobs)
+    kind = _KINDS[run_params["task"]]
+    base = dict(
+        fields, algorithm=_algorithm_spec(algorithm), array_dim=array_dim,
+        magnitude=magnitude, trace=get_tracer().enabled,
+    )
+
+    def search(control: RunControl | None) -> SpaceOptimizationResult:
+        stats = SearchStats()
+
+        def judge(spaces: list) -> list:
+            ranges = ring_ranges(len(spaces), effective_shards(len(spaces), jobs))
+            payloads = [dict(base, span=rng) for rng in ranges]
+            # Never spawn workers that could only idle: the pool is
+            # capped at the number of pending shards.
+            with ResilientShardRunner(
+                resolve_jobs(jobs, max_useful=len(payloads)),
+                in_process=callback is not None, policy=resilience,
+            ) as runner:
+                outs = _run_shards(
+                    runner, worker, payloads, control,
+                    kind=kind, ring=0, content_key="span",
+                    encode=_encode_design_out, decode=_decode_design_out,
+                )
+            runner.apply_telemetry(stats)
+            stats.shards = max(1, len(outs))
+            stats.shard_wall_times = tuple(out["wall_time"] for out in outs)
+            stats.batches_evaluated = sum(out.get("batches", 0) for out in outs)
+            stats.fastpath_promotions = sum(out.get("promotions", 0) for out in outs)
+            for shard, out in enumerate(outs):
+                get_tracer().absorb(out.get("spans"), shard=shard)
+            return [outcome for out in outs for outcome in out["evaluated"]]
+
+        return search_designs(
+            algorithm, judge, array_dim=array_dim, magnitude=magnitude,
+            keep_ranking=keep_ranking, stats=stats, span_name="dse.designs",
+        )
+
+    return _explore(
+        run_params, search,
+        lambda result: _space_entry_from_result(result, with_pi=kind == "joint"),
+        lambda entry: _space_result_from_entry(entry, rebuild),
+        span_attrs=dict(
+            algorithm=algorithm.name, jobs=jobs, array_dim=array_dim,
+            magnitude=magnitude,
+        ),
+        callback=callback, **cache_and_control,
     )
 
 
@@ -1320,28 +1144,19 @@ def _space_entry_from_result(
 
 
 def _space_result_from_entry(
-    algorithm: UniformDependenceAlgorithm,
-    entry: dict,
-    *,
-    rebuild: Callable[..., SpaceDesign | None],
+    entry: dict, rebuild: Callable[..., SpaceDesign | None]
 ) -> SpaceOptimizationResult:
-    stats = SearchStats.from_dict(entry["counters"])
-    stats.cache_hits = 1
-    designs: list[SpaceDesign] = []
-    for item in entry["ranking"]:
-        space = tuple(tuple(int(x) for x in row) for row in item["space"])
-        if "pi" in item:
-            design = rebuild(space, pi=tuple(item["pi"]))
-        else:
-            design = rebuild(space)
-        if design is None:  # pragma: no cover - cache/codebase version skew
-            continue
-        designs.append(design)
+    rebuilt = (
+        rebuild(tuple(tuple(int(x) for x in row) for row in item["space"]), item.get("pi"))
+        for item in entry["ranking"]
+    )
+    # A design the current code no longer accepts (version skew) is dropped.
+    designs = [design for design in rebuilt if design is not None]
     return SpaceOptimizationResult(
         best=designs[0] if designs else None,
         ranking=tuple(designs),
         candidates_examined=entry["candidates_examined"],
         rejected_conflicts=entry["rejected_conflicts"],
         rejected_routing=entry["rejected_routing"],
-        stats=stats,
+        stats=SearchStats.from_dict(entry["counters"]),
     )

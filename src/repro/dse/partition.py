@@ -15,8 +15,8 @@ that cheap to guarantee downstream:
   (:func:`repro.core.optimize.ring_candidate_array`), not as candidate
   lists: a shard payload names ``(ring, start, stop)`` and the worker
   re-derives its contiguous slice locally.  :func:`ring_ranges` cuts
-  those balanced ranges; :func:`round_robin` remains for the in-process
-  paths that still deal materialized items.
+  those balanced ranges, and the design searches of Problems 6.1/6.2
+  cut their candidate lists the same way.
 
 Shard *granularity* is adaptive: :class:`ShardAutotuner` feeds the
 ``dse.shard`` span wall-times the observability layer already records
@@ -36,9 +36,8 @@ tested in isolation.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TypeVar
 
 __all__ = [
     "DEFAULT_MIN_FANOUT_SECONDS",
@@ -49,26 +48,8 @@ __all__ = [
     "effective_shards",
     "ring_bounds",
     "ring_ranges",
-    "round_robin",
     "thresholds_from_probe",
 ]
-
-T = TypeVar("T")
-
-
-def round_robin(items: Sequence[T], shards: int) -> list[list[T]]:
-    """Deal ``items`` into ``shards`` lists, round-robin, dropping none.
-
-    Empty shards are omitted, so the result has
-    ``min(shards, len(items))`` entries (and is ``[]`` for no items).
-    Concatenating the shards interleaved (position 0 of each shard,
-    position 1 of each shard, ...) reproduces the input order — the
-    property the merge step relies on.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    dealt = [list(items[r::shards]) for r in range(shards)]
-    return [shard for shard in dealt if shard]
 
 
 def effective_shards(num_items: int, jobs: int) -> int:

@@ -31,7 +31,7 @@ import logging
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -129,6 +129,19 @@ def _call_shard(worker: Callable[[dict], dict], payload: dict) -> object:
     if _maybe_inject_fault(shard_index, attempt, batch):
         return {"corrupted": True}  # fails _output_ok; retried by parent
     return worker(payload)
+
+
+def _submit(
+    pool: ProcessPoolExecutor, worker: Callable[[dict], dict], payload: dict
+) -> Future:
+    """Submit one shard; a pool already broken by an earlier shard of
+    the batch yields a failed future, retried like any lost shard."""
+    try:
+        return pool.submit(_call_shard, worker, payload)
+    except BrokenProcessPool as exc:
+        fut: Future = Future()
+        fut.set_exception(exc)
+        return fut
 
 
 def _output_ok(out: object) -> bool:
@@ -372,8 +385,8 @@ class ResilientShardRunner:
         submitted = [
             (
                 i,
-                pool.submit(
-                    _call_shard,
+                _submit(
+                    pool,
                     worker,
                     dict(payloads[i], _shard_index=i, _attempt=attempts[i], _batch=batch),
                 ),

@@ -43,7 +43,7 @@ from typing import NamedTuple
 from ..core.optimize import procedure_5_1
 from ..core.space_optimize import solve_joint_optimal, solve_space_optimal
 from ..dse.cache import ResultCache, canonical_key
-from ..model import ConstantBoundedIndexSet, UniformDependenceAlgorithm
+from ..model import ConstantBoundedIndexSet, SpecError, UniformDependenceAlgorithm
 from ..obs import get_tracer
 from .poly import RationalPoly, fit_polynomial
 from .solution import SymbolicSolution, ValidityInterval
@@ -496,6 +496,8 @@ def compile_space(
                 family.algorithm(mu), pi_mu,
                 array_dim=array_dim, magnitude=magnitude,
             )
+        except SpecError:
+            raise  # a bad design-space bound fails at every size
         except ValueError:
             # Pi violates Pi D > 0 at this size: provably no design.
             return _Sample(_NONE_SHAPE, ())

@@ -128,6 +128,11 @@ class TestDesignCommand:
         with pytest.raises(ValueError):
             main(["design", "-a", "matmul", "--mu", "2", "-p", "1,0,1"])
 
+    def test_array_dim_zero_is_an_invalid_specification(self):
+        with pytest.raises(SystemExit, match="invalid specification: array_dim"):
+            main(["design", "-a", "matmul", "--mu", "2", "-p", "1,2,1",
+                  "--array-dim", "0"])
+
 
 class TestMuParsing:
     def test_scalar_and_vector_accepted(self):

@@ -9,7 +9,8 @@ from repro.core import (
     solve_joint_optimal,
     solve_space_optimal,
 )
-from repro.model import matrix_multiplication, transitive_closure
+from repro.dse.executor import explore_joint, explore_space
+from repro.model import SpecBoundsError, matrix_multiplication, transitive_closure
 
 
 class TestEnumeration:
@@ -136,3 +137,47 @@ class TestProblem62:
         for design in res.ranking[:3]:
             redo = procedure_5_1(algo, design.mapping.space)
             assert redo.total_time == design.cost.total_time
+
+
+class TestDesignArguments:
+    """Design-space bounds below 1 are typed errors on every entry point."""
+
+    ENTRY_POINTS = {
+        "solve_space_optimal": lambda algo, **kw: solve_space_optimal(
+            algo, (1, 2, 1), **kw
+        ),
+        "solve_joint_optimal": solve_joint_optimal,
+        "explore_space": lambda algo, **kw: explore_space(
+            algo, (1, 2, 1), jobs=1, cache=None, **kw
+        ),
+        "explore_joint": lambda algo, **kw: explore_joint(
+            algo, jobs=1, cache=None, **kw
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_array_dim_below_one(self, entry, value):
+        with pytest.raises(SpecBoundsError, match="array_dim"):
+            self.ENTRY_POINTS[entry](matrix_multiplication(2), array_dim=value)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_magnitude_below_one(self, entry, value):
+        with pytest.raises(SpecBoundsError, match="magnitude"):
+            self.ENTRY_POINTS[entry](matrix_multiplication(2), magnitude=value)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_keep_ranking_below_one(self, entry, value):
+        # keep_ranking=-1 used to slice off the worst design silently.
+        with pytest.raises(SpecBoundsError, match="keep_ranking"):
+            self.ENTRY_POINTS[entry](matrix_multiplication(2), keep_ranking=value)
+
+    def test_smallest_valid_bounds_accepted(self):
+        res = solve_space_optimal(
+            matrix_multiplication(2), (1, 2, 1),
+            array_dim=1, magnitude=1, keep_ranking=1,
+        )
+        assert res.found and len(res.ranking) == 1
+

@@ -90,6 +90,15 @@ class TestExploreSpaceAndJoint:
         assert "joint search (Problem 6.2)" in out
         assert "Pi =" in out
 
+    @pytest.mark.parametrize("mode", [["-p", "1,3,1"], []], ids=["space", "joint"])
+    def test_array_dim_zero_is_an_invalid_specification(self, mode, tmp_path):
+        with pytest.raises(SystemExit, match="invalid specification: array_dim"):
+            main([
+                "explore", "-a", "matmul", "--mu", "3", *mode,
+                "--array-dim", "0", "--cache-dir", str(tmp_path),
+            ])
+        assert not any(tmp_path.rglob("*.json"))
+
     def test_space_and_schedule_together_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main([

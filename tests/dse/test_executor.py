@@ -7,12 +7,15 @@ cache replays must return results that compare equal to the serial
 solvers' — winners, verdicts and deterministic stats included.
 """
 
+import threading
+
 import pytest
 
 from repro.core.optimize import procedure_5_1
 from repro.core.pipeline import find_time_optimal_mapping
 from repro.core.space_optimize import solve_joint_optimal, solve_space_optimal
 from repro.dse.cache import ResultCache
+from repro.dse.checkpoint import BudgetExceeded, RunBudget, RunInterrupted
 from repro.dse.executor import (
     explore_joint,
     explore_schedule,
@@ -210,6 +213,70 @@ class TestJointEquivalence:
         )
         assert parallel == serial
         assert len(cache) == 0
+
+
+class TestCallbackPath:
+    """Callbacks run the same shard workers in process, so they honour
+    stop, budget and progress exactly as every other run does."""
+
+    @staticmethod
+    def objective(cost):
+        return float(cost.processors)
+
+    @staticmethod
+    def joint_kwargs():
+        return {"schedule_kwargs": {"extra_constraint": lambda t: True}}
+
+    def stopped(self):
+        event = threading.Event()
+        event.set()
+        return event
+
+    def test_space_objective_honours_stop(self, matmul4):
+        with pytest.raises(RunInterrupted):
+            explore_space(
+                matmul4, (1, 4, 1), objective=self.objective, stop=self.stopped()
+            )
+
+    def test_space_objective_reports_progress(self, matmul4):
+        events = []
+        explore_space(
+            matmul4, (1, 4, 1), jobs=2, objective=self.objective,
+            on_progress=events.append,
+        )
+        done = [e for e in events if e["event"] == "shard_done"]
+        assert [e["completed"] for e in done] == [1, 2]
+
+    def test_space_objective_times_every_shard(self, matmul4):
+        result = explore_space(matmul4, (1, 4, 1), jobs=2, objective=self.objective)
+        assert len(result.stats.shard_wall_times) == 2
+        assert all(w > 0.0 for w in result.stats.shard_wall_times)
+
+    def test_space_objective_honours_shard_budget(self, matmul4):
+        with pytest.raises(BudgetExceeded):
+            explore_space(
+                matmul4, (1, 4, 1), jobs=2, objective=self.objective,
+                budget=RunBudget(max_shards=1),
+            )
+
+    def test_joint_callback_honours_stop(self, tc4):
+        with pytest.raises(RunInterrupted):
+            explore_joint(tc4, stop=self.stopped(), **self.joint_kwargs())
+
+    def test_joint_callback_reports_progress(self, tc4):
+        events = []
+        result = explore_joint(
+            tc4, jobs=2, on_progress=events.append, **self.joint_kwargs()
+        )
+        assert [e["event"] for e in events] == ["shard_done", "shard_done"]
+        assert all(w > 0.0 for w in result.stats.shard_wall_times)
+
+    def test_callback_rules_out_checkpoint(self, matmul4, tmp_path):
+        with pytest.raises(ValueError, match="custom objective"):
+            explore_space(
+                matmul4, (1, 4, 1), objective=self.objective,
+                checkpoint=tmp_path / "run.ckpt",
+            )
 
 
 class TestPipelineIntegration:

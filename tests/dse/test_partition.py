@@ -7,44 +7,7 @@ from repro.dse.partition import (
     effective_shards,
     ring_bounds,
     ring_ranges,
-    round_robin,
 )
-
-
-class TestRoundRobin:
-    def test_deals_in_stride(self):
-        assert round_robin([1, 2, 3, 4, 5], 2) == [[1, 3, 5], [2, 4]]
-
-    def test_single_shard_is_identity(self):
-        items = list(range(7))
-        assert round_robin(items, 1) == [items]
-
-    def test_more_shards_than_items_drops_empties(self):
-        assert round_robin([1, 2], 5) == [[1], [2]]
-
-    def test_empty_input(self):
-        assert round_robin([], 3) == []
-
-    def test_rejects_nonpositive_shards(self):
-        with pytest.raises(ValueError):
-            round_robin([1], 0)
-
-    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 7, 20])
-    def test_interleave_reconstructs_input_order(self, shards):
-        items = list(range(17))
-        dealt = round_robin(items, shards)
-        rebuilt = []
-        width = max(len(s) for s in dealt)
-        for pos in range(width):
-            for shard in dealt:
-                if pos < len(shard):
-                    rebuilt.append(shard[pos])
-        assert rebuilt == items
-
-    def test_no_item_lost_or_duplicated(self):
-        items = list(range(23))
-        dealt = round_robin(items, 4)
-        assert sorted(x for shard in dealt for x in shard) == items
 
 
 class TestEffectiveShards:

@@ -24,17 +24,6 @@ class TestEqualitySemantics:
 
 
 class TestAccumulation:
-    def test_add_folds_counters_and_wall_times(self):
-        a = SearchStats(candidates_enumerated=3, candidates_pruned=1,
-                        shard_wall_times=(0.1,))
-        b = SearchStats(candidates_enumerated=4, conflicts_rejected=2,
-                        shard_wall_times=(0.2,))
-        a.add(b)
-        assert a.candidates_enumerated == 7
-        assert a.candidates_pruned == 1
-        assert a.conflicts_rejected == 2
-        assert a.shard_wall_times == (0.1, 0.2)
-
     def test_cache_hit_rate(self):
         assert SearchStats().cache_hit_rate == 0.0
         assert SearchStats(cache_hits=3, cache_misses=1).cache_hit_rate == 0.75
@@ -62,12 +51,6 @@ class TestSerialization:
         assert SearchStats.from_dict(
             {"candidates_checked": 2, "bogus": 1}
         ) == SearchStats(candidates_checked=2)
-
-    def test_with_telemetry_keeps_counters(self):
-        stats = SearchStats(candidates_checked=4)
-        updated = stats.with_telemetry(shards=8, wall_time=1.0, cache_hits=2)
-        assert updated == stats
-        assert updated.shards == 8 and updated.cache_hits == 2
 
 
 class TestFormatting:

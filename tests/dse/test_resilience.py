@@ -33,6 +33,11 @@ SPACE = [[1, 1, -1]]
 FAST = ResiliencePolicy(backoff_base=0.0)
 
 
+def _echo_shard(payload):
+    """A trivial shard worker (module level, so the pool can pickle it)."""
+    return {"wall_time": 0.0, "evaluated": [payload["x"]]}
+
+
 class TestResiliencePolicy:
     def test_defaults_are_valid(self):
         p = ResiliencePolicy()
@@ -209,6 +214,31 @@ class TestRunnerUnit:
                          [{"x": 1}])
         assert out == [{"wall_time": 0.0, "evaluated": [1]}]
         assert runner.pool_restarts == 0
+
+    def test_pool_broken_between_submissions_is_retried(self, monkeypatch):
+        # A shard's worker can die, and break the pool, before the next
+        # shard of the batch is submitted: that submission must count
+        # as a lost shard, not crash the run.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        real_submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit(pool, fn, /, *args, **kwargs):
+            calls.append(fn)
+            if len(calls) == 2:
+                raise BrokenProcessPool("a worker died during submission")
+            return real_submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        with ResilientShardRunner(2, policy=FAST) as runner:
+            outs = runner.run(_echo_shard, [{"x": 1}, {"x": 2}])
+        assert outs == [
+            {"wall_time": 0.0, "evaluated": [1]},
+            {"wall_time": 0.0, "evaluated": [2]},
+        ]
+        assert runner.pool_restarts == 1 and runner.shard_retries == 1
 
     def test_telemetry_application(self):
         from repro.dse.progress import SearchStats

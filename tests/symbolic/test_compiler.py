@@ -12,6 +12,7 @@ from repro.model import (
     ConstantBoundedIndexSet,
     UniformDependenceAlgorithm,
     convolution_1d,
+    SpecBoundsError,
     matrix_multiplication,
 )
 from repro.symbolic import (
@@ -20,7 +21,9 @@ from repro.symbolic import (
     RationalPoly,
     SymbolicSolution,
     ValidityInterval,
+    compile_joint,
     compile_schedule,
+    compile_space,
     family_from_algorithm,
     load_or_compile,
     schedule_compile_params,
@@ -106,6 +109,17 @@ class TestCompileSchedule:
         )
         for mu in range(1, 10):
             assert rebuilt.eval(mu) == solution.eval(mu)
+
+
+class TestCompileDesign:
+    def test_bad_design_bound_is_rejected_not_certified_empty(self):
+        # A Pi D > 0 violation means "no design at this size"; a design
+        # bound below 1 is the caller's error and must not be certified.
+        family = family_from_algorithm(matrix_multiplication(3))
+        with pytest.raises(SpecBoundsError, match="array_dim"):
+            compile_space(family, (1, 2, 1), array_dim=0, mu_range=(2, 4))
+        with pytest.raises(SpecBoundsError, match="magnitude"):
+            compile_joint(family, magnitude=0, mu_range=(2, 4))
 
 
 class TestSolutionEval:
