@@ -19,7 +19,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .problem import LinearProgram, LPSolution
 
@@ -29,7 +28,14 @@ _INT_TOL = 1e-6
 
 
 def solve_lp_relaxation(problem: LinearProgram) -> LPSolution:
-    """Solve the LP relaxation with HiGHS; translate the status codes."""
+    """Solve the LP relaxation with HiGHS; translate the status codes.
+
+    scipy is imported here, not at module level: ``repro.core`` imports
+    this module, and most processes (the CLI, the server, design
+    searches on the default interconnect) never solve an LP.
+    """
+    from scipy.optimize import linprog
+
     res = linprog(
         c=problem.c,
         A_ub=problem.a_ub if problem.a_ub.shape[0] else None,

@@ -428,12 +428,10 @@ def compile_schedule(
 ) -> SymbolicSolution:
     """Certify Procedure 5.1's optimum over ``mu in mu_range``.
 
-    Each sample runs Procedure 5.1 with its default pruning (orbit
-    collapsing + the LP ring bound) enabled: both are proven
-    result-preserving, so the sampled optima — and therefore the
-    compiled polynomial pieces and their certificates — are identical
-    to what an unpruned sampling pass would produce, just cheaper.
-    The compile-params digest is unaffected for the same reason.
+    Each sample is one :func:`procedure_5_1` call at that ``mu``: the
+    same ring search an enumerative query runs, so the compiled
+    polynomial pieces and their certificates reproduce its optima
+    (winner, total time) at every sampled size.
     """
     t0 = time.perf_counter()
     lo, hi = _check_range(mu_range)

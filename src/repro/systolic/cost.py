@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from ..core.mapping import MappingMatrix
 from ..model import UniformDependenceAlgorithm
+from .array import array_geometry
 from .interconnect import InterconnectionPlan, plan_interconnection
 
 __all__ = ["ArrayCost", "evaluate_cost", "processor_count", "wire_length"]
@@ -72,15 +73,10 @@ def processor_count(
     """``|S(J)|``: distinct processor coordinates over the index set.
 
     For the common case of an interval/box image this is closed-form,
-    but arbitrary ``S`` images need not be dense, so we enumerate
-    exactly.
+    but arbitrary ``S`` images need not be dense, so we count the
+    distinct rows of the image ``S J`` exactly.
     """
-    smat = mapping.space_matrix
-    if not smat.nrows:
-        return 1
-    return len(
-        {smat.matvec(j) for j in algorithm.index_set}
-    )
+    return len(array_geometry(algorithm, mapping).processors)
 
 
 def wire_length(
@@ -97,13 +93,7 @@ def wire_length(
     """
     if plan is None:
         plan = plan_interconnection(algorithm, mapping)
-    from .array import build_array
-
-    array = build_array(algorithm, mapping, plan)
-    total = 0
-    for link in array.links:
-        total += sum(abs(a - b) for a, b in zip(link.source, link.target))
-    return total
+    return array_geometry(algorithm, mapping, plan).wire_length()
 
 
 def evaluate_cost(
@@ -114,11 +104,12 @@ def evaluate_cost(
 ) -> ArrayCost:
     """The full cost sheet for one mapping (plans the interconnect)."""
     plan = plan_interconnection(algorithm, mapping, primitives)
+    geometry = array_geometry(algorithm, mapping, plan)
     from ..core.schedule import total_execution_time
 
     return ArrayCost(
-        processors=processor_count(algorithm, mapping),
-        wire_length=wire_length(algorithm, mapping, plan),
+        processors=len(geometry.processors),
+        wire_length=geometry.wire_length(),
         buffers=plan.total_buffers,
         total_time=total_execution_time(mapping.schedule, algorithm.mu),
     )

@@ -11,14 +11,22 @@ implementable on it when the space displacement of every dependence,
 slack ``Pi d_i - sum_j k_ji`` is realized as FIFO buffers on the
 dependence's data link (the "three buffers" of Figure 2).
 
-Routing solves, per dependence, the minimum-hop integer program
-``min 1.K_i`` s.t. ``P K_i = S d_i``, ``K_i >= 0`` with our
-branch-and-bound solver — exactly the quantity Equation 2.3 bounds.
+Routing finds, per dependence, a minimum-hop ``K_i >= 0`` with
+``P K_i = S d_i`` — exactly the quantity Equation 2.3 bounds:
+
+* on the nearest-neighbor ``P`` of :func:`nearest_neighbor_primitives`
+  (the default, and the machine every design search costs on) the
+  minimum is unique and closed-form: ``max(t_a, 0)`` hops on ``+e_a``
+  and ``max(-t_a, 0)`` on ``-e_a`` for ``t = S d_i``, feasible iff
+  ``|t|_1 <= Pi d_i``;
+* on a custom ``P`` it is an integer program, solved with our
+  branch-and-bound solver, preferring a single-use decomposition.
 
 The appendix's link-collision criterion is also provided: when every
 column of ``K`` uses each primitive at most once in total (the paper's
 "data use the data link just once"), no static link collision is
-possible; the cycle-accurate simulator re-checks this dynamically.
+possible; the cycle-accurate simulator re-checks this dynamically.  On
+the nearest-neighbor ``P`` that holds exactly when every ``|t_a| <= 1``.
 """
 
 from __future__ import annotations
@@ -115,15 +123,37 @@ class InterconnectionPlan:
         return [[self.usage[j][i] for j in range(r)] for i in range(m)]
 
 
+def _route_nearest_neighbor(target: list[int], budget: int) -> list[int]:
+    """Closed-form min-hop ``K_i`` on :func:`nearest_neighbor_primitives`.
+
+    Columns ``2 (dim - 1 - a)`` and ``2 (dim - 1 - a) + 1`` of that
+    ``P`` are ``+e_a`` and ``-e_a``; the unique minimum decomposition of
+    ``target`` takes ``max(t_a, 0)`` hops on the first and
+    ``max(-t_a, 0)`` on the second.  Raises :class:`RoutingError` when
+    its ``|t|_1`` hops exceed ``budget`` (Equation 2.3).
+    """
+    hops = sum(abs(x) for x in target)
+    if hops > budget:
+        raise RoutingError(
+            f"displacement {target} needs {hops} hops but the schedule "
+            f"allows only {budget} (Equation 2.3 violated)"
+        )
+    k: list[int] = []
+    for x in reversed(target):
+        k += [max(x, 0), max(-x, 0)]
+    return k
+
+
 def _route_one(
     primitives: list[list[int]],
     target: list[int],
     budget: int,
 ) -> list[int]:
-    """Min-hop decomposition of ``target`` into primitive columns.
+    """Min-hop decomposition of ``target`` into custom primitive columns.
 
-    Returns the usage vector ``K_i`` (length ``r``); raises
-    :class:`RoutingError` when infeasible or over budget.
+    The branch-and-bound router for any ``P`` other than the
+    nearest-neighbor one.  Returns the usage vector ``K_i`` (length
+    ``r``); raises :class:`RoutingError` when infeasible or over budget.
     """
     dim = len(target)
     r = len(primitives[0]) if primitives and primitives[0] else 0
@@ -176,7 +206,8 @@ def plan_interconnection(
         The target machine's ``P``; defaults to the nearest-neighbor
         primitives of the array's dimension (the "design a new array"
         reading of the paper, where condition 2 is satisfiable by
-        construction whenever each ``|S d_i|_1 <= Pi d_i``).
+        construction whenever each ``|S d_i|_1 <= Pi d_i``).  That
+        ``P`` routes in closed form; any other runs the integer program.
 
     Raises
     ------
@@ -193,6 +224,7 @@ def plan_interconnection(
     if len(p) != dim:
         raise ValueError(f"P must have {dim} rows, got {len(p)}")
     r = len(p[0]) if p and p[0] else 0
+    nearest = p == nearest_neighbor_primitives(dim)
 
     deps = algorithm.dependence_vectors()
     usage_cols: list[list[int]] = []
@@ -206,7 +238,11 @@ def plan_interconnection(
             raise RoutingError(
                 f"dependence {d} has non-positive schedule length {budget}"
             )
-        k = _route_one(p, list(displacement), budget)
+        k = (
+            _route_nearest_neighbor(list(displacement), budget)
+            if nearest
+            else _route_one(p, list(displacement), budget)
+        )
         usage_cols.append(k)
         hops: list[int] = []
         for col_idx, count in enumerate(k):

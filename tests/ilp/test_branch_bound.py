@@ -1,5 +1,10 @@
 """Unit tests for repro.ilp.branch_bound."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.ilp import LinearProgram, solve_ilp, solve_lp_relaxation
@@ -120,3 +125,20 @@ class TestBranchBound:
         sol = solve_ilp(p)
         assert sol.ok
         assert sol.x_int() == (-3,)
+
+
+class TestLazyScipy:
+    def test_entry_points_do_not_import_scipy(self):
+        """scipy loads on the first LP solve, not on import."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "import sys\n"
+            "import repro, repro.cli, repro.dse.executor, repro.serve.server\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

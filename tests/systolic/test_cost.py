@@ -1,9 +1,10 @@
 """Unit tests for repro.systolic.cost (the VLSI cost model)."""
 
+import pytest
 
 from repro.core import MappingMatrix
 from repro.model import matrix_multiplication, transitive_closure
-from repro.systolic import evaluate_cost, processor_count, wire_length
+from repro.systolic import ArrayCost, evaluate_cost, processor_count, wire_length
 
 
 class TestProcessorCount:
@@ -64,6 +65,18 @@ class TestEvaluate:
         assert cost.buffers == 3
         assert cost.total_time == 25
         assert cost.wire_length == 36
+
+    @pytest.mark.parametrize(
+        "mu, expected",
+        [
+            (6, ArrayCost(processors=19, wire_length=54, buffers=5, total_time=49)),
+            (10, ArrayCost(processors=31, wire_length=90, buffers=9, total_time=121)),
+        ],
+    )
+    def test_example_5_1_sheets(self, mu, expected):
+        """Example 5.1, ``S = [1, 1, -1]``, ``Pi = [1, mu, 1]``."""
+        t = MappingMatrix(space=((1, 1, -1),), schedule=(1, mu, 1))
+        assert evaluate_cost(matrix_multiplication(mu), t) == expected
 
     def test_combined_default_weights(self):
         algo = matrix_multiplication(2)

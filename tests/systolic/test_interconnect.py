@@ -1,11 +1,21 @@
 """Unit tests for repro.systolic.interconnect (Def 2.2 condition 2)."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MappingMatrix
-from repro.model import matrix_multiplication, transitive_closure
+from repro.model import (
+    ConstantBoundedIndexSet,
+    UniformDependenceAlgorithm,
+    matrix_multiplication,
+    transitive_closure,
+)
 from repro.systolic import (
     RoutingError,
+    interconnect,
     nearest_neighbor_primitives,
     plan_interconnection,
 )
@@ -184,3 +194,94 @@ class TestSingleUsePreference:
         plan = plan_interconnection(algo, t, primitives=[[1, -1]])
         assert plan.hops(0) == 2
         assert not plan.statically_collision_free()
+
+
+def _routed(route, *args):
+    """``route(*args)``, or ``RoutingError`` when it cannot route."""
+    try:
+        return route(*args)
+    except RoutingError:
+        return RoutingError
+
+
+def _single_dependence_plan(target, budget):
+    """Plan one dependence with ``S d = target`` and ``Pi d = budget``.
+
+    ``S = [I | 0]`` and ``d = (target, 1)``, so the displacement is
+    ``target``; ``Pi = (0, ..., 0, budget)`` gives the schedule length.
+    """
+    dim = len(target)
+    algo = UniformDependenceAlgorithm(
+        index_set=ConstantBoundedIndexSet((3,) * (dim + 1)),
+        dependence_matrix=tuple((x,) for x in target) + ((1,),),
+    )
+    t = MappingMatrix(
+        space=tuple(
+            tuple(int(c == r) for c in range(dim + 1)) for r in range(dim)
+        ),
+        schedule=(0,) * dim + (budget,),
+    )
+    return _routed(plan_interconnection, algo, t)
+
+
+class TestClosedFormRouter:
+    """The nearest-neighbor closed form equals the branch-and-bound router."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        target=st.integers(1, 3).flatmap(
+            lambda dim: st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        ),
+        budget=st.integers(0, 6),
+    )
+    def test_equals_ilp_router(self, target, budget):
+        p = nearest_neighbor_primitives(len(target))
+        closed = _routed(interconnect._route_nearest_neighbor, target, budget)
+        ilp = _routed(interconnect._route_one, p, target, budget)
+        assert closed == ilp
+        if budget == 0:
+            return  # plan_interconnection rejects Pi d = 0 up front
+        default = _single_dependence_plan(target, budget)
+        with mock.patch.object(
+            interconnect,
+            "_route_nearest_neighbor",
+            lambda t, b: interconnect._route_one(
+                nearest_neighbor_primitives(len(t)), t, b
+            ),
+        ):
+            forced = _single_dependence_plan(target, budget)
+        if default is RoutingError:
+            assert forced is RoutingError
+        else:
+            assert (default.usage, default.routes, default.buffers) == (
+                forced.usage, forced.routes, forced.buffers,
+            )
+            assert default.statically_collision_free() == all(
+                abs(x) <= 1 for x in target
+            )
+
+    def test_infeasible_exactly_past_equation_2_3(self):
+        with pytest.raises(RoutingError, match="Equation 2.3"):
+            interconnect._route_nearest_neighbor([2, -1], 2)
+        assert interconnect._route_nearest_neighbor([2, -1], 3) == [0, 1, 2, 0]
+
+    def test_default_and_explicit_nearest_neighbor_skip_ilp(self):
+        algo = matrix_multiplication(2)
+        t = MappingMatrix(space=((1, 1, -1),), schedule=(1, 2, 1))
+        with mock.patch.object(
+            interconnect, "_route_one", wraps=interconnect._route_one
+        ) as ilp:
+            default = plan_interconnection(algo, t)
+            explicit = plan_interconnection(algo, t, primitives=[[1, -1]])
+        assert ilp.call_count == 0
+        assert default == explicit
+
+    def test_custom_primitives_take_ilp_path(self):
+        algo = matrix_multiplication(2)
+        t = MappingMatrix(space=((2, 1, -1),), schedule=(2, 1, 1))
+        with mock.patch.object(
+            interconnect, "_route_one", wraps=interconnect._route_one
+        ) as ilp:
+            plan = plan_interconnection(algo, t, primitives=[[1, -1, 2, -2]])
+        assert ilp.call_count == 3
+        assert plan.routes[0] == (2,)  # one +2e_0 hop
