@@ -277,11 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--no-degrade", action="store_true",
                            help="fail instead of falling back to in-process "
                                 "execution when shard retries are exhausted")
-    p_explore.add_argument("--batch-size", type=int, default=None,
-                           metavar="N",
-                           help="rows per vectorized batch: space designs, "
-                                "or co-rank >= 2 schedule screen chunks "
-                                "(default: engine-chosen)")
     p_explore.add_argument("--method", default="auto",
                            choices=["auto", "paper", "exact"],
                            help="conflict-check mode for schedule search")
@@ -634,8 +629,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         )
     if args.jobs is not None and args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.batch_size is not None and args.batch_size < 1:
-        raise SystemExit(f"--batch-size must be >= 1, got {args.batch_size}")
     try:
         resolve_jobs(args.jobs)
     except ValueError as exc:
@@ -680,7 +673,6 @@ def _run_explore(args, algo, cache, policy, budget) -> int:
     engine_kwargs = dict(
         jobs=args.jobs, cache=cache, resilience=policy,
         checkpoint=args.checkpoint, resume=args.resume, budget=budget,
-        batch_size=args.batch_size,
     )
 
     if args.space is not None:

@@ -11,6 +11,9 @@ Implements the backbone of Sections 2-4:
   screen over stacks of candidate schedules;
 * **Theorems 4.1-4.2** — the Hermite-normal-form generator set
   ``u_{k+1}, ..., u_n`` of *all* conflict vectors;
+* the **box kernel** of the rows a search holds fixed — every conflict
+  vector any candidate can have, enumerated once per search — and the
+  batched screen of candidate rows against it, for any co-rank;
 * two *exact* deciders used as oracles throughout the test-suite and
   available to users who want certainty beyond the sufficient
   conditions of Section 4:
@@ -36,14 +39,25 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
-from ..intlin import IntMat, IntVec, as_intmat, hnf_cached, normalize_primitive
+from ..intlin import (
+    IntMat,
+    IntVec,
+    as_intmat,
+    hnf_cached,
+    kernel_basis,
+    normalize_primitive,
+)
 from ..intlin.batch import batch_matmul
 from ..model import ConstantBoundedIndexSet
 from .mapping import MappingMatrix
+
+# Cap on the int64 cells (rows x table points, or beta rows x n) one
+# box-kernel step materializes: ~32 MB.
+_CELL_LIMIT = 4_194_304
 
 __all__ = [
     "ConflictAnalysis",
@@ -52,8 +66,9 @@ __all__ = [
     "conflict_vector_via_adjugate",
     "adjugate_conflict_matrix",
     "batch_adjugate_screen",
+    "box_kernel_table",
+    "box_kernel_screen",
     "conflict_generators",
-    "batch_distinct_image_counts",
     "distinct_image_count",
     "is_conflict_free_bruteforce",
     "is_conflict_free_bruteforce_vectorized",
@@ -167,6 +182,101 @@ def batch_adjugate_screen(
     return (mag // g[:, None] > mu_arr).any(axis=1), promoted
 
 
+def box_kernel_table(
+    fixed_rows: Sequence[Sequence[int]], mu: Sequence[int]
+) -> np.ndarray:
+    """The box kernel ``X`` of ``F``: ``ker F`` inside ``[-mu, mu]^n``.
+
+    Theorem 2.2 and Definition 2.3: ``T`` is conflict-free iff no
+    non-zero ``gamma`` in ``ker T`` has ``|gamma_i| <= mu_i``.  When ``T``
+    stacks fixed rows ``F`` on varying ones, ``ker T = ker F`` intersected
+    with the varying rows' orthogonal complement, so every conflict any
+    candidate can have is a point of ``X`` (see :func:`box_kernel_screen`).
+
+    Returns the non-zero in-box points as the rows of an ``(|X|, n)``
+    ``int64`` array, one per ``+-`` pair with its first non-zero entry
+    positive.  They come from the half of the ``beta`` grid below zero,
+    over the saturated :func:`~repro.intlin.kernel_basis` of ``F`` and
+    within :func:`_exact_beta_bounds`: the sweep
+    :func:`is_conflict_free_kernel_box` runs, vectorized.  ``F`` without
+    rows has the whole box as kernel; ``F`` without kernel gives an empty
+    table.  ``F`` must have full row rank (:class:`ValueError`
+    otherwise, as for ``kernel_basis``).  Cached; the returned array is
+    read-only.
+    """
+    return _box_kernel_table(
+        tuple(tuple(int(x) for x in row) for row in fixed_rows),
+        tuple(int(m) for m in mu),
+    )
+
+
+@lru_cache(maxsize=16)
+def _box_kernel_table(
+    fixed: tuple[tuple[int, ...], ...], mu: tuple[int, ...]
+) -> np.ndarray:
+    n = len(mu)
+    basis = (
+        kernel_basis(fixed) if fixed
+        else [IntVec(int(i == j) for i in range(n)) for j in range(n)]
+    )
+    table = np.empty((0, n), dtype=np.int64)
+    if basis:
+        bounds = _exact_beta_bounds(basis, mu)
+        sizes = tuple(2 * b + 1 for b in bounds)
+        generators = as_intmat([list(g) for g in basis])
+        box = np.array(mu, dtype=np.int64)
+        # In C order, flat indices below the middle one are exactly the
+        # beta whose first non-zero entry is negative: one per +- pair.
+        half = prod(sizes) // 2
+        step = max(1, _CELL_LIMIT // n)
+        parts = [table]
+        for lo in range(0, half, step):
+            flat = np.arange(lo, min(lo + step, half), dtype=np.int64)
+            beta = np.stack(np.unravel_index(flat, sizes), axis=1) - np.array(bounds)
+            points, _ = batch_matmul(beta, generators)
+            inside = (np.abs(points) <= box).all(axis=1)
+            parts.append(points[inside].astype(np.int64))
+        table = np.concatenate(parts)
+        lead = table[np.arange(len(table)), (table != 0).argmax(axis=1)]
+        table[lead < 0] *= -1
+    table.setflags(write=False)
+    return table
+
+
+def box_kernel_screen(
+    stack: np.ndarray, table: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Conflict verdicts for a ``(C, w, n)`` stack of candidates at once.
+
+    Candidate ``c`` adds the rows ``stack[c]`` to the fixed rows whose
+    :func:`box_kernel_table` is ``table``; it is conflict-free iff every
+    point of ``X`` has a non-zero product with one of its rows.  A zero
+    row has none, so candidates of unequal width can be padded with
+    zero rows.  An empty table makes every candidate conflict-free.
+
+    The products ``stack[c] . x`` run through :func:`batch_matmul` in
+    steps of at most ``_CELL_LIMIT`` cells.  Returns ``(conflict_free,
+    promoted)``: a boolean per candidate and the number of rows whose
+    products could not be certified int64 and were computed over Python
+    ints.  Agrees with :func:`is_conflict_free_kernel_box` on every
+    ``T`` of full row rank.
+    """
+    count, width, n = stack.shape
+    free = np.ones(count, dtype=bool)
+    if not len(table) or not count:
+        return free, 0
+    points = as_intmat(table.T)
+    step = max(1, _CELL_LIMIT // max(1, width * len(table)))
+    promoted = 0
+    for lo in range(0, count, step):
+        block = stack[lo : lo + step]
+        products, rows_promoted = batch_matmul(block.reshape(-1, n), points)
+        promoted += rows_promoted
+        hit = (products != 0).reshape(len(block), width, len(table))
+        free[lo : lo + step] = hit.any(axis=1).all(axis=1)
+    return free, promoted
+
+
 def conflict_generators(t: MappingMatrix) -> list[IntVec]:
     """Hermite generators ``u_{k+1}, ..., u_n`` of all conflict vectors.
 
@@ -250,101 +360,6 @@ def distinct_image_count(images: np.ndarray) -> int:
     rows = images[order]
     changed = np.any(rows[1:] != rows[:-1], axis=1)
     return 1 + int(np.count_nonzero(changed))
-
-
-def batch_distinct_image_counts(
-    fixed: np.ndarray, varying: np.ndarray
-) -> np.ndarray:
-    """Distinct-row counts for a *batch* of image matrices sharing columns.
-
-    ``fixed`` is a ``(P, m)`` image block common to every candidate
-    (e.g. the points' images under the shared space mapping ``S``);
-    ``varying[:, c, :]`` is candidate ``c``'s own ``(P, v)`` image
-    block.  Entry ``c`` of the returned ``(C,)`` array is
-    ``distinct_image_count`` of the stacked ``(P, m + v)`` matrix
-    ``[fixed | varying[:, c]]`` — i.e. candidate ``c``'s mapping is
-    injective on the ``P`` points iff ``counts[c] == P``.
-
-    The whole batch runs on the mixed-radix scalar-key path of
-    :func:`distinct_image_count`: per-candidate value spans are computed
-    in Python-int arithmetic, and a candidate is vectorized only when
-    its total key range provably fits int64.  Candidates that cannot be
-    certified — and all candidates whenever either input is the
-    object-dtype overflow-promoted route — get the sentinel ``-1`` so
-    the caller can promote exactly those to the scalar exact path.
-    """
-    if fixed.ndim != 2 or varying.ndim != 3 or fixed.shape[0] != varying.shape[0]:
-        raise ValueError(
-            f"shape mismatch: fixed {fixed.shape} vs varying {varying.shape}"
-        )
-    n_pts, n_cand = varying.shape[0], varying.shape[1]
-    counts = np.full(n_cand, -1, dtype=np.int64)
-    if n_cand == 0:
-        return counts
-    if n_pts <= 1:
-        counts[:] = n_pts
-        return counts
-    if fixed.dtype == object or varying.dtype == object:
-        return counts
-    int64_max = np.iinfo(np.int64).max
-    # Base keys for the shared block, certified in Python ints.
-    if fixed.shape[1] == 0:
-        base = np.zeros(n_pts, dtype=np.int64)
-        total_fixed = 1
-    else:
-        lo_f = fixed.min(axis=0)
-        spans_f = [int(h) - int(l) + 1 for l, h in zip(lo_f, fixed.max(axis=0))]
-        total_fixed = 1
-        for s in spans_f:
-            total_fixed *= s
-        if total_fixed > int64_max:
-            return counts
-        strides_f = np.empty(fixed.shape[1], dtype=np.int64)
-        acc = 1
-        for j in range(fixed.shape[1] - 1, -1, -1):
-            strides_f[j] = acc
-            acc *= spans_f[j]
-        base = (fixed - lo_f) @ strides_f
-    width = varying.shape[2]
-    if width == 0:
-        sorted_base = np.sort(base)
-        counts[:] = 1 + int(np.count_nonzero(sorted_base[1:] != sorted_base[:-1]))
-        return counts
-    # Per-candidate spans over the varying block, again in Python ints
-    # (int64 subtraction of extreme values could itself wrap).
-    lo = varying.min(axis=0)
-    hi = varying.max(axis=0)
-    lo_list = lo.tolist()
-    hi_list = hi.tolist()
-    ok_idx: list[int] = []
-    strides_rows: list[list[int]] = []
-    mults: list[int] = []
-    for c in range(n_cand):
-        spans = [hi_list[c][j] - lo_list[c][j] + 1 for j in range(width)]
-        total = total_fixed
-        for s in spans:
-            total *= s
-        if total > int64_max:
-            continue
-        strides = [0] * width
-        acc = 1
-        for j in range(width - 1, -1, -1):
-            strides[j] = acc
-            acc *= spans[j]
-        ok_idx.append(c)
-        strides_rows.append(strides)
-        mults.append(acc)
-    if not ok_idx:
-        return counts
-    idx = np.array(ok_idx, dtype=np.intp)
-    rel = varying[:, idx, :] - lo[idx][None, :, :]
-    keys = (rel * np.array(strides_rows, dtype=np.int64)[None, :, :]).sum(
-        axis=2, dtype=np.int64
-    )
-    keys += base[:, None] * np.array(mults, dtype=np.int64)[None, :]
-    keys.sort(axis=0)
-    counts[idx] = 1 + np.count_nonzero(keys[1:] != keys[:-1], axis=0)
-    return counts
 
 
 def _exact_beta_bounds(

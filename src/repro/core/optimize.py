@@ -35,25 +35,21 @@ import numpy as np
 from ..dse.partition import ring_bounds
 from ..dse.progress import SearchStats
 from ..intlin import INT64_MAX, IntMat, as_intmat, as_intvec, kernel_basis
-from ..intlin.batch import (
-    batch_dependence_mask,
-    batch_nonzero_mask,
-    batch_point_images,
-)
+from ..intlin.batch import batch_dependence_mask, batch_nonzero_mask
 from ..obs import Span, Tracer, get_tracer
 from ..model import UniformDependenceAlgorithm
 from .conditions import ConditionVerdict, check_conflict_free
 from .conflict import (
     adjugate_conflict_matrix,
     batch_adjugate_screen,
-    batch_distinct_image_counts,
+    box_kernel_screen,
+    box_kernel_table,
 )
 from .mapping import MappingMatrix
 from .schedule import LinearSchedule
 
 __all__ = [
     "BatchCandidateScanner",
-    "DEFAULT_BATCH_SIZE",
     "STAGE_CONFLICT",
     "STAGE_DEPS",
     "STAGE_NAMES",
@@ -81,12 +77,6 @@ STAGE_OK = "ok"
 STAGE_NAMES = (STAGE_DEPS, STAGE_RANK, STAGE_CONFLICT, STAGE_OK)
 CODE_DEPS, CODE_RANK, CODE_CONFLICT, CODE_OK = range(len(STAGE_NAMES))
 
-#: Rows per conflict-image chunk: co-rank >= 2 schedule screens and
-#: space-design batches (before the memory cap).
-DEFAULT_BATCH_SIZE = 512
-# Cap on points x candidates cells materialized per conflict-image
-# chunk (~32 MB of int64).
-_BATCH_CELL_LIMIT = 4_194_304
 _METHODS = ("auto", "exact", "paper")
 
 
@@ -249,12 +239,12 @@ class BatchCandidateScanner:
       (:func:`~repro.core.conflict.batch_adjugate_screen`, Theorems 3.1
       and 2.2), one call for every survivor; the rank mask there is
       ``gamma(Pi) != 0``.
-    * ``"auto"``/``"exact"`` at other co-ranks — ``Pi`` is tested
-      against the kernel basis of ``S``, and screened by mixed-radix
-      distinct-image counts of ``[S j | Pi j]`` over the index box, in
-      memory-capped chunks of at most ``batch_size`` rows.  Rows whose
-      int64 bounds cannot be certified take the exact
-      arbitrary-precision route.
+    * ``"auto"``/``"exact"`` at co-rank >= 2 — ``Pi`` is tested
+      against the kernel basis of ``S``, and is conflict-free iff
+      ``Pi . x != 0`` for every point ``x`` of the
+      :func:`~repro.core.conflict.box_kernel_table` of ``S``
+      (:func:`~repro.core.conflict.box_kernel_screen`).  The table is
+      built once per ``(S, mu)`` and process.
 
     Every screen is exact for its ``method``, so the codes are the
     verdicts :func:`check_conflict_free` would give one by one.
@@ -271,7 +261,6 @@ class BatchCandidateScanner:
         space: Sequence[Sequence[int]],
         *,
         method: str = "auto",
-        batch_size: int | None = None,
         tracer: Tracer | None = None,
         stats: SearchStats | None = None,
     ) -> None:
@@ -280,10 +269,6 @@ class BatchCandidateScanner:
         self.algorithm = algorithm
         self.space_rows = tuple(as_intvec(row) for row in space)
         self.method = method
-        size = DEFAULT_BATCH_SIZE if batch_size is None else int(batch_size)
-        if size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.batch_size = size
         self.tracer = tracer
         self.stats = SearchStats() if stats is None else stats
         self.n = algorithm.n
@@ -297,18 +282,15 @@ class BatchCandidateScanner:
         self._adjugate: IntMat | None = None
         self._rank_mat: IntMat | None = None
         self._rank_fail = False
-        self._s_mat: IntMat | None = None
         if self.n - self.k == 1:
             # gamma(Pi) = Pi @ M spans the kernel of [S; Pi], and is zero
             # exactly when [S; Pi] is rank-deficient.
             self._adjugate = adjugate_conflict_matrix(self.space_rows, self.n)
             self._rank_mat = self._adjugate
         elif self.k > 1:
-            self._s_mat = as_intmat([list(row) for row in self.space_rows])
+            s_mat = as_intmat([list(row) for row in self.space_rows])
             kernel_cols = (
-                kernel_basis(self._s_mat)
-                if self._s_mat.rank() == self.k - 1
-                else []
+                kernel_basis(s_mat) if s_mat.rank() == self.k - 1 else []
             )
             if kernel_cols:
                 self._rank_mat = as_intmat(
@@ -318,27 +300,21 @@ class BatchCandidateScanner:
                 # Row-deficient S (or S already spanning Q^n): no Pi can
                 # lift [S; Pi] to rank k.
                 self._rank_fail = True
-        # The screen and its chunk size (None: every survivor at once).
-        self._chunk: int | None
         if method == "paper":
-            self._chunk, self._screen_chunk = 1, self._paper_screen
+            self._screen_rows = self._paper_screen
         elif self._adjugate is not None:
-            self._chunk, self._screen_chunk = None, self._adjugate_screen
+            self._screen_rows = self._adjugate_screen
         else:
-            points = prod(int(m) + 1 for m in algorithm.mu)
-            self._chunk = max(1, min(size, _BATCH_CELL_LIMIT // max(1, points)))
-            self._screen_chunk = self._image_screen
-        # (points, their S-images, certified |pi| bound), built on first use.
-        self._box: tuple[np.ndarray, np.ndarray, int] | None = None
+            self._screen_rows = self._table_screen
 
     def stages(self, pis: np.ndarray, *, stop_at_ok: bool = False) -> np.ndarray:
         """``int8`` stage codes for the rows of ``pis``, in order.
 
-        With ``stop_at_ok`` the screen stops after the chunk holding the
-        first conflict-free row, and the result covers only the prefix
-        of ``pis`` whose codes are final (at least one row when ``pis``
-        is non-empty).  The co-rank-1 adjugate screen is cheap enough to
-        always judge every row.
+        With ``stop_at_ok`` the paper's per-candidate dispatch stops at
+        the first conflict-free row, and the result covers only the
+        prefix of ``pis`` whose codes are final (at least one row when
+        ``pis`` is non-empty).  The vectorized screens always judge
+        every row.
         """
         tracer = self.tracer if self.tracer is not None else get_tracer()
         self.stats.batches_evaluated += int(len(pis) > 0)
@@ -378,11 +354,11 @@ class BatchCandidateScanner:
     ) -> int:
         """Screen rows ``idx`` into ``codes``; returns the final prefix length."""
         rows = pis[idx]
-        step = self._chunk or max(1, len(rows))
+        step = 1 if self.method == "paper" else max(1, len(rows))
         screened = 0
         while screened < len(rows):
             start, screened = screened, min(screened + step, len(rows))
-            verdict = self._screen_chunk(rows[start:screened])
+            verdict = self._screen_rows(rows[start:screened])
             codes[idx[start:screened]] = verdict
             if stop_at_ok and (verdict == CODE_OK).any():
                 break
@@ -405,37 +381,12 @@ class BatchCandidateScanner:
                 verdict[i] = CODE_OK
         return verdict
 
-    def _image_screen(self, rows: np.ndarray) -> np.ndarray:
-        """Conflict verdicts by distinct images of the index box."""
-        if self._box is None:
-            pts = self.algorithm.index_set.points_array()
-            fixed = (
-                np.empty((len(pts), 0), dtype=np.int64)
-                if self._s_mat is None
-                else self._s_mat.image_of_points(pts)
-            )
-            bound = int(np.abs(pts).max(initial=0)) * max(1, self.n)
-            self._box = (pts, fixed, INT64_MAX if bound == 0 else INT64_MAX // bound)
-        pts, fixed, col_thr = self._box
-        verdict = np.full(len(rows), CODE_CONFLICT, dtype=np.int8)
-        certified = np.abs(rows).max(axis=1, initial=0) <= col_thr
-        if fixed.dtype == object:
-            certified[:] = False
-        fast = np.flatnonzero(certified)
-        exact = np.flatnonzero(~certified).tolist()
-        if fast.size:
-            t_cols, _ = batch_point_images(pts, rows[fast])
-            counts = batch_distinct_image_counts(fixed, t_cols[:, :, None])
-            verdict[fast[counts == len(pts)]] = CODE_OK
-            exact.extend(fast[counts < 0].tolist())
-        for i in exact:
-            self.stats.fastpath_promotions += 1
-            t = MappingMatrix(
-                space=self.space_rows, schedule=tuple(int(v) for v in rows[i])
-            )
-            if check_conflict_free(t, self.algorithm.mu, method=self.method).holds:
-                verdict[i] = CODE_OK
-        return verdict
+    def _table_screen(self, rows: np.ndarray) -> np.ndarray:
+        """Conflict verdicts against the box kernel of ``S`` (co-rank >= 2)."""
+        table = box_kernel_table(self.space_rows, self.algorithm.mu)
+        free, promoted = box_kernel_screen(rows[:, None, :], table)
+        self.stats.fastpath_promotions += promoted
+        return np.where(free, CODE_OK, CODE_CONFLICT).astype(np.int8)
 
 
 def search_bounds(
@@ -612,7 +563,6 @@ def procedure_5_1(
     initial_bound: int | None = None,
     max_bound: int | None = None,
     extra_constraint: Callable[[MappingMatrix], bool] | None = None,
-    batch_size: int | None = None,
 ) -> SearchResult:
     """Find the time-optimal conflict-free schedule for a fixed ``S``.
 
@@ -641,10 +591,6 @@ def procedure_5_1(
     extra_constraint:
         Optional predicate on the assembled mapping (used for
         Definition 2.2 condition 2 by :mod:`repro.core.pipeline`).
-    batch_size:
-        Rows per co-rank >= 2 image-screen chunk (default
-        :data:`DEFAULT_BATCH_SIZE`, memory-capped); rings are otherwise
-        judged whole.
 
     Notes
     -----
@@ -658,9 +604,7 @@ def procedure_5_1(
         algorithm, alpha=alpha, initial_bound=initial_bound, max_bound=max_bound
     )
     stats = SearchStats()
-    scanner = BatchCandidateScanner(
-        algorithm, space_rows, method=method, batch_size=batch_size, stats=stats
-    )
+    scanner = BatchCandidateScanner(algorithm, space_rows, method=method, stats=stats)
     # The root span is the single timing source: SearchStats.wall_time
     # is read back from its monotonic duration after it closes.
     root = get_tracer().span(
@@ -714,9 +658,7 @@ def find_all_optima(
     space_rows = tuple(as_intvec(row) for row in space)
     best_f = first.schedule.f
     ties = ring_candidate_array(algorithm.mu, best_f, f_min=best_f)
-    scanner = BatchCandidateScanner(
-        algorithm, space_rows, method=method, batch_size=kwargs.get("batch_size")
-    )
+    scanner = BatchCandidateScanner(algorithm, space_rows, method=method)
     results: list[SearchResult] = []
     for i in np.flatnonzero(scanner.stages(ties) == CODE_OK).tolist():
         pi = tuple(int(v) for v in ties[i])

@@ -30,16 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dse.progress import SearchStats
-from ..intlin import INT64_MAX, as_intmat, normalize_primitive, rank
-from ..intlin.batch import batch_point_images, batch_rows
+from ..intlin import normalize_primitive, rank
+from ..intlin.batch import batch_rows
 from ..obs import get_tracer
 from ..model import SpecBoundsError, UniformDependenceAlgorithm
 from ..systolic.cost import ArrayCost, evaluate_cost
 from ..systolic.interconnect import RoutingError
 from .conditions import check_conflict_free
-from .conflict import batch_distinct_image_counts
+from .conflict import box_kernel_screen, box_kernel_table
 from .mapping import MappingMatrix
-from .optimize import _BATCH_CELL_LIMIT, DEFAULT_BATCH_SIZE, procedure_5_1
+from .optimize import procedure_5_1
 from .schedule import LinearSchedule
 
 __all__ = [
@@ -197,95 +197,56 @@ def evaluate_designs_batched(
     spaces: Sequence[Sequence[Sequence[int]]],
     pi: Sequence[int],
     objective: Callable[[ArrayCost], float] | None = None,
-    *,
-    batch_size: int | None = None,
 ) -> tuple[list[tuple[str, SpaceDesign | None]], int, int]:
-    """Judge a stack of Problem-6.1 candidates with the vectorized screen.
+    """Judge a stack of Problem-6.1 candidates with one vectorized screen.
 
     Returns ``(outcomes, batches_evaluated, fastpath_promotions)`` where
     ``outcomes[i]`` is exactly what ``evaluate_design(algorithm,
-    spaces[i], pi, objective)`` returns: the rank check stays scalar
-    (tiny exact eliminations), the conflict decision runs as one
-    mixed-radix distinct-image count per vectorized batch — candidate
-    ``S`` is conflict-free with ``Pi`` iff the stacked point images
-    ``[Pi j | S j]`` are pairwise distinct over the whole index box —
-    and only candidates whose int64 bounds cannot be certified fall
-    back to the scalar exact checker.  Cost/routing evaluation of the
-    survivors is scalar either way.
+    spaces[i], pi, objective)`` returns.  The rank check stays scalar
+    (tiny exact eliminations).  The conflict decision is one
+    :func:`~repro.core.conflict.box_kernel_screen` of every rank
+    survivor against the :func:`~repro.core.conflict.box_kernel_table`
+    of ``Pi``: ``S`` is conflict-free with ``Pi`` iff no point of
+    ``ker Pi`` inside the box is orthogonal to every row of ``S``.
+    Routing and cost of the conflict-free designs stay scalar.
+    ``batches_evaluated`` is 1 for a non-empty stack, and
+    ``fastpath_promotions`` counts the rows of ``S`` the screen computed
+    over Python ints.
     """
     pi_t = tuple(int(x) for x in pi)
     obj = objective or _default_objective
     norm_spaces = [
         tuple(tuple(int(x) for x in row) for row in space) for space in spaces
     ]
-    batches = 0
-    promotions = 0
     # Rank survivors, in candidate order.
     mappings: dict[int, MappingMatrix] = {}
     for i, space_rows in enumerate(norm_spaces):
         t = MappingMatrix(space=space_rows, schedule=pi_t)
         if t.rank() == len(space_rows) + 1:
             mappings[i] = t
-    free: dict[int, bool] = {}
+    free = np.zeros(len(norm_spaces), dtype=bool)
+    promotions = 0
     if mappings:
-        pts = algorithm.index_set.points_array()
-        n_pts = pts.shape[0]
-        pts_max = int(np.abs(pts).max(initial=0))
-        bound = pts_max * max(1, algorithm.n)
-        thr = INT64_MAX if bound == 0 else INT64_MAX // bound
-        fixed = as_intmat([list(pi_t)]).image_of_points(pts)
-        # Group by row count so each batch reshapes to (P, C, width).
-        by_width: dict[int, list[int]] = {}
-        for i in mappings:
-            by_width.setdefault(len(norm_spaces[i]), []).append(i)
-        size = DEFAULT_BATCH_SIZE if batch_size is None else int(batch_size)
-        if size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        for width, members in by_width.items():
-            chunk = max(
-                1, min(size, _BATCH_CELL_LIMIT // max(1, n_pts * max(1, width)))
-            )
-            for lo in range(0, len(members), chunk):
-                group = members[lo : lo + chunk]
-                rows = batch_rows(
-                    [row for i in group for row in norm_spaces[i]]
-                )
-                scalar: list[int] = []
-                fast: list[int] = []
-                if rows.dtype == object or fixed.dtype == object:
-                    scalar = list(group)
-                else:
-                    for pos, i in enumerate(group):
-                        own = rows[pos * width : (pos + 1) * width]
-                        if int(np.abs(own).max(initial=0)) <= thr:
-                            fast.append(i)
-                        else:
-                            scalar.append(i)
-                if fast:
-                    batches += 1
-                    fast_rows = batch_rows(
-                        [row for i in fast for row in norm_spaces[i]]
-                    )
-                    images, _ = batch_point_images(pts, fast_rows)
-                    varying = images.reshape(n_pts, len(fast), width)
-                    counts = batch_distinct_image_counts(fixed, varying)
-                    for pos, i in enumerate(fast):
-                        if counts[pos] < 0:
-                            scalar.append(i)
-                        else:
-                            free[i] = counts[pos] == n_pts
-                for i in scalar:
-                    promotions += 1
-                    free[i] = check_conflict_free(
-                        mappings[i], algorithm.mu, method="auto"
-                    ).holds
+        survivors = list(mappings)
+        # Zero rows pad every candidate to the widest: they never make a
+        # kernel point non-orthogonal, so the verdicts are unchanged.
+        width = max(len(norm_spaces[i]) for i in survivors)
+        zero = (0,) * algorithm.n
+        stack = batch_rows([
+            row
+            for i in survivors
+            for row in norm_spaces[i] + (zero,) * (width - len(norm_spaces[i]))
+        ]).reshape(len(survivors), width, algorithm.n)
+        free[survivors], promotions = box_kernel_screen(
+            stack, box_kernel_table([pi_t], algorithm.mu)
+        )
     outcomes = [
         ("rank", None) if i not in mappings
         else _costed(algorithm, mappings[i], obj) if free[i]
         else ("conflict", None)
         for i in range(len(norm_spaces))
     ]
-    return outcomes, batches, promotions
+    return outcomes, int(len(norm_spaces) > 0), promotions
 
 
 def evaluate_joint_candidate(
@@ -392,7 +353,6 @@ def solve_space_optimal(
     magnitude: int = 1,
     objective: Callable[[ArrayCost], float] | None = None,
     keep_ranking: int = 10,
-    batch_size: int | None = None,
 ) -> SpaceOptimizationResult:
     """Problem 6.1: given ``Pi``, find the cheapest conflict-free ``S``.
 
@@ -410,9 +370,6 @@ def solve_space_optimal(
         Cost aggregation; defaults to processors + wire length.
     keep_ranking:
         How many runner-up designs to retain.
-    batch_size:
-        Candidates per vectorized batch of
-        :func:`evaluate_designs_batched`.
     """
     pi_t = tuple(int(x) for x in pi)
     if not LinearSchedule(pi=pi_t, index_set=algorithm.index_set).respects(algorithm):
@@ -422,9 +379,7 @@ def solve_space_optimal(
 
     def judge(spaces):
         outcomes, stats.batches_evaluated, stats.fastpath_promotions = (
-            evaluate_designs_batched(
-                algorithm, spaces, pi_t, objective, batch_size=batch_size
-            )
+            evaluate_designs_batched(algorithm, spaces, pi_t, objective)
         )
         return outcomes
 

@@ -348,7 +348,7 @@ def _scan_schedule_shard(payload: dict) -> dict:
             chunk = ring_candidate_array(algo.mu, f_max, f_min=f_min)[start:stop]
         codes = BatchCandidateScanner(
             algo, payload["space"], method=payload["method"],
-            batch_size=payload.get("batch_size"), tracer=tracer, stats=local,
+            tracer=tracer, stats=local,
         ).stages(chunk, stop_at_ok=True)
     out = _shard_output(tracer, span, "codes", _codes_text(codes))
     out["batches"] = local.batches_evaluated
@@ -376,8 +376,7 @@ def _evaluate_space_shard(payload: dict) -> dict:
     tracer, span = _shard_span(payload, "space", len(spaces))
     with span:
         evaluated, batches, promotions = evaluate_designs_batched(
-            algo, spaces, payload["pi"], payload.get("objective"),
-            batch_size=payload.get("batch_size"),
+            algo, spaces, payload["pi"], payload.get("objective")
         )
     out = _shard_output(tracer, span, "evaluated", evaluated)
     out["batches"] = batches
@@ -390,12 +389,7 @@ def _evaluate_joint_shard(payload: dict) -> dict:
     maybe_slow()
     algo = _algorithm_from_spec(payload["algorithm"])
     spaces = _shard_spaces(algo, payload)
-    # The batch size travels outside schedule_kwargs (it is not part of
-    # the run's identity); explicit user kwargs always win.
-    kwargs = dict(payload["schedule_kwargs"])
-    size = payload.get("schedule_batch_size")
-    if size is not None:
-        kwargs.setdefault("batch_size", size)
+    kwargs = payload["schedule_kwargs"]
     tracer, span = _shard_span(payload, "joint", len(spaces))
     with span:
         evaluated = [
@@ -560,7 +554,6 @@ def explore_schedule(
     initial_bound: int | None = None,
     max_bound: int | None = None,
     extra_constraint: Callable[[MappingMatrix], bool] | None = None,
-    batch_size: int | None = None,
     adaptive: bool = True,
     cache: ResultCache | None = None,
     resilience: ResiliencePolicy | None = None,
@@ -584,9 +577,6 @@ def explore_schedule(
         Worker processes (``None``: one per available CPU).
         ``extra_constraint`` runs the same shards in process — arbitrary
         callbacks do not cross process boundaries.
-    batch_size:
-        Rows per co-rank >= 2 image-screen chunk inside each shard.
-        Never part of the run's cache/journal identity.
     adaptive:
         Cost-adaptive shard granularity (default).  Observed shard
         wall-times feed a :class:`~repro.dse.partition.ShardAutotuner`
@@ -650,7 +640,7 @@ def explore_schedule(
         ) as runner:
             judge = _ShardedJudge(
                 _algorithm_spec(algorithm), space_rows, method,
-                batch_size, stats, runner, control, jobs, adaptive,
+                stats, runner, control, jobs, adaptive,
             )
             result = search_rings(
                 algorithm, space_rows, judge,
@@ -691,7 +681,6 @@ class _ShardedJudge:
         spec: dict,
         space_rows: tuple,
         method: str,
-        batch_size: int | None,
         stats: SearchStats,
         runner: ResilientShardRunner,
         control: RunControl | None,
@@ -702,7 +691,6 @@ class _ShardedJudge:
             "algorithm": spec,
             "space": space_rows,
             "method": method,
-            "batch_size": batch_size,
             "trace": get_tracer().enabled,
         }
         self.stats = stats
@@ -945,7 +933,6 @@ def explore_space(
     magnitude: int = 1,
     objective=None,
     keep_ranking: int = 10,
-    batch_size: int | None = None,
     cache: ResultCache | None = None,
     resilience: ResiliencePolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
@@ -959,9 +946,7 @@ def explore_space(
     A custom ``objective`` callable runs the same shards in process and
     bypasses the cache (it is part of the answer but not of any
     canonical key); for the same reason it is incompatible with
-    ``checkpoint``.  ``batch_size`` sizes the vectorized conflict screen
-    of :func:`~repro.core.space_optimize.evaluate_designs_batched` inside
-    each shard (never part of the run's identity).  ``checkpoint`` /
+    ``checkpoint``.  ``checkpoint`` /
     ``resume`` / ``budget`` / ``stop`` / ``on_progress`` behave as in
     :func:`explore_schedule`.
     """
@@ -977,7 +962,7 @@ def explore_space(
             keep_ranking=keep_ranking,
         ),
         _evaluate_space_shard,
-        {"pi": pi_t, "objective": objective, "batch_size": batch_size},
+        {"pi": pi_t, "objective": objective},
         lambda space, _pi: evaluate_design(algorithm, space, pi_t)[1],
         callback="a custom objective" if objective is not None else None,
         jobs=jobs, cache=cache, resilience=resilience, checkpoint=checkpoint,
@@ -995,7 +980,6 @@ def explore_joint(
     space_weight: float = 1.0,
     keep_ranking: int = 10,
     schedule_kwargs: dict | None = None,
-    batch_size: int | None = None,
     cache: ResultCache | None = None,
     resilience: ResiliencePolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
@@ -1008,10 +992,7 @@ def explore_joint(
 
     ``schedule_kwargs`` containing callbacks (``extra_constraint``)
     runs the same shards in process, bypasses the cache and is
-    incompatible with ``checkpoint``.  ``batch_size`` sets the default
-    image-screen chunk of every per-candidate inner schedule search
-    (an explicit ``schedule_kwargs`` entry wins, and only that enters
-    the run's identity).  ``checkpoint`` / ``resume`` /
+    incompatible with ``checkpoint``.  ``checkpoint`` / ``resume`` /
     ``budget`` / ``stop`` / ``on_progress`` behave as in
     :func:`explore_schedule`.
     """
@@ -1037,7 +1018,7 @@ def explore_joint(
         _evaluate_joint_shard,
         dict(
             time_weight=time_weight, space_weight=space_weight,
-            schedule_kwargs=kwargs, schedule_batch_size=batch_size,
+            schedule_kwargs=kwargs,
         ),
         rebuild,
         callback="callback schedule_kwargs" if has_callback else None,

@@ -18,7 +18,6 @@ from .batch import (
     batch_dependence_mask,
     batch_matmul,
     batch_nonzero_mask,
-    batch_point_images,
     batch_rows,
 )
 from .diophantine import DiophantineSolution, solve_diophantine
@@ -78,7 +77,6 @@ __all__ = [
     "batch_dependence_mask",
     "batch_matmul",
     "batch_nonzero_mask",
-    "batch_point_images",
     "batch_rows",
     "bezout_row",
     "cofactor",

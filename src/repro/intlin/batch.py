@@ -6,8 +6,8 @@ space rows the same way.  This module supplies the vectorized products
 those funnels run on, with the same exactness contract as
 :class:`~repro.intlin.intmat.IntMat`: every operation certifies an
 a-priori int64 overflow bound before vectorizing, and promotes **only
-the rows (or columns) that fail the bound** to exact arbitrary-
-precision Python-int arithmetic — never the whole stack.  Results are
+the rows that fail the bound** to exact arbitrary-precision
+Python-int arithmetic — never the whole stack.  Results are
 bit-identical whichever backend computed each row, and each function
 reports how many rows were promoted so the searches can surface the
 ``fastpath_promotions`` telemetry.
@@ -31,7 +31,6 @@ __all__ = [
     "batch_matmul",
     "batch_dependence_mask",
     "batch_nonzero_mask",
-    "batch_point_images",
 ]
 
 
@@ -141,59 +140,3 @@ def batch_nonzero_mask(pis: Any, mat: Any) -> tuple[np.ndarray, int]:
     if prod.shape[1] == 0:
         return np.zeros(prod.shape[0], dtype=bool), promoted
     return np.asarray((prod != 0).any(axis=1), dtype=bool), promoted
-
-
-def batch_point_images(points: np.ndarray, vecs: Any) -> tuple[np.ndarray, int]:
-    """``points @ vecs.T`` with per-*vector* (column) overflow promotion.
-
-    The conflict-image product of the batch funnel: ``points`` is the
-    ``(P, n)`` index-point array (one fixed factor shared by every
-    candidate), each row of ``vecs`` a candidate functional, and column
-    ``c`` of the ``(P, C)`` result holds candidate ``c``'s image of
-    every point.  Columns whose bound ``max|point| * max|vec| * n``
-    cannot be certified are computed exactly and counted in
-    ``promoted``.
-    """
-    v = batch_rows(vecs)
-    pts = np.asarray(points)
-    if pts.ndim != 2 or v.ndim != 2 or pts.shape[1] != v.shape[1]:
-        raise ValueError(
-            f"shape mismatch: points {pts.shape} vs vectors {v.shape}"
-        )
-    n_pts, n = pts.shape
-    n_vecs = v.shape[0]
-    pts_exact = pts.dtype == object
-    pts_max = (
-        max((abs(int(x)) for row in pts for x in row), default=0)
-        if pts_exact
-        else int(np.abs(pts).max(initial=0))
-    )
-    bound = pts_max * max(1, n)
-
-    def exact_column(vec_row: Any) -> np.ndarray:
-        vec = [int(x) for x in vec_row]
-        col = np.empty(n_pts, dtype=object)
-        for p in range(n_pts):
-            col[p] = sum(int(a) * b for a, b in zip(pts[p], vec))
-        return col
-
-    if pts_exact or v.dtype == object:
-        out = np.empty((n_pts, n_vecs), dtype=object)
-        for c in range(n_vecs):
-            out[:, c] = exact_column(v[c])
-        return out, n_vecs
-    if n_vecs == 0:
-        return np.empty((n_pts, 0), dtype=np.int64), 0
-    thr = INT64_MAX if bound == 0 else min(INT64_MAX, INT64_MAX // bound)
-    vec_max = np.abs(v).max(axis=1, initial=0)
-    safe = vec_max <= thr
-    pts64 = pts.astype(np.int64, copy=False)
-    if bool(safe.all()):
-        return pts64 @ v.T, 0
-    out = np.empty((n_pts, n_vecs), dtype=object)
-    if bool(safe.any()):
-        out[:, safe] = (pts64 @ v[safe].T).astype(object)
-    promoted_idx = np.nonzero(~safe)[0]
-    for c in promoted_idx:
-        out[:, c] = exact_column(v[c])
-    return out, int(promoted_idx.size)

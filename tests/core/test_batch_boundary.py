@@ -5,8 +5,9 @@ candidate entries), so the old 2^31 batch cutoff is gone: budgets of
 2^31 - 1, 2^31 and 2^31 + 1 all run the one vectorized driver and must
 agree with the scalar reference loop (:func:`enumerate_schedule_vectors`
 plus the kernel-box oracle).  A ``max_bound`` past ``INT64_MAX`` is a
-``ValueError``.  The conflict primitive's own key-range certification
-returns the ``-1`` certified-fallback sentinel exactly past int64.
+``ValueError``.  The box-kernel screen certifies each candidate row
+against its table and promotes exactly the rows past that bound, in
+Procedure 5.1's scanner and in Problem 6.1's design judge alike.
 
 The search fixture keeps huge-``mu`` runs cheap by construction: with
 ``n == 2``, identity dependences and one space row, ``[S; Pi]`` is
@@ -17,12 +18,15 @@ set — the ring at budget 2^31 holds a couple dozen candidates total.
 import numpy as np
 import pytest
 
-from repro.core.conflict import (
-    batch_distinct_image_counts,
-    is_conflict_free_kernel_box,
-)
+from repro.core.conflict import box_kernel_table, is_conflict_free_kernel_box
 from repro.core.mapping import MappingMatrix
-from repro.core.optimize import enumerate_schedule_vectors, procedure_5_1
+from repro.core.optimize import (
+    STAGE_NAMES,
+    BatchCandidateScanner,
+    enumerate_schedule_vectors,
+    procedure_5_1,
+)
+from repro.core.space_optimize import evaluate_design, evaluate_designs_batched
 from repro.dse.executor import explore_schedule
 from repro.intlin import INT64_MAX
 from repro.model import (
@@ -117,19 +121,55 @@ class TestInt64Budget:
             )
 
 
-class TestConflictKeyRangeCertification:
-    """``batch_distinct_image_counts`` certifies per-candidate key
-    ranges in Python-int arithmetic; exactly-int64 spans still count,
-    one past returns the -1 sentinel (certified fallback)."""
+def table_threshold(fixed, mu):
+    """Largest row magnitude the screen certifies: ``max|v| * max|X| * n``."""
+    table = box_kernel_table(fixed, mu)
+    return INT64_MAX // (int(np.abs(table).max()) * len(mu))
 
-    def test_span_at_int64_max_is_counted(self):
-        imax = np.iinfo(np.int64).max
-        fixed = np.empty((2, 0), dtype=np.int64)
-        varying = np.array([[[0]], [[imax - 1]]], dtype=np.int64)
-        assert batch_distinct_image_counts(fixed, varying).tolist() == [2]
 
-    def test_span_past_int64_max_is_sentineled(self):
-        imax = np.iinfo(np.int64).max
-        fixed = np.empty((2, 0), dtype=np.int64)
-        varying = np.array([[[0]], [[imax]]], dtype=np.int64)
-        assert batch_distinct_image_counts(fixed, varying).tolist() == [-1]
+class TestBoxKernelScreenCertification:
+    """Rows a few units either side of the table screen's int64 bound
+    get exact verdicts, and exactly the rows past it are promoted."""
+
+    OFFSETS = range(-3, 4)
+
+    def test_schedule_rows_across_threshold(self):
+        # ker S = {x : x_0 = 0}, so pi_0 never decides a verdict and can
+        # sit at the bound; identity dependences and rank kernel stay
+        # far below their own bounds, so every promotion is the screen's.
+        mu, space = (2, 2, 2, 2), [[1, 0, 0, 0]]
+        algo = UniformDependenceAlgorithm(
+            index_set=ConstantBoundedIndexSet(mu),
+            dependence_matrix=[[int(i == j) for j in range(4)] for i in range(4)],
+            name="screen-boundary",
+        )
+        thr = table_threshold(space, mu)
+        tails = [(1, 1, 1), (1, 2, 4), (1, 3, 9), (2, 2, 1)]
+        pis = [[thr + off, *tail] for off in self.OFFSETS for tail in tails]
+        scanner = BatchCandidateScanner(algo, space)
+        codes = [STAGE_NAMES[c] for c in scanner.stages(np.array(pis)).tolist()]
+        assert codes == [
+            "ok" if is_conflict_free_kernel_box(
+                MappingMatrix(space=space, schedule=pi), mu
+            ) else "conflict"
+            for pi in pis
+        ]
+        assert {"ok", "conflict"} <= set(codes)
+        assert scanner.stats.fastpath_promotions == 3 * len(tails)
+
+    def test_space_rows_across_threshold(self):
+        # Problem 6.1, Pi = (1, 2, 1): a huge s_0 separates every table
+        # point with x_0 != 0, so the verdict turns on (0, 1, -2).
+        algo, pi = matrix_multiplication(2), (1, 2, 1)
+        thr = table_threshold([pi], algo.mu)
+        spaces = [
+            [[thr + off, a, b]] for off in self.OFFSETS for a, b in [(2, 1), (1, 1)]
+        ]
+        outcomes, batches, promoted = evaluate_designs_batched(algo, spaces, pi)
+        assert outcomes == [evaluate_design(algo, s, pi) for s in spaces]
+        # (2, 1) is orthogonal to (0, 1, -2); (1, 1) is conflict-free
+        # but its huge S d violates Equation 2.3.
+        assert [status for status, _ in outcomes] == (
+            ["conflict", "routing"] * len(self.OFFSETS)
+        )
+        assert (batches, promoted) == (1, 3 * 2)

@@ -8,9 +8,11 @@ from repro.core import (
     is_conflict_free_kernel_box,
     procedure_5_1,
 )
+from repro.dse.executor import explore_schedule
 from repro.model import (
     ConstantBoundedIndexSet,
     UniformDependenceAlgorithm,
+    bit_level_matrix_multiplication,
     matrix_multiplication,
     transitive_closure,
 )
@@ -255,10 +257,33 @@ class TestCountersAcrossPaths:
         ids=["example_5_1", "example_5_2"],
     )
     def test_procedure_5_1_and_engine_agree(self, algo, space, method):
-        from repro.dse.executor import explore_schedule
-
         serial = procedure_5_1(algo, space, method=method)
         engine = explore_schedule(algo, space, jobs=1, method=method)
         assert engine == serial
         for name in self.COUNTERS:
             assert getattr(engine.stats, name) == getattr(serial.stats, name), name
+
+
+class TestCorank2Pin:
+    """Bit-level matmul (mu=3, w=2) onto a 2-D array: a co-rank-2 search
+    screened by the box-kernel table of ``S``, pinned on both paths."""
+
+    SPACE = ((1, 0, 1, 0, 0), (0, 1, 0, 1, 0))
+
+    @pytest.mark.parametrize("engine", [False, True], ids=["procedure_5_1", "engine"])
+    def test_winner_and_counters(self, engine):
+        algo = bit_level_matrix_multiplication(3, 2)
+        result = (
+            explore_schedule(algo, self.SPACE, jobs=1, cache=None)
+            if engine else procedure_5_1(algo, self.SPACE)
+        )
+        assert result.schedule.pi == (1, 1, 2, 5, 12)
+        assert result.total_time == 47
+        assert result.stats.counter_dict() == {
+            "candidates_enumerated": 612_430,
+            "candidates_pruned": 523_385,
+            "candidates_checked": 6_830,
+            "conflicts_rejected": 6_829,
+            "routing_rejected": 0,
+            "rings_expanded": 17,
+        }

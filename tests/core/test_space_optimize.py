@@ -95,6 +95,49 @@ class TestProblem61:
         assert res.best == res.ranking[0]
 
 
+class TestProblem61Pins:
+    """Matmul with ``Pi = [1, mu, 1]``: rankings and counters, pinned.
+
+    The spaces and their order are the same at every ``mu``; only the
+    objectives (processors + wire length) scale.
+    """
+
+    SPACES = {
+        1: [((0, 1, -1),), ((1, -1, 0),), ((1, -1, -1),), ((1, 1, -1),)],
+        2: [
+            ((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)),
+            ((0, 1, 0), (0, 1, -1)), ((0, 1, 1), (0, 1, 0)),
+            ((1, -1, 0), (0, 1, 0)), ((1, 1, 0), (0, 1, 0)),
+            ((1, -1, 0), (0, 0, 1)), ((1, 0, -1), (0, 1, 0)), ((1, 0, 0), (0, 1, -1)),
+        ],
+    }
+    # (enumerated, pruned, conflicts rejected, routing rejected)
+    COUNTERS = {1: (13, 0, 9, 0), 2: (78, 6, 0, 54)}
+    OBJECTIVES = {
+        (4, 1): [25, 25, 49, 49],
+        (4, 2): [65] * 3 + [85] * 4 + [161] * 3,
+        (10, 1): [61, 61, 121, 121],
+        (10, 2): [341] * 3 + [451] * 4 + [881] * 3,
+        (50, 1): [301, 301, 601, 601],
+        (50, 2): [7701] * 3 + [10251] * 4 + [20401] * 3,
+    }
+
+    @pytest.mark.parametrize("array_dim", [1, 2])
+    @pytest.mark.parametrize("mu", [4, 10, 50])
+    def test_ranking(self, mu, array_dim):
+        res = solve_space_optimal(
+            matrix_multiplication(mu), (1, mu, 1), array_dim=array_dim
+        )
+        assert [(d.mapping.space, d.objective) for d in res.ranking] == list(
+            zip(self.SPACES[array_dim], self.OBJECTIVES[mu, array_dim])
+        )
+        stats = res.stats
+        assert (
+            stats.candidates_enumerated, stats.candidates_pruned,
+            stats.conflicts_rejected, stats.routing_rejected,
+        ) == self.COUNTERS[array_dim]
+
+
 class TestProblem62:
     def test_joint_matmul(self):
         algo = matrix_multiplication(2)

@@ -59,13 +59,14 @@ class TestExploreSchedule:
         assert answer(outputs[0]) == answer(outputs[1])
 
     @pytest.mark.parametrize(
-        "flag", ["--no-batch", "--no-symmetry", "--no-ring-bound"]
+        "flag",
+        ["--no-batch", "--no-symmetry", "--no-ring-bound", "--batch-size 64"],
     )
     def test_removed_switches_are_rejected(self, flag, tmp_path):
         with pytest.raises(SystemExit):
             main([
                 "explore", "-a", "matmul", "--mu", "3", "-s", "1,1,-1",
-                "--cache-dir", str(tmp_path), flag,
+                "--cache-dir", str(tmp_path), *flag.split(),
             ])
 
 

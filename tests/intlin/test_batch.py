@@ -1,7 +1,7 @@
 """Unit tests for the batched candidate-stack operations.
 
 The contract under test: every batch product is bit-identical to the
-row-by-row exact computation, and only the rows (or columns) whose
+row-by-row exact computation, and only the rows whose
 int64 overflow bound cannot be certified are promoted to the exact
 Python-int path — promotion counts are part of the API.
 """
@@ -15,7 +15,6 @@ from repro.intlin import (
     batch_dependence_mask,
     batch_matmul,
     batch_nonzero_mask,
-    batch_point_images,
     batch_rows,
 )
 
@@ -136,42 +135,3 @@ class TestBatchMasks:
             [[1, 2]], np.empty((2, 0), dtype=np.int64)
         )
         assert mask.tolist() == [False]
-
-
-class TestBatchPointImages:
-    PTS = np.array([[0, 0], [1, 2], [3, 1]], dtype=np.int64)
-
-    def test_matches_exact_images(self):
-        vecs = [[1, 1], [2, -1]]
-        images, promoted = batch_point_images(self.PTS, vecs)
-        assert promoted == 0
-        expected = [
-            [sum(int(p) * v for p, v in zip(pt, vec)) for vec in vecs]
-            for pt in self.PTS
-        ]
-        assert images.tolist() == expected
-
-    def test_per_column_promotion(self):
-        vecs = [[1, 1], [BIG, BIG]]
-        images, promoted = batch_point_images(self.PTS, vecs)
-        assert promoted == 1
-        assert images.dtype == object
-        assert images[1][1] == BIG + 2 * BIG  # exact, no wraparound
-        assert images[1][0] == 3
-
-    def test_object_points_promote_everything(self):
-        pts = np.empty((1, 2), dtype=object)
-        pts[0] = [INT64_MAX + 1, 0]
-        images, promoted = batch_point_images(pts, [[1, 0]])
-        assert promoted == 1
-        assert images[0][0] == INT64_MAX + 1
-
-    def test_empty_vector_stack(self):
-        images, promoted = batch_point_images(
-            self.PTS, np.empty((0, 2), dtype=np.int64)
-        )
-        assert images.shape == (3, 0) and promoted == 0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            batch_point_images(self.PTS, [[1, 2, 3]])

@@ -6,21 +6,27 @@ it — ``procedure_5_1``, ``explore_schedule`` at ``jobs`` 1 and 2, and
 an interrupted-then-resumed engine run — returns the winner, verdict,
 tie set and deterministic counters of a plain reference loop:
 :func:`enumerate_schedule_vectors` rings sorted by ``(f, Pi)`` and
-judged one candidate at a time by the kernel-box oracle.  The batch
-primitives must also produce exact results on both sides of the int64
-promotion boundary.
+judged one candidate at a time by the kernel-box oracle.  The
+co-rank >= 2 screens (the box-kernel table of ``S`` for Procedure 5.1,
+of ``Pi`` for Problem 6.1) get their own higher-dimensional cases.  The
+batch primitives must also produce exact results on both sides of the
+int64 promotion boundary.
 """
+
+import itertools
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.conditions import check_conflict_free
 from repro.core.conflict import (
     adjugate_conflict_matrix,
     batch_adjugate_screen,
-    batch_distinct_image_counts,
+    box_kernel_screen,
+    box_kernel_table,
     is_conflict_free_kernel_box,
 )
 from repro.core.mapping import MappingMatrix
@@ -42,7 +48,7 @@ from repro.core.space_optimize import (
 from repro.dse.checkpoint import BudgetExceeded, RunBudget
 from repro.dse.executor import explore_schedule
 from repro.dse.partition import ring_bounds
-from repro.intlin import INT64_MAX, as_intmat, batch_matmul, batch_point_images
+from repro.intlin import INT64_MAX, as_intmat, batch_matmul, rank
 from repro.model import (
     ConstantBoundedIndexSet,
     UniformDependenceAlgorithm,
@@ -73,15 +79,45 @@ def algorithm_and_space(draw):
     return algo, space
 
 
-def reference_search(algo, space):
+@st.composite
+def high_corank_case(draw):
+    """A 4-D/5-D algorithm with one or two space rows: co-rank 2 or 3.
+
+    ``mu <= 2`` keeps the reference loop's rings small.
+    """
+    n = draw(st.integers(4, 5))
+    corank = draw(st.integers(2, n - 2))
+    mu = tuple(draw(st.integers(1, 2)) for _ in range(n))
+    cols = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    extra = tuple(draw(st.integers(-1, 1)) for _ in range(n))
+    if extra != (0,) * n and extra not in cols:
+        cols.append(extra)
+    algo = UniformDependenceAlgorithm(
+        index_set=ConstantBoundedIndexSet(mu),
+        dependence_matrix=[list(row) for row in zip(*cols)],
+        name=f"prop({mu})",
+    )
+    space = []
+    for _ in range(n - 1 - corank):
+        row = tuple(draw(st.integers(-1, 1)) for _ in range(n))
+        space.append(row if any(row) else (1,) + (0,) * (n - 1))
+    return algo, space
+
+
+def reference_search(algo, space, max_bound=None):
     """Procedure 5.1 as a plain loop: ``(winner, counters, ties)``.
 
     ``counters`` are the deterministic :class:`SearchStats` counters
     plus ``candidates_examined``; ``ties`` lists every conflict-free
-    candidate of the winning ring, in scan order.
+    candidate of the winning ring with the winner's total time, in scan
+    order (a ring spans ``alpha`` budgets, so it can hold slower ones).
     """
-    alpha, initial_bound, max_bound = search_bounds(algo)
+    alpha, initial_bound, max_bound = search_bounds(algo, max_bound=max_bound)
     k = len(space) + 1
+
+    def objective(pi):
+        return sum(abs(v) * m for v, m in zip(pi, algo.mu))
+
     counters = dict.fromkeys(
         ("candidates_enumerated", "candidates_pruned", "candidates_checked",
          "conflicts_rejected", "candidates_examined"), 0,
@@ -91,7 +127,7 @@ def reference_search(algo, space):
     ):
         ring = sorted(
             enumerate_schedule_vectors(algo.mu, f_max, f_min=f_min),
-            key=lambda pi: (sum(abs(v) * m for v, m in zip(pi, algo.mu)), pi),
+            key=lambda pi: (objective(pi), pi),
         )
         counters["candidates_enumerated"] += len(ring)
         ties = []
@@ -115,7 +151,8 @@ def reference_search(algo, space):
                 ties.append(pi)
         if ties:
             counters["rings_expanded"] = ring_index
-            return ties[0], counters, ties
+            best = objective(ties[0])
+            return ties[0], counters, [pi for pi in ties if objective(pi) == best]
     counters["rings_expanded"] = ring_index + 1
     return None, counters, []
 
@@ -128,15 +165,18 @@ def summary(result):
     return (result.schedule.pi if result.found else None), counters
 
 
-def assert_every_path_equals_reference(algo, space, tmp_path):
-    winner, counters, ties = reference_search(algo, space)
-    serial = procedure_5_1(algo, space)
+def assert_every_path_equals_reference(algo, space, tmp_path, max_bound=None):
+    winner, counters, ties = reference_search(algo, space, max_bound)
+    serial = procedure_5_1(algo, space, max_bound=max_bound)
     assert summary(serial) == (winner, counters)
     if serial.found:
         assert serial.verdict == check_conflict_free(serial.mapping, algo.mu)
-    assert [r.schedule.pi for r in find_all_optima(algo, space)] == ties
-    one = explore_schedule(algo, space, jobs=1, cache=None)
-    two = explore_schedule(algo, space, jobs=2, adaptive=False, cache=None)
+    ties_found = find_all_optima(algo, space, max_bound=max_bound)
+    assert [r.schedule.pi for r in ties_found] == ties
+    one = explore_schedule(algo, space, jobs=1, cache=None, max_bound=max_bound)
+    two = explore_schedule(
+        algo, space, jobs=2, adaptive=False, cache=None, max_bound=max_bound
+    )
     assert one == serial and two == serial
     for name in ("batches_evaluated", "conflict_screens", "fastpath_promotions"):
         assert getattr(one.stats, name) == getattr(serial.stats, name), name
@@ -144,13 +184,14 @@ def assert_every_path_equals_reference(algo, space, tmp_path):
     try:
         explore_schedule(
             algo, space, jobs=1, adaptive=False, cache=None,
-            checkpoint=journal, budget=RunBudget(max_shards=1),
+            max_bound=max_bound, checkpoint=journal,
+            budget=RunBudget(max_shards=1),
         )
     except BudgetExceeded:
         pass
     resumed = explore_schedule(
         algo, space, jobs=1, adaptive=False, cache=None,
-        checkpoint=journal, resume=True,
+        max_bound=max_bound, checkpoint=journal, resume=True,
     )
     assert resumed == serial
 
@@ -183,6 +224,13 @@ class TestSearchEquivalence:
         assert_every_path_equals_reference(algo, space, tmp_path)
 
     @given(algorithm_and_space())
+    @example((  # alpha = 2: (3, 1, 3) shares the ring but is one step slower
+        UniformDependenceAlgorithm(
+            index_set=ConstantBoundedIndexSet((2, 2, 3)),
+            dependence_matrix=[[1, 0, 0, 0], [0, 1, 0, -2], [0, 0, 1, 1]],
+        ),
+        [(0, 1, 1)],
+    ))
     @settings(max_examples=15, deadline=None)
     def test_tie_order_preserved(self, case):
         algo, space = case
@@ -192,26 +240,65 @@ class TestSearchEquivalence:
     @given(algorithm_and_space(), st.sampled_from(["auto", "paper"]))
     @settings(max_examples=30, deadline=None)
     def test_scanner_stage_codes_match_scalar_funnel(self, case, method):
+        assert_stage_codes_match_scalar_funnel(*case, method)
+
+    @given(high_corank_case(), st.sampled_from(["auto", "paper"]))
+    @settings(max_examples=30, deadline=None)
+    def test_high_corank_stage_codes_match_scalar_funnel(self, case, method):
+        assert_stage_codes_match_scalar_funnel(*case, method)
+
+    @given(case=high_corank_case())
+    @settings(max_examples=5, deadline=None)
+    def test_high_corank_every_path_equals_reference(self, tmp_path_factory, case):
+        # A budget of twice the all-ones schedule's objective bounds the
+        # reference loop's rings; searches may end without a winner.
         algo, space = case
-        f_max = sum(algo.mu) + 2
-        pis = ring_candidate_array(algo.mu, f_max)
-        scanner = BatchCandidateScanner(algo, space, method=method, batch_size=7)
-        batched = [STAGE_NAMES[c] for c in scanner.stages(pis).tolist()]
-        k = len(space) + 1
-        expected = []
-        for row in pis:
-            pi = tuple(int(v) for v in row)
-            cand = LinearSchedule(pi=pi, index_set=algo.index_set)
-            if not cand.respects(algo):
-                expected.append("deps")
-                continue
-            t = MappingMatrix(space=space, schedule=pi)
-            if t.rank() != k:
-                expected.append("rank")
-                continue
+        assert_every_path_equals_reference(
+            algo, space, tmp_path_factory.mktemp("journal"),
+            max_bound=2 * sum(algo.mu),
+        )
+
+
+def assert_stage_codes_match_scalar_funnel(algo, space, method):
+    """The scanner's codes for a whole ring equal the one-by-one funnel.
+
+    ``auto`` verdicts are the kernel-box oracle's; ``paper`` verdicts
+    are the paper's own dispatch, one candidate at a time.
+    """
+    f_max = sum(algo.mu) + 2
+    pis = ring_candidate_array(algo.mu, f_max)
+    scanner = BatchCandidateScanner(algo, space, method=method)
+    batched = [STAGE_NAMES[c] for c in scanner.stages(pis).tolist()]
+    k = len(space) + 1
+    expected = []
+    for row in pis:
+        pi = tuple(int(v) for v in row)
+        cand = LinearSchedule(pi=pi, index_set=algo.index_set)
+        if not cand.respects(algo):
+            expected.append("deps")
+            continue
+        t = MappingMatrix(space=space, schedule=pi)
+        if t.rank() != k:
+            expected.append("rank")
+            continue
+        if method == "auto":
+            holds = is_conflict_free_kernel_box(t, algo.mu)
+        else:
             holds = check_conflict_free(t, algo.mu, method=method).holds
-            expected.append("ok" if holds else "conflict")
-        assert batched == expected
+        expected.append("ok" if holds else "conflict")
+    assert batched == expected
+
+
+def assert_design_batch_matches_scalar(algo, spaces, pi):
+    """Batched outcomes equal the scalar judge's; the conflict verdicts
+    are the kernel-box oracle's."""
+    outcomes, batches, promoted = evaluate_designs_batched(algo, spaces, pi)
+    assert outcomes == [evaluate_design(algo, s, pi) for s in spaces]
+    assert (batches, promoted) == (1, 0)
+    for space, (status, _design) in zip(spaces, outcomes):
+        if status != "rank":
+            t = MappingMatrix(space=space, schedule=pi)
+            assert (status != "conflict") == is_conflict_free_kernel_box(t, algo.mu)
 
 
 class TestSpaceEquivalence:
@@ -223,12 +310,21 @@ class TestSpaceEquivalence:
         if not LinearSchedule(pi=pi, index_set=algo.index_set).respects(algo):
             return
         spaces = list(enumerate_space_mappings(algo.n, 1, 1))
-        outcomes, batches, _promoted = evaluate_designs_batched(
-            algo, spaces, pi
-        )
-        expected = [evaluate_design(algo, s, pi) for s in spaces]
-        assert outcomes == expected
-        assert batches >= 1
+        assert_design_batch_matches_scalar(algo, spaces, pi)
+
+    @given(high_corank_case(), st.sampled_from([1, 2]), st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_high_corank_design_batch_matches_scalar(self, case, array_dim, seed):
+        # Problem 6.1 on a 4-D/5-D algorithm: ker Pi has dimension 3-4,
+        # so the table screen runs at co-rank 2-4.  A seeded sample of
+        # the design space keeps the scalar reference loop fast.
+        algo, _ = case
+        pi = tuple(1 for _ in range(algo.n))
+        if not LinearSchedule(pi=pi, index_set=algo.index_set).respects(algo):
+            return
+        spaces = list(enumerate_space_mappings(algo.n, array_dim, 1))
+        spaces = random.Random(seed).sample(spaces, min(40, len(spaces)))
+        assert_design_batch_matches_scalar(algo, spaces, pi)
 
 
 class TestPromotionBoundary:
@@ -253,49 +349,92 @@ class TestPromotionBoundary:
             1 for row in rows if max(abs(x) for x in row) > thr
         )
 
-    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
-    @settings(max_examples=60)
-    def test_point_images_exact_across_boundary(self, offsets):
-        pts = np.array([[0, 0], [1, 2], [2, 1]], dtype=np.int64)
-        thr = INT64_MAX // (2 * 2)  # pts_max=2, n=2
-        vecs = [[thr + off, off] for off in offsets]
-        images, promoted = batch_point_images(pts, vecs)
-        expected = [
-            [sum(int(p) * v for p, v in zip(pt, vec)) for vec in vecs]
-            for pt in pts
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(0, 3), st.integers(-3, 3)),
+            min_size=1, max_size=8,
+        ),
+        st.integers(1, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_schedule_table_screen_boundary(self, rows, mu_entry):
+        # ker S = {x : x_0 = 0} for S = e_0, so pi_0 can sit right at the
+        # table screen's certification threshold while Pi . x stays
+        # small enough to land on either verdict.
+        space, mu = [[1, 0, 0, 0]], (mu_entry,) * 4
+        table = box_kernel_table(space, mu)
+        thr = INT64_MAX // (int(np.abs(table).max()) * 4)
+        pis = [[thr + off, 1, a, b] for off, a, b in rows]
+        free, promoted = box_kernel_screen(np.array(pis)[:, None, :], table)
+        assert promoted == sum(1 for p in pis if p[0] > thr)
+        assert free.tolist() == [
+            is_conflict_free_kernel_box(MappingMatrix(space=space, schedule=p), mu)
+            for p in pis
         ]
-        assert [list(r) for r in images] == expected
-        assert promoted == sum(
-            1 for vec in vecs if max(abs(x) for x in vec) > thr
-        )
 
     @given(
         st.lists(
-            st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
-            min_size=2,
-            max_size=9,
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+            min_size=1, max_size=8,
         ),
-        st.integers(1, 3),
     )
-    @settings(max_examples=60)
-    def test_distinct_counts_match_set_semantics(self, pairs, n_cands):
-        fixed = np.array([[a] for a, _ in pairs], dtype=np.int64)
-        varying = np.empty((len(pairs), n_cands, 1), dtype=np.int64)
-        for c in range(n_cands):
-            varying[:, c, 0] = [b * (c + 1) for _, b in pairs]
-        counts = batch_distinct_image_counts(fixed, varying)
-        for c in range(n_cands):
-            expected = len({(a, b * (c + 1)) for a, b in pairs})
-            assert counts[c] == expected
+    @settings(max_examples=60, deadline=None)
+    def test_space_table_screen_boundary(self, rows):
+        # Problem 6.1 with Pi = (1, 2, 1): every table point with x_0 != 0
+        # is separated by a huge s_0, so the verdict turns on (0, 1, -2).
+        pi, mu = (1, 2, 1), (2, 2, 2)
+        table = box_kernel_table([pi], mu)
+        thr = INT64_MAX // (int(np.abs(table).max()) * 3)
+        spaces = [[[thr + off, a, b], [0, 1, 0]] for off, a, b in rows]
+        free, promoted = box_kernel_screen(np.array(spaces), table)
+        assert promoted == sum(1 for s in spaces if s[0][0] > thr)
+        assert free.tolist() == [
+            is_conflict_free_kernel_box(MappingMatrix(space=s, schedule=pi), mu)
+            for s in spaces
+        ]
 
-    def test_distinct_counts_overflow_returns_sentinel(self):
-        # Spans too wide to key into int64 must refuse (-1), never wrap.
-        fixed = np.array([[0], [INT64_MAX - 1]], dtype=np.int64)
-        varying = np.array(
-            [[[0]], [[INT64_MAX - 1]]], dtype=np.int64
-        )
-        counts = batch_distinct_image_counts(fixed, varying)
-        assert counts.tolist() == [-1]
+
+class TestBoxKernelTable:
+    """The table is the brute-force sweep of the box, one per +- pair."""
+
+    @staticmethod
+    def bruteforce(fixed, mu):
+        points = set()
+        for x in itertools.product(*(range(-m, m + 1) for m in mu)):
+            if any(x) and all(sum(f * v for f, v in zip(row, x)) == 0 for row in fixed):
+                lead = next(v for v in x if v)
+                points.add(tuple(v if lead > 0 else -v for v in x))
+        return points
+
+    @given(
+        st.integers(2, 4).flatmap(lambda n: st.tuples(
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                min_size=0, max_size=n,
+            ),
+            st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        ))
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_bruteforce_sweep(self, case):
+        fixed, mu = case
+        assume(not fixed or rank(fixed) == len(fixed))
+        table = box_kernel_table(fixed, mu)
+        assert table.shape[1] == len(mu) and table.dtype == np.int64
+        assert len({tuple(x) for x in table.tolist()}) == len(table)
+        assert {tuple(x) for x in table.tolist()} == self.bruteforce(fixed, mu)
+
+    def test_kernel_missing_the_box_gives_an_empty_table(self):
+        table = box_kernel_table([[1, 3]], (2, 2))  # ker = (3, -1) Z
+        assert table.shape == (0, 2)
+        free, promoted = box_kernel_screen(np.array([[[0, 0]]]), table)
+        assert free.tolist() == [True] and promoted == 0
+
+    def test_fixed_rows_without_kernel(self):
+        assert box_kernel_table([[1, 0], [0, 1]], (3, 3)).shape == (0, 2)
+
+    def test_no_fixed_rows_is_the_whole_box(self):
+        assert len(box_kernel_table([], (1, 1, 1))) == (3**3 - 1) // 2
 
 
 class TestRingShells:
