@@ -66,7 +66,8 @@ __all__ = [
 #: Bump when the journal record layout changes; old journals are then
 #: rejected with a :class:`CheckpointError` instead of being misread.
 #: v2: schedule shard outputs carry stage codes instead of records.
-JOURNAL_SCHEMA_VERSION = 2
+#: v3: schedule shard spans index the sign-restricted ring.
+JOURNAL_SCHEMA_VERSION = 3
 
 
 class CheckpointError(RuntimeError):

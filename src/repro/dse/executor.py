@@ -5,9 +5,10 @@ work-queue architecture:
 
 * :func:`explore_schedule` — Procedure 5.1 (Problem 2.2).  Each
   expanding ring ``C_l`` is described to workers as contiguous *ranges*
-  over the canonical sorted ring array
-  (:func:`~repro.core.optimize.ring_candidate_array`): a shard payload
-  carries ``(ring bounds, start, stop)`` and the worker re-derives its
+  over the canonical sorted ring array, restricted to the sign patterns
+  ``Pi D > 0`` allows (:func:`~repro.core.optimize.ring_candidate_array`
+  with the :func:`~repro.core.optimize.forced_signs` of ``D``): a shard
+  payload carries ``(ring bounds, start, stop)`` and the worker re-derives its
   slice locally, judging it through the vectorized
   :class:`~repro.core.optimize.BatchCandidateScanner` funnel.  Shards
   are contiguous ranges of the sorted ring, so their stage codes,
@@ -61,6 +62,7 @@ from ..core.optimize import (
     BatchCandidateScanner,
     Ring,
     SearchResult,
+    forced_signs,
     ring_candidate_array,
     search_bounds,
     search_rings,
@@ -330,7 +332,8 @@ def _scan_schedule_shard(payload: dict) -> dict:
 
     The payload names the ring (``(f_min, f_max)`` bounds) and a
     contiguous ``(start, stop)`` range of the canonical sorted ring
-    array; the worker re-derives its slice locally via the cached
+    array, restricted to the forced signs of ``D``; the worker
+    re-derives its slice locally via the cached
     :func:`~repro.core.optimize.ring_candidate_array` instead of
     receiving candidates over the wire.  The codes travel as a string
     of stage digits covering the prefix of the slice whose codes are
@@ -345,7 +348,10 @@ def _scan_schedule_shard(payload: dict) -> dict:
     tracer, span = _shard_span(payload, "schedule", stop - start)
     with span:
         with tracer.detail("ring.materialize"):
-            chunk = ring_candidate_array(algo.mu, f_max, f_min=f_min)[start:stop]
+            signs = forced_signs(algo.dependence_vectors(), algo.n)
+            chunk = ring_candidate_array(
+                algo.mu, f_max, f_min=f_min, signs=signs
+            )[start:stop]
         codes = BatchCandidateScanner(
             algo, payload["space"], method=payload["method"],
             tracer=tracer, stats=local,
@@ -755,9 +761,9 @@ class _ShardedJudge:
             # candidates/shards travel explicitly — Span.set() drops
             # attrs when the tracer is disabled.
             self.control.emit_span(
-                ring.span, winner=won, candidates=len(ring.candidates),
-                shards=self.shards, batches=self.batches,
-                promotions=self.promotions,
+                ring.span, winner=won, candidates=ring.size,
+                materialized=len(ring.candidates), shards=self.shards,
+                batches=self.batches, promotions=self.promotions,
             )
         if won:
             logger.debug(

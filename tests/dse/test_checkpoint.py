@@ -138,6 +138,30 @@ class TestMismatches:
         with pytest.raises(CheckpointError, match="schema"):
             j.open("run-a", resume=True)
 
+    def test_schema_2_schedule_journal_is_refused(self, tmp_path):
+        # Schema-2 shard spans index the full ring, schema 3 the
+        # sign-restricted one: replaying them would misplace codes.
+        from repro.dse.executor import explore_schedule
+        from repro.model import matrix_multiplication
+
+        algo, space, path = matrix_multiplication(4), [[1, 1, -1]], tmp_path / "run.ckpt"
+        with pytest.raises(BudgetExceeded):
+            explore_schedule(
+                algo, space, jobs=1, adaptive=False, cache=None,
+                checkpoint=path, budget=RunBudget(max_shards=1),
+            )
+        records = [json.loads(line)["rec"] for line in path.read_text().splitlines()]
+        assert any("codes" in rec.get("out", {}) for rec in records)
+        for rec in records:
+            if "schema" in rec:
+                rec["schema"] = 2
+        path.write_text("".join(_record_line(rec) for rec in records))
+        with pytest.raises(CheckpointError, match="schema 2"):
+            explore_schedule(
+                algo, space, jobs=1, adaptive=False, cache=None,
+                checkpoint=path, resume=True,
+            )
+
     def test_shards_without_header_are_refused(self, tmp_path):
         path = tmp_path / "run.ckpt"
         path.write_text(

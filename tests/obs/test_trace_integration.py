@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MappingMatrix
-from repro.core.optimize import procedure_5_1
+from repro.core.optimize import procedure_5_1, ring_candidate_array, ring_size
 from repro.dse import ResultCache, explore_schedule, explore_space
 from repro.model import matrix_multiplication
 from repro.obs import load_trace, trace_session
@@ -30,6 +30,29 @@ def matmul4():
 
 
 class TestTracedScheduleSearch:
+    def test_ring_size_and_materialized_rows(self, matmul4, tmp_path):
+        # candidates is the full ring; materialized counts the rows with
+        # the forced signs of D (all positive for matmul).
+        path, events = tmp_path / "t.jsonl", []
+        with trace_session(path):
+            result = procedure_5_1(matmul4, SPACE_51)
+            explore_schedule(matmul4, SPACE_51, jobs=1, on_progress=events.append)
+        rings = [
+            r["attrs"] for r in load_trace(path)
+            if r["type"] == "span" and r["name"] in ("core.ring", "dse.ring")
+        ]
+        rings += [e for e in events if e.get("phase") == "dse.ring"]
+        # Every ring three times: two spans and one progress event.
+        assert len(rings) == 3 * (result.rings_expanded + 1)
+        for ring in rings:
+            assert ring["candidates"] == ring_size(
+                matmul4.mu, ring["f_max"], ring["f_min"]
+            )
+            assert ring["materialized"] == len(ring_candidate_array(
+                matmul4.mu, ring["f_max"], f_min=ring["f_min"], signs=(1, 1, 1)
+            ))
+            assert ring["materialized"] < ring["candidates"]
+
     def test_traced_parallel_equals_serial(self, matmul4, tmp_path):
         serial = procedure_5_1(matmul4, SPACE_51)
         with trace_session(tmp_path / "t.jsonl"):
