@@ -41,25 +41,30 @@ MU = 2**30
 SPACE = [[1, 0]]
 
 
-def boundary_algorithm() -> UniformDependenceAlgorithm:
+#: One dependence ``(1, 1)``: unlike the identity, it forces no sign of
+#: ``Pi``, so the ring builder keeps every row of the ring.
+UNFORCED = ((1,), (1,))
+
+
+def boundary_algorithm(dependences=((1, 0), (0, 1))) -> UniformDependenceAlgorithm:
     return UniformDependenceAlgorithm(
         index_set=ConstantBoundedIndexSet((MU, MU)),
-        dependence_matrix=((1, 0), (0, 1)),
+        dependence_matrix=dependences,
         name="boundary",
     )
 
 
-def run(max_bound: int, **kwargs):
+def run(max_bound: int, algo=None, **kwargs):
     # One ring covering [0, max_bound]: initial_bound == max_bound.
     return procedure_5_1(
-        boundary_algorithm(), SPACE,
+        algo or boundary_algorithm(), SPACE,
         initial_bound=max_bound, max_bound=max_bound, alpha=1, **kwargs,
     )
 
 
-def reference_winner(max_bound: int):
+def reference_winner(max_bound: int, algo=None):
     """The scalar reference loop over the same single ring."""
-    algo = boundary_algorithm()
+    algo = algo or boundary_algorithm()
     ring = sorted(
         enumerate_schedule_vectors(algo.mu, max_bound),
         key=lambda pi: (sum(abs(v) * m for v, m in zip(pi, algo.mu)), pi),
@@ -84,10 +89,22 @@ class TestBoundaryBudgets:
 
     def test_below_boundary_no_winner_fits_the_budget(self):
         # Both dependences force pi >= (1, 1), whose objective is
-        # exactly 2^31 — one more than this budget allows.
+        # exactly 2^31 — one more than this budget allows.  The sign
+        # forcing leaves no row of the ring to build: its four rows
+        # (+-1, 0), (0, +-1) all count as pruned, and no batch runs.
         result = run(BOUNDARY - 1)
         assert not result.found
-        assert result.stats.batches_evaluated > 0
+        stats = result.stats
+        assert stats.candidates_enumerated == stats.candidates_pruned == 4
+        assert stats.batches_evaluated == 0
+
+    def test_below_boundary_unforced_ring_is_batched(self):
+        # D = (1, 1) forces no sign, so all four rows of the budget
+        # 2^31 - 1 ring are built and judged in one batch.
+        algo = boundary_algorithm(UNFORCED)
+        result = run(BOUNDARY - 1, algo)
+        assert result.schedule.pi == reference_winner(BOUNDARY - 1, algo) == (0, 1)
+        assert result.stats.batches_evaluated == 1
 
     def test_at_boundary_still_batched(self):
         result = run(BOUNDARY)
