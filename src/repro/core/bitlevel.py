@@ -153,13 +153,13 @@ def solve_bitlevel_formulation(
             return CODE_CONFLICT
         return CODE_OK
 
-    def judge(ring: Ring, start: int) -> np.ndarray:
+    def judge(ring: Ring, start: int, _spaces) -> list[np.ndarray]:
         codes = []
         for pi in ring.candidates[start:].tolist():
             codes.append(code(tuple(pi)))
             if codes[-1] == CODE_OK:
                 break
-        return np.array(codes, dtype=np.int8)
+        return [np.array(codes, dtype=np.int8)]
 
     def verdict_of(t: MappingMatrix) -> ConditionVerdict:
         verdict = check_formulation_5_6(space_rows, t.schedule, mu)
@@ -171,7 +171,8 @@ def solve_bitlevel_formulation(
                        "u4": verdict.u4, "u5": verdict.u5},
         )
 
-    return search_rings(
-        algorithm, space_rows, judge, verdict_of, alpha=alpha,
-        initial_bound=initial_bound, max_bound=max_bound, stats=SearchStats(),
+    [result] = search_rings(
+        algorithm, [space_rows], judge, verdict_of, alpha=alpha,
+        initial_bound=initial_bound, max_bound=max_bound, stats=[SearchStats()],
     )
+    return result

@@ -66,6 +66,7 @@ __all__ = [
     "conflict_vector_via_adjugate",
     "adjugate_conflict_matrix",
     "batch_adjugate_screen",
+    "conflict_vector_verdicts",
     "box_kernel_table",
     "box_kernel_screen",
     "conflict_generators",
@@ -170,16 +171,28 @@ def batch_adjugate_screen(
     on every co-rank-1 mapping.
     """
     gamma, promoted = batch_matmul(pis, adjugate)
+    return conflict_vector_verdicts(gamma, mu), promoted
+
+
+def conflict_vector_verdicts(gamma: np.ndarray, mu: Sequence[int]) -> np.ndarray:
+    """Theorem 2.2 on a stack of co-rank-1 conflict vectors up to scale.
+
+    ``gamma`` holds one vector along its last axis (any leading shape,
+    ``int64`` or exact ``object``); the result has the leading shape and
+    is ``True`` where ``|gamma_i| / gcd(gamma) > mu_i`` for some ``i``,
+    so a zero vector (a rank-deficient ``T``) is ``False``.
+    """
     if gamma.dtype == object:
-        free = np.zeros(len(gamma), dtype=bool)
-        for c, row in enumerate(gamma.tolist()):
+        flat = gamma.reshape(-1, gamma.shape[-1]).tolist()
+        free = np.zeros(len(flat), dtype=bool)
+        for c, row in enumerate(flat):
             g = gcd(*row) or 1
             free[c] = any(abs(x) // g > m for x, m in zip(row, mu))
-        return free, promoted
+        return free.reshape(gamma.shape[:-1])
     mag = np.abs(gamma)
-    g = np.maximum(np.gcd.reduce(mag, axis=1), 1)
+    g = np.maximum(np.gcd.reduce(mag, axis=-1), 1)
     mu_arr = np.array([int(m) for m in mu], dtype=np.int64)
-    return (mag // g[:, None] > mu_arr).any(axis=1), promoted
+    return (mag // g[..., None] > mu_arr).any(axis=-1)
 
 
 def box_kernel_table(
@@ -244,7 +257,7 @@ def _box_kernel_table(
 
 
 def box_kernel_screen(
-    stack: np.ndarray, table: np.ndarray
+    stack: np.ndarray, table: np.ndarray, points: IntMat | None = None
 ) -> tuple[np.ndarray, int]:
     """Conflict verdicts for a ``(C, w, n)`` stack of candidates at once.
 
@@ -259,13 +272,15 @@ def box_kernel_screen(
     promoted)``: a boolean per candidate and the number of rows whose
     products could not be certified int64 and were computed over Python
     ints.  Agrees with :func:`is_conflict_free_kernel_box` on every
-    ``T`` of full row rank.
+    ``T`` of full row rank.  ``points`` is ``as_intmat(table.T)``, for a
+    caller that screens many stacks against one table to build once.
     """
     count, width, n = stack.shape
     free = np.ones(count, dtype=bool)
     if not len(table) or not count:
         return free, 0
-    points = as_intmat(table.T)
+    if points is None:
+        points = as_intmat(table.T)
     step = max(1, _CELL_LIMIT // max(1, width * len(table)))
     promoted = 0
     for lo in range(0, count, step):

@@ -20,7 +20,11 @@ One ring driver, :func:`search_rings`, owns that loop for every
 execution strategy: :func:`procedure_5_1` hands it an in-process judge,
 and :func:`repro.dse.executor.explore_schedule` a sharded, cached and
 journaled one.  Every judge evaluates candidates through the one
-vectorized :class:`BatchCandidateScanner`.
+vectorized :class:`BatchCandidateScanner`.  The driver and the scanner
+take a stack of space mappings: the rings and the ``Pi D > 0`` mask do
+not depend on ``S``, so :func:`procedure_5_1_stacked` (Problem 6.2's
+inner search) builds and masks each ring once for every candidate
+``S``; :func:`procedure_5_1` is its one-``S`` case.
 """
 
 from __future__ import annotations
@@ -35,15 +39,16 @@ import numpy as np
 from ..dse.partition import ring_bounds
 from ..dse.progress import SearchStats
 from ..intlin import INT64_MAX, IntMat, as_intmat, as_intvec, kernel_basis
-from ..intlin.batch import batch_dependence_mask, batch_nonzero_mask
+from ..intlin.batch import batch_dependence_mask, batch_matmul
 from ..obs import Span, Tracer, get_tracer
 from ..model import UniformDependenceAlgorithm
 from .conditions import ConditionVerdict, check_conflict_free
 from .conflict import (
+    _CELL_LIMIT,
     adjugate_conflict_matrix,
-    batch_adjugate_screen,
     box_kernel_screen,
     box_kernel_table,
+    conflict_vector_verdicts,
 )
 from .mapping import MappingMatrix
 from .schedule import LinearSchedule
@@ -62,6 +67,7 @@ __all__ = [
     "find_all_optima",
     "forced_signs",
     "procedure_5_1",
+    "procedure_5_1_stacked",
     "ring_candidate_array",
     "ring_size",
     "search_bounds",
@@ -354,14 +360,31 @@ def _full_ring_rank(mu: tuple[int, ...], f_min: int, f_max: int, pi: tuple[int, 
     return before
 
 
+@dataclass
+class _Space:
+    """What a :class:`BatchCandidateScanner` holds for one ``S`` of its stack."""
+
+    rows: tuple
+    #: ``Pi`` passes the rank test iff ``Pi @ rank_mat != 0``.
+    rank_mat: IntMat
+    stats: SearchStats
+    #: The box kernel table of ``S`` and its points as an ``IntMat``,
+    #: built at the first co-rank >= 2 screen and kept for the search.
+    table: tuple[np.ndarray, IntMat] | None = None
+
+
 class BatchCandidateScanner:
     """Staged vectorized filter funnel over sorted candidate arrays.
 
-    :meth:`stages` judges a whole ring (or shard span) at once and
-    returns one ``int8`` stage code per candidate (index into
-    :data:`STAGE_NAMES`): a ``Pi D > 0`` dependence mask, a rank mask,
-    then the conflict screen on the survivors only.  The screen depends
-    on ``method`` and the co-rank:
+    The scanner holds a stack of space mappings ``S`` (all with the same
+    number of rows); ``BatchCandidateScanner(algo, S)`` is the stack of
+    one.  :meth:`stacked_stages` judges a whole ring (or shard span) for
+    every ``S`` of a subset at once and returns one ``int8`` stage code
+    per candidate and ``S`` (index into :data:`STAGE_NAMES`): a
+    ``Pi D > 0`` dependence mask, run once since it does not depend on
+    ``S``; a rank mask, one product of the survivors against the rank
+    matrices of every ``S``; then each ``S``'s conflict screen on its
+    own survivors.  The screen depends on ``method`` and the co-rank:
 
     * ``"paper"`` — the paper's Step 5(3) dispatch
       (:func:`check_conflict_free` with ``method="paper"``: Theorem
@@ -369,157 +392,209 @@ class BatchCandidateScanner:
       stops at the first conflict-free row.
     * ``"auto"``/``"exact"`` at co-rank 1 (``len(S) == n - 2``) — the
       paper's own test on the conflict vector ``gamma(Pi)``
-      (:func:`~repro.core.conflict.batch_adjugate_screen`, Theorems 3.1
-      and 2.2), one call for every survivor; the rank mask there is
-      ``gamma(Pi) != 0``.
+      (:func:`~repro.core.conflict.conflict_vector_verdicts`, Theorems
+      3.1 and 2.2).  ``gamma(Pi) = Pi M`` with ``M`` the
+      :func:`~repro.core.conflict.adjugate_conflict_matrix` of ``S``,
+      and ``M`` is also the rank matrix (``gamma(Pi) != 0``), so the
+      rank product of the stack already holds every ``gamma``.
     * ``"auto"``/``"exact"`` at co-rank >= 2 — ``Pi`` is tested
       against the kernel basis of ``S``, and is conflict-free iff
       ``Pi . x != 0`` for every point ``x`` of the
       :func:`~repro.core.conflict.box_kernel_table` of ``S``
-      (:func:`~repro.core.conflict.box_kernel_screen`).  The table is
-      built once per ``(S, mu)`` and process.
+      (:func:`~repro.core.conflict.box_kernel_screen`).  The scanner
+      builds each table and its ``IntMat`` once and keeps them.
 
     Every screen is exact for its ``method``, so the codes are the
     verdicts :func:`check_conflict_free` would give one by one.
 
     ``tracer`` receives one ``ring.mask`` and one ``ring.screen`` span
-    per :meth:`stages` call (default: the process-wide tracer), and the
-    work telemetry (``batches_evaluated``, ``conflict_screens``, ...)
-    accumulates in ``stats`` (default: a fresh :class:`SearchStats`).
+    per :meth:`stacked_stages` call (default: the process-wide tracer).
+    The work telemetry (``batches_evaluated``, ``conflict_screens``,
+    ...) of ``S`` number ``i`` accumulates in ``stats[i]`` (default:
+    fresh :class:`SearchStats`; a single one is the stack of one's);
+    ``self.stats`` is the first ``S``'s.  Rows a shared product promoted
+    to Python ints count for every ``S`` it judged.
     """
 
     def __init__(
         self,
         algorithm: UniformDependenceAlgorithm,
-        space: Sequence[Sequence[int]],
-        *,
+        *spaces: Sequence[Sequence[int]],
         method: str = "auto",
         tracer: Tracer | None = None,
-        stats: SearchStats | None = None,
+        stats: SearchStats | Sequence[SearchStats] | None = None,
     ) -> None:
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}")
+        stacks = [tuple(as_intvec(row) for row in space) for space in spaces]
+        if not stacks or len({len(rows) for rows in stacks}) != 1:
+            raise ValueError("a scanner needs space mappings with equal row counts")
+        if stats is None:
+            stats = [SearchStats() for _ in stacks]
+        elif isinstance(stats, SearchStats):
+            stats = [stats]
         self.algorithm = algorithm
-        self.space_rows = tuple(as_intvec(row) for row in space)
         self.method = method
         self.tracer = tracer
-        self.stats = SearchStats() if stats is None else stats
         self.n = algorithm.n
-        self.k = len(self.space_rows) + 1
+        self.k = len(stacks[0]) + 1
         deps = [tuple(int(x) for x in d) for d in algorithm.dependence_vectors()]
         self._dep_mat: IntMat | None = (
             as_intmat([list(row) for row in zip(*deps)]) if deps else None
         )
-        # _rank_mat: Pi passes the rank test iff Pi @ _rank_mat != 0;
-        # None with _rank_fail False means every Pi passes.
-        self._adjugate: IntMat | None = None
-        self._rank_mat: IntMat | None = None
-        self._rank_fail = False
+        # Co-rank 1: gamma(Pi) = Pi @ M spans the kernel of [S; Pi], and
+        # is zero exactly when [S; Pi] is rank-deficient.  Otherwise Pi
+        # lifts [S; Pi] to rank k iff it leaves the row span of S, i.e.
+        # Pi @ K != 0 for a kernel basis K of S (the identity without
+        # rows); a row-deficient S gets zero columns, which no Pi passes.
+        self._width = self.n if self.n - self.k == 1 else max(1, self.n - self.k + 1)
+        self._spaces = [
+            _Space(rows, self._rank_matrix(rows), space_stats)
+            for rows, space_stats in zip(stacks, stats, strict=True)
+        ]
+        self.stats = self._spaces[0].stats
+        self._stacks: dict[tuple[int, ...], IntMat] = {}
+
+    def _rank_matrix(self, rows: tuple) -> IntMat:
         if self.n - self.k == 1:
-            # gamma(Pi) = Pi @ M spans the kernel of [S; Pi], and is zero
-            # exactly when [S; Pi] is rank-deficient.
-            self._adjugate = adjugate_conflict_matrix(self.space_rows, self.n)
-            self._rank_mat = self._adjugate
-        elif self.k > 1:
-            s_mat = as_intmat([list(row) for row in self.space_rows])
-            kernel_cols = (
-                kernel_basis(s_mat) if s_mat.rank() == self.k - 1 else []
+            return adjugate_conflict_matrix(rows, self.n)
+        if not rows:
+            return IntMat.identity(self.n)
+        s_mat = as_intmat([list(row) for row in rows])
+        kernel_cols = kernel_basis(s_mat) if s_mat.rank() == self.k - 1 else []
+        if not kernel_cols:
+            return IntMat.zeros(self.n, self._width)
+        return as_intmat([list(row) for row in zip(*[list(c) for c in kernel_cols])])
+
+    def _rank_stack(self, spaces: tuple[int, ...]) -> IntMat:
+        """The rank matrices of ``spaces``, side by side (built once per subset)."""
+        if len(spaces) == 1:
+            return self._spaces[spaces[0]].rank_mat
+        if spaces not in self._stacks:
+            mats = [self._spaces[s].rank_mat for s in spaces]
+            self._stacks[spaces] = as_intmat(
+                [[x for mat in mats for x in mat[i]] for i in range(self.n)]
             )
-            if kernel_cols:
-                self._rank_mat = as_intmat(
-                    [list(row) for row in zip(*[list(c) for c in kernel_cols])]
-                )
-            else:
-                # Row-deficient S (or S already spanning Q^n): no Pi can
-                # lift [S; Pi] to rank k.
-                self._rank_fail = True
-        if method == "paper":
-            self._screen_rows = self._paper_screen
-        elif self._adjugate is not None:
-            self._screen_rows = self._adjugate_screen
-        else:
-            self._screen_rows = self._table_screen
+        return self._stacks[spaces]
 
     def stages(self, pis: np.ndarray, *, stop_at_ok: bool = False) -> np.ndarray:
-        """``int8`` stage codes for the rows of ``pis``, in order.
+        """``int8`` stage codes for the rows of ``pis`` under the first ``S``."""
+        return self.stacked_stages(pis, (0,), stop_at_ok=stop_at_ok)[0]
 
-        With ``stop_at_ok`` the paper's per-candidate dispatch stops at
-        the first conflict-free row, and the result covers only the
-        prefix of ``pis`` whose codes are final (at least one row when
-        ``pis`` is non-empty).  The vectorized screens always judge
-        every row.
+    def stacked_stages(
+        self, pis: np.ndarray, spaces: Sequence[int], *, stop_at_ok: bool = False
+    ) -> list[np.ndarray]:
+        """``int8`` stage codes for the rows of ``pis``, one array per ``S``.
+
+        ``spaces`` indexes the scanner's stack.  With ``stop_at_ok`` the
+        paper's per-candidate dispatch stops at an ``S``'s first
+        conflict-free row, and that ``S``'s codes cover only the prefix
+        of ``pis`` whose codes are final (at least one row when ``pis``
+        is non-empty).  The vectorized screens always judge every row.
         """
         tracer = self.tracer if self.tracer is not None else get_tracer()
-        self.stats.batches_evaluated += int(len(pis) > 0)
-        codes = np.full(len(pis), CODE_DEPS, dtype=np.int8)
+        spaces = tuple(spaces)
+        for s in spaces:
+            self._spaces[s].stats.batches_evaluated += int(len(pis) > 0)
+        codes = np.full((len(spaces), len(pis)), CODE_DEPS, dtype=np.int8)
         if not tracer.enabled:  # keep the untraced hot path span-free
-            idx = self._masks(pis, codes)
-            return codes[: self._screen(pis, idx, codes, stop_at_ok)]
+            masked = self._masks(pis, spaces, codes)
+            return self._screen(pis, spaces, *masked, codes, stop_at_ok)
         with tracer.span("ring.mask", candidates=len(pis)):
-            idx = self._masks(pis, codes)
-        with tracer.span("ring.screen", candidates=int(idx.size)):
-            return codes[: self._screen(pis, idx, codes, stop_at_ok)]
+            masked = self._masks(pis, spaces, codes)
+        with tracer.span("ring.screen", candidates=int(masked[1].sum())):
+            return self._screen(pis, spaces, *masked, codes, stop_at_ok)
 
-    def _masks(self, pis: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Dependence and rank masks into ``codes``; returns the indices
-        of the rows left for the conflict screen."""
+    def _masks(
+        self, pis: np.ndarray, spaces: tuple[int, ...], codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Dependence and rank masks into ``codes``.
+
+        Returns the dependence survivors' indices ``idx``, whether each
+        passes each ``S``'s rank test and, for the co-rank-1 screen,
+        whether its conflict vector under each ``S`` is feasible (both
+        ``(len(idx), len(spaces))``; the latter ``None`` otherwise).
+        The rank product runs in row blocks of at most ``_CELL_LIMIT``
+        cells.
+        """
         idx = np.arange(len(pis))
+        promoted = 0
         if self._dep_mat is not None and idx.size:
             dep_mask, promoted = batch_dependence_mask(pis, self._dep_mat)
-            self.stats.fastpath_promotions += promoted
             idx = idx[dep_mask]
-        codes[idx] = CODE_RANK
-        if self._rank_fail:
-            return idx[:0]
-        if self._rank_mat is not None and idx.size:
-            rank_mask, promoted = batch_nonzero_mask(pis[idx], self._rank_mat)
-            self.stats.fastpath_promotions += promoted
-            idx = idx[rank_mask]
-        if self.k == self.n:
-            # Co-rank 0: a full-rank square mapping is injective on Z^n.
-            codes[idx] = CODE_OK
-            return idx[:0]
-        codes[idx] = CODE_CONFLICT
-        return idx
+        codes[:, idx] = CODE_RANK
+        stack = self._rank_stack(spaces)
+        passed = np.zeros((idx.size, len(spaces)), dtype=bool)
+        gamma_screen = self.method != "paper" and self.n - self.k == 1
+        free = np.zeros_like(passed) if gamma_screen else None
+        step = max(1, _CELL_LIMIT // stack.ncols)
+        for lo in range(0, idx.size, step):
+            product, rank_promoted = batch_matmul(pis[idx[lo : lo + step]], stack)
+            promoted += rank_promoted
+            product = product.reshape(len(product), len(spaces), self._width)
+            passed[lo : lo + step] = (product != 0).any(axis=2)
+            if free is not None:
+                free[lo : lo + step] = conflict_vector_verdicts(
+                    product, self.algorithm.mu
+                )
+        for s in spaces:
+            self._spaces[s].stats.fastpath_promotions += promoted
+        return idx, passed, free
 
     def _screen(
-        self, pis: np.ndarray, idx: np.ndarray, codes: np.ndarray, stop_at_ok: bool
+        self,
+        pis: np.ndarray,
+        spaces: tuple[int, ...],
+        idx: np.ndarray,
+        passed: np.ndarray,
+        free: np.ndarray | None,
+        codes: np.ndarray,
+        stop_at_ok: bool,
+    ) -> list[np.ndarray]:
+        """Screen each ``S``'s rank survivors into ``codes``; returns each
+        ``S``'s final prefix of its codes."""
+        if self.k == self.n:
+            # Co-rank 0: a full-rank square mapping is injective on Z^n.
+            codes[:, idx] = np.where(passed, CODE_OK, CODE_RANK).T
+            return list(codes)
+        if free is not None:
+            codes[:, idx] = np.where(
+                passed, np.where(free, CODE_OK, CODE_CONFLICT), CODE_RANK
+            ).T
+            for s, screened in zip(spaces, passed.sum(axis=0).tolist()):
+                self._spaces[s].stats.conflict_screens += screened
+            return list(codes)
+        return [
+            row[: self._screen_space(pis, self._spaces[s], idx[passed[:, j]], row, stop_at_ok)]
+            for j, (s, row) in enumerate(zip(spaces, codes))
+        ]
+
+    def _screen_space(
+        self, pis: np.ndarray, space: _Space, idx: np.ndarray, codes: np.ndarray,
+        stop_at_ok: bool,
     ) -> int:
-        """Screen rows ``idx`` into ``codes``; returns the final prefix length."""
+        """Screen one ``S``'s rows ``idx`` into its ``codes``; returns the
+        final prefix length."""
+        codes[idx] = CODE_CONFLICT
         rows = pis[idx]
-        step = 1 if self.method == "paper" else max(1, len(rows))
-        screened = 0
-        while screened < len(rows):
-            start, screened = screened, min(screened + step, len(rows))
-            verdict = self._screen_rows(rows[start:screened])
-            codes[idx[start:screened]] = verdict
-            if stop_at_ok and (verdict == CODE_OK).any():
-                break
-        self.stats.conflict_screens += screened
+        screened = len(rows)
+        if self.method == "paper":
+            for i, row in enumerate(rows.tolist()):
+                t = MappingMatrix(space=space.rows, schedule=tuple(row))
+                if check_conflict_free(t, self.algorithm.mu, method="paper").holds:
+                    codes[idx[i]] = CODE_OK
+                    if stop_at_ok:
+                        screened = i + 1
+                        break
+        elif screened:
+            if space.table is None:
+                table = box_kernel_table(space.rows, self.algorithm.mu)
+                space.table = (table, as_intmat(table.T))
+            free, promoted = box_kernel_screen(rows[:, None, :], *space.table)
+            space.stats.fastpath_promotions += promoted
+            codes[idx[free]] = CODE_OK
+        space.stats.conflict_screens += screened
         return int(idx[screened]) if screened < len(rows) else len(codes)
-
-    def _adjugate_screen(self, rows: np.ndarray) -> np.ndarray:
-        """Conflict verdicts by the co-rank-1 conflict-vector test."""
-        assert self._adjugate is not None  # chosen only at co-rank 1
-        free, promoted = batch_adjugate_screen(rows, self._adjugate, self.algorithm.mu)
-        self.stats.fastpath_promotions += promoted
-        return np.where(free, CODE_OK, CODE_CONFLICT).astype(np.int8)
-
-    def _paper_screen(self, rows: np.ndarray) -> np.ndarray:
-        """Conflict verdicts by the paper's per-co-rank theorems."""
-        verdict = np.full(len(rows), CODE_CONFLICT, dtype=np.int8)
-        for i, row in enumerate(rows.tolist()):
-            t = MappingMatrix(space=self.space_rows, schedule=tuple(row))
-            if check_conflict_free(t, self.algorithm.mu, method="paper").holds:
-                verdict[i] = CODE_OK
-        return verdict
-
-    def _table_screen(self, rows: np.ndarray) -> np.ndarray:
-        """Conflict verdicts against the box kernel of ``S`` (co-rank >= 2)."""
-        table = box_kernel_table(self.space_rows, self.algorithm.mu)
-        free, promoted = box_kernel_screen(rows[:, None, :], table)
-        self.stats.fastpath_promotions += promoted
-        return np.where(free, CODE_OK, CODE_CONFLICT).astype(np.int8)
 
 
 def search_bounds(
@@ -574,45 +649,55 @@ class Ring:
 
 _RingWinner = tuple[LinearSchedule, MappingMatrix, ConditionVerdict]
 
-#: ``judge(ring, start)`` returns ``int8`` stage codes for a non-empty
-#: prefix of ``ring.candidates[start:]``, in order.
-RingJudge = Callable[[Ring, int], np.ndarray]
+#: ``judge(ring, start, spaces)`` returns, for each index in ``spaces``
+#: (into the search's stack of space mappings), ``int8`` stage codes for
+#: a non-empty prefix of ``ring.candidates[start:]``, in order.
+RingJudge = Callable[[Ring, int, Sequence[int]], Sequence[np.ndarray]]
 
 
 def search_rings(
     algorithm: UniformDependenceAlgorithm,
-    space_rows: tuple,
+    spaces: Sequence[tuple],
     judge: RingJudge,
     verdict_of: Callable[[MappingMatrix], ConditionVerdict],
     *,
     alpha: int,
     initial_bound: int,
     max_bound: int,
-    stats: SearchStats,
+    stats: Sequence[SearchStats],
     extra_constraint: Callable[[MappingMatrix], bool] | None = None,
     span_name: str = "core.ring",
     before_ring: Callable[[int], None] | None = None,
     after_ring: Callable[[Ring, bool], None] | None = None,
-) -> SearchResult:
-    """The ring loop of Procedure 5.1 (Steps 1-7), for any judge.
+) -> list[SearchResult]:
+    """The ring loop of Procedure 5.1 (Steps 1-7), for any judge and a
+    stack of space mappings; one :class:`SearchResult` per ``S``.
 
-    Rings follow :func:`~repro.dse.partition.ring_bounds`; each is
-    materialized once, with only the rows whose signs can satisfy
-    ``Pi D > 0`` (:func:`forced_signs`), judged by ``judge`` and walked
-    in scan order.  The first ``ok`` candidate that passes
-    ``extra_constraint`` wins; the prefix counters of ``stats`` are
-    tallied up to and including it, the rows never built counting as
-    ``deps``, and its verdict is recomputed by ``verdict_of``, so the
-    result is the same whichever judge ran.  ``before_ring``
-    receives each ring's ``f_max`` before it is materialized, and
-    ``after_ring`` each closed ring and whether it produced the winner.
+    Rings follow :func:`~repro.dse.partition.ring_bounds`.  Neither a
+    ring nor its sign restriction depends on ``S``, so each ring is
+    materialized once for the whole stack, with only the rows whose
+    signs can satisfy ``Pi D > 0`` (:func:`forced_signs`), and judged by
+    one ``judge(ring, 0, open)`` call for the ``S`` still open.  Each
+    ``S`` then walks its own codes in scan order: its first ``ok``
+    candidate that passes ``extra_constraint`` wins and retires it.  The
+    prefix counters of ``stats[i]`` are tallied up to and including the
+    winner of ``S`` number ``i``, the rows never built counting as
+    ``deps``, and its verdict is recomputed by ``verdict_of``, so each
+    result is the same whichever judge ran and whatever else was
+    stacked.  The loop ends once every ``S`` has retired.
+    ``before_ring`` receives each ring's ``f_max`` before it is
+    materialized, and ``after_ring`` each closed ring and whether some
+    ``S`` won in it.
     """
     tracer = get_tracer()
     signs = forced_signs(algorithm.dependence_vectors(), algorithm.n)
-    examined = 0
+    examined = [0] * len(spaces)
+    found: list[_RingWinner | None] = [None] * len(spaces)
+    open_ = list(range(len(spaces)))
     rings = 0
-    found: _RingWinner | None = None
     for f_min, f_max in ring_bounds(initial_bound, alpha, max_bound):
+        if not open_:
+            break
         if before_ring is not None:
             before_ring(f_max)
         with tracer.span(span_name, ring=rings, f_min=f_min, f_max=f_max) as span:
@@ -622,34 +707,43 @@ def search_rings(
                 )
             size = ring_size(algorithm.mu, f_max, f_min)
             span.set(candidates=size, materialized=len(candidates))
+            if len(spaces) > 1:
+                span.set(spaces_open=len(open_))
             ring = Ring(rings, f_min, f_max, candidates, size, span)
-            stats.candidates_enumerated += size
-            examined, found = _scan_ring(
-                judge, ring, algorithm, space_rows, verdict_of, extra_constraint,
-                stats=stats, examined=examined,
+            columns = (
+                judge(ring, 0, open_) if len(candidates)
+                else [np.empty(0, dtype=np.int8)] * len(open_)
             )
-            if found is not None:
-                span.set(winner=list(found[0].pi))
+            for s, codes in zip(open_, columns):
+                stats[s].candidates_enumerated += size
+                examined[s], found[s] = _scan_ring(
+                    judge, ring, s, codes, algorithm, spaces[s], verdict_of,
+                    extra_constraint, stats=stats[s], examined=examined[s],
+                )
+                stats[s].rings_expanded += found[s] is None
+            retired = [s for s in open_ if found[s] is not None]
+            open_ = [s for s in open_ if found[s] is None]
+            if len(spaces) > 1:
+                span.set(retired=len(retired))
+            elif retired:
+                span.set(winner=list(found[0][0].pi))
         if after_ring is not None:
-            after_ring(ring, found is not None)
-        if found is not None:
-            break
+            after_ring(ring, bool(retired))
         rings += 1
-    stats.rings_expanded = rings
-    schedule, mapping, verdict = found if found is not None else (None, None, None)
-    return SearchResult(
-        schedule=schedule,
-        mapping=mapping,
-        verdict=verdict,
-        candidates_examined=examined,
-        rings_expanded=rings,
-        stats=stats,
-    )
+    return [
+        SearchResult(
+            *(winner or (None, None, None)), candidates_examined=examined[s],
+            rings_expanded=stats[s].rings_expanded, stats=stats[s],
+        )
+        for s, winner in enumerate(found)
+    ]
 
 
 def _scan_ring(
     judge: RingJudge,
     ring: Ring,
+    s: int,
+    codes: np.ndarray,
     algorithm: UniformDependenceAlgorithm,
     space_rows: tuple,
     verdict_of: Callable[[MappingMatrix], ConditionVerdict],
@@ -658,17 +752,19 @@ def _scan_ring(
     stats: SearchStats,
     examined: int,
 ) -> tuple[int, _RingWinner | None]:
-    """Walk one ring's stage codes in scan order; returns (examined, winner).
+    """Walk the stage codes of ``S`` number ``s`` in scan order; returns
+    (examined, winner).
 
-    Counters follow the prefix semantics: they are tallied from the
-    stage codes only up to (and including) the winning candidate.  The
-    full-ring rows that were never built count as ``deps``: all of them
-    for a ring without a winner, and those sorting before the winner
-    for the winning ring.
+    ``codes`` is its column of the ring's shared judge call; a prefix
+    that ends before the ring does is continued by
+    ``judge(ring, pos, [s])``.  Counters follow the prefix semantics:
+    they are tallied from the stage codes only up to (and including) the
+    winning candidate.  The full-ring rows that were never built count
+    as ``deps``: all of them for a ring without a winner, and those
+    sorting before the winner for the winning ring.
     """
     pos = 0
-    while pos < len(ring.candidates):
-        codes = judge(ring, pos)
+    while True:
         for i in np.flatnonzero(codes == CODE_OK).tolist():
             pi = tuple(int(v) for v in ring.candidates[pos + i])
             t = MappingMatrix(space=space_rows, schedule=pi)
@@ -685,6 +781,9 @@ def _scan_ring(
                 return examined, (cand, t, verdict)
         examined = _tally_stage_codes(stats, codes, examined)
         pos += len(codes)
+        if pos >= len(ring.candidates):
+            break
+        [codes] = judge(ring, pos, [s])
     stats.candidates_pruned += ring.size - len(ring.candidates)
     return examined, None
 
@@ -746,14 +845,46 @@ def procedure_5_1(
     Because candidates are visited in non-decreasing total time and the
     checks are exact (for ``method="exact"``) or sufficient-and-
     necessary for co-rank <= 3 (``method="auto"``), the first surviving
-    candidate is optimal.
+    candidate is optimal.  This is the one-``S`` case of
+    :func:`procedure_5_1_stacked`.
     """
-    space_rows = tuple(as_intvec(row) for row in space)
+    [result] = procedure_5_1_stacked(
+        algorithm, [space], method=method, alpha=alpha,
+        initial_bound=initial_bound, max_bound=max_bound,
+        extra_constraint=extra_constraint,
+    )
+    return result
+
+
+def procedure_5_1_stacked(
+    algorithm: UniformDependenceAlgorithm,
+    spaces: Sequence[Sequence[Sequence[int]]],
+    *,
+    method: str = "auto",
+    alpha: int | None = None,
+    initial_bound: int | None = None,
+    max_bound: int | None = None,
+    extra_constraint: Callable[[MappingMatrix], bool] | None = None,
+) -> list[SearchResult]:
+    """Procedure 5.1 for every ``S`` of a stack, in one ring pass.
+
+    ``result[i]`` equals ``procedure_5_1(algorithm, spaces[i], ...)``,
+    counters included: :func:`search_rings` builds each ring and its
+    ``Pi D > 0`` mask once for every ``S`` still open, one
+    :class:`BatchCandidateScanner` product gives every open ``S``'s rank
+    test (and at co-rank 1 its conflict vectors), and each ``S`` retires
+    at its first winner.  Every ``S`` has the same number of rows
+    (Problem 6.2's candidates for one ``array_dim``).  Parameters as in
+    :func:`procedure_5_1`.
+    """
+    stack = [tuple(as_intvec(row) for row in space) for space in spaces]
     alpha, initial_bound, max_bound = search_bounds(
         algorithm, alpha=alpha, initial_bound=initial_bound, max_bound=max_bound
     )
-    stats = SearchStats()
-    scanner = BatchCandidateScanner(algorithm, space_rows, method=method, stats=stats)
+    if not stack:
+        return []
+    stats = [SearchStats() for _ in stack]
+    scanner = BatchCandidateScanner(algorithm, *stack, method=method, stats=stats)
     # The root span is the single timing source: SearchStats.wall_time
     # is read back from its monotonic duration after it closes.
     root = get_tracer().span(
@@ -763,21 +894,25 @@ def procedure_5_1(
         alpha=alpha,
         initial_bound=initial_bound,
         max_bound=max_bound,
+        spaces=len(stack),
     )
     with root:
-        result = search_rings(
-            algorithm, space_rows,
-            lambda ring, start: scanner.stages(ring.candidates[start:], stop_at_ok=True),
+        results = search_rings(
+            algorithm, stack,
+            lambda ring, start, open_: scanner.stacked_stages(
+                ring.candidates[start:], open_, stop_at_ok=True
+            ),
             lambda t: check_conflict_free(t, algorithm.mu, method=method),
             alpha=alpha, initial_bound=initial_bound, max_bound=max_bound,
             stats=stats, extra_constraint=extra_constraint,
         )
-    # stats is shared with the result; the frozen dataclass holds the
-    # reference, so deriving wall_time from the span after construction
-    # is visible to callers.
-    stats.wall_time = root.duration
-    stats.shard_wall_times = (stats.wall_time,)
-    return result
+    # Each stats object is shared with its result; the frozen dataclass
+    # holds the reference, so deriving wall_time from the span after
+    # construction is visible to callers.
+    for space_stats in stats:
+        space_stats.wall_time = root.duration
+        space_stats.shard_wall_times = (space_stats.wall_time,)
+    return results
 
 
 def find_all_optima(

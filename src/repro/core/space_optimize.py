@@ -39,7 +39,7 @@ from ..systolic.interconnect import RoutingError
 from .conditions import check_conflict_free
 from .conflict import box_kernel_screen, box_kernel_table
 from .mapping import MappingMatrix
-from .optimize import procedure_5_1
+from .optimize import procedure_5_1_stacked
 from .schedule import LinearSchedule
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
     "enumerate_space_rows",
     "evaluate_design",
     "evaluate_designs_batched",
-    "evaluate_joint_candidate",
+    "evaluate_joint_designs",
     "joint_objective",
     "pareto_frontier",
     "enumerate_space_mappings",
@@ -145,7 +145,7 @@ def joint_objective(
     """Problem 6.2's ranking criterion: weighted time plus VLSI area.
 
     The single source of truth for the joint cost model — used by
-    :func:`evaluate_joint_candidate` (cold searches, serial and
+    :func:`evaluate_joint_designs` (cold searches, serial and
     sharded) *and* by the engine's warm-cache rebuild, so a cached
     ranking can never drift from a recomputed one if the formula
     changes.
@@ -249,30 +249,33 @@ def evaluate_designs_batched(
     return outcomes, int(len(norm_spaces) > 0), promotions
 
 
-def evaluate_joint_candidate(
+def evaluate_joint_designs(
     algorithm: UniformDependenceAlgorithm,
-    space: Sequence[Sequence[int]],
+    spaces: Sequence[Sequence[Sequence[int]]],
     time_weight: float = 1.0,
     space_weight: float = 1.0,
     schedule_kwargs: dict | None = None,
-) -> tuple[str, SpaceDesign | None]:
-    """Judge one Problem-6.2 candidate ``S`` (time-optimal ``Pi`` found
-    by Procedure 5.1).
+) -> list[tuple[str, SpaceDesign | None]]:
+    """Judge a stack of Problem-6.2 candidates ``S``, each paired with
+    its time-optimal ``Pi``.
 
-    Status is ``"conflict"`` when no conflict-free schedule exists in
-    the search bound, ``"routing"`` when the winner is unroutable, else
-    ``"ok"``.  Shared by :func:`solve_joint_optimal` and the engine.
-
-    ``schedule_kwargs`` reaches the inner Procedure 5.1 verbatim.
+    One :func:`~repro.core.optimize.procedure_5_1_stacked` search finds
+    every ``S``'s Procedure 5.1 winner in one ring pass; the winners are
+    then routed and costed one by one.  ``outcomes[i]`` has status
+    ``"conflict"`` when ``spaces[i]`` has no conflict-free schedule in
+    the search bound, ``"routing"`` when its winner is unroutable, else
+    ``"ok"``.  ``schedule_kwargs`` reaches the search verbatim.  Shared
+    by :func:`solve_joint_optimal`, :func:`pareto_frontier` and the
+    engine.
     """
-    kwargs = schedule_kwargs or {}
-    search = procedure_5_1(algorithm, space, **kwargs)
-    if not search.found:
-        return "conflict", None
-    return _costed(
-        algorithm, search.mapping,
-        lambda cost: joint_objective(cost, time_weight, space_weight),
-    )
+    searches = procedure_5_1_stacked(algorithm, spaces, **(schedule_kwargs or {}))
+    return [
+        _costed(
+            algorithm, search.mapping,
+            lambda cost: joint_objective(cost, time_weight, space_weight),
+        ) if search.found else ("conflict", None)
+        for search in searches
+    ]
 
 
 def rank_designs(designs: list[SpaceDesign]) -> list[SpaceDesign]:
@@ -406,13 +409,22 @@ def pareto_frontier(
     schedule) and returns the Pareto frontier: designs not dominated in
     all four metrics simultaneously.  This is the designer's view of
     Problem 6.2 — instead of committing to a weighting, see the whole
-    trade-off curve.
+    trade-off curve.  Runs :func:`search_designs` with the joint judge,
+    keeping every ``ok`` design.
     """
-    outcomes = (
-        evaluate_joint_candidate(algorithm, space, schedule_kwargs=schedule_kwargs)
-        for space in enumerate_space_mappings(algorithm.n, array_dim, magnitude)
+    candidates: list[SpaceDesign] = []
+
+    def judge(spaces):
+        outcomes = evaluate_joint_designs(
+            algorithm, spaces, schedule_kwargs=schedule_kwargs
+        )
+        candidates.extend(design for _, design in outcomes if design is not None)
+        return outcomes
+
+    search_designs(
+        algorithm, judge, array_dim=array_dim, magnitude=magnitude,
+        keep_ranking=1, stats=SearchStats(), span_name="core.pareto_frontier",
     )
-    candidates = [design for _, design in outcomes if design is not None]
 
     def metrics(d: SpaceDesign) -> tuple[int, int, int, int]:
         return (
@@ -464,12 +476,9 @@ def solve_joint_optimal(
     stats = SearchStats()
 
     def judge(spaces):
-        return [
-            evaluate_joint_candidate(
-                algorithm, space, time_weight, space_weight, schedule_kwargs
-            )
-            for space in spaces
-        ]
+        return evaluate_joint_designs(
+            algorithm, spaces, time_weight, space_weight, schedule_kwargs
+        )
 
     result = search_designs(
         algorithm, judge, array_dim=array_dim, magnitude=magnitude,

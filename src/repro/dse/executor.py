@@ -27,7 +27,9 @@ work-queue architecture:
   The bounded space-mapping design space is cut into contiguous ranges;
   each judged design travels back whole, and the one design driver
   (:func:`~repro.core.space_optimize.search_designs`) tallies and ranks
-  the outcomes exactly as the serial solvers do.
+  the outcomes exactly as the serial solvers do.  A Problem 6.2 shard
+  runs one stacked Procedure 5.1 over its range of ``S``
+  (:func:`~repro.core.space_optimize.evaluate_joint_designs`).
 
 Execution strategy is a detail, never a semantic: ``jobs=1``, an
 in-process run of the same shard workers (forced whenever a
@@ -76,7 +78,7 @@ from ..core.space_optimize import (
     enumerate_space_mappings,
     evaluate_design,
     evaluate_designs_batched,
-    evaluate_joint_candidate,
+    evaluate_joint_designs,
     joint_objective,
     search_designs,
 )
@@ -391,19 +393,17 @@ def _evaluate_space_shard(payload: dict) -> dict:
 
 
 def _evaluate_joint_shard(payload: dict) -> dict:
-    """Judge one shard of Problem 6.2's design space."""
+    """Judge one shard of Problem 6.2's design space: one stacked
+    Procedure 5.1 over its range of ``S``, the winners costed."""
     maybe_slow()
     algo = _algorithm_from_spec(payload["algorithm"])
     spaces = _shard_spaces(algo, payload)
     kwargs = payload["schedule_kwargs"]
     tracer, span = _shard_span(payload, "joint", len(spaces))
     with span:
-        evaluated = [
-            evaluate_joint_candidate(
-                algo, space, payload["time_weight"], payload["space_weight"], kwargs
-            )
-            for space in spaces
-        ]
+        evaluated = evaluate_joint_designs(
+            algo, spaces, payload["time_weight"], payload["space_weight"], kwargs
+        )
     return _shard_output(tracer, span, "evaluated", evaluated)
 
 
@@ -648,11 +648,11 @@ def explore_schedule(
                 _algorithm_spec(algorithm), space_rows, method,
                 stats, runner, control, jobs, adaptive,
             )
-            result = search_rings(
-                algorithm, space_rows, judge,
+            [result] = search_rings(
+                algorithm, [space_rows], judge,
                 lambda t: check_conflict_free(t, algorithm.mu, method=method),
                 alpha=alpha, initial_bound=initial_bound,
-                max_bound=max_bound, stats=stats,
+                max_bound=max_bound, stats=[stats],
                 extra_constraint=extra_constraint, span_name="dse.ring",
                 before_ring=control.check_ring if control is not None else None,
                 after_ring=judge.ring_done,
@@ -712,7 +712,7 @@ class _ShardedJudge:
         # Per-ring tallies for the ring's progress event.
         self.shards = self.batches = self.promotions = 0
 
-    def __call__(self, ring: Ring, start: int) -> np.ndarray:
+    def __call__(self, ring: Ring, start: int, _spaces) -> list[np.ndarray]:
         total = len(ring.candidates) - start
         if self.tuner is not None:
             shards = self.tuner.shards_for(total)
@@ -752,7 +752,7 @@ class _ShardedJudge:
             codes.append(_codes_array(out["codes"]))
             if len(codes[-1]) < b - a:
                 break  # a lazy screen stopped: later codes are not final
-        return np.concatenate(codes)
+        return [np.concatenate(codes)]
 
     def ring_done(self, ring: Ring, won: bool) -> None:
         if self.control is not None:
@@ -1007,7 +1007,7 @@ def explore_joint(
     has_callback = any(callable(v) for v in kwargs.values())
 
     def rebuild(space, pi):
-        # Shares joint_objective with evaluate_joint_candidate, so a
+        # Shares joint_objective with evaluate_joint_designs, so a
         # warm rebuild can never drift from the cold path's cost model.
         mapping = MappingMatrix(space=space, schedule=tuple(pi))
         cost = evaluate_cost(algorithm, mapping)

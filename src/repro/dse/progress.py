@@ -80,7 +80,8 @@ class SearchStats:
         path after exhausting its retries (telemetry).
     batches_evaluated:
         Non-empty candidate stacks handed to a vectorized judge — one
-        per ``BatchCandidateScanner.stages`` call of a schedule search
+        per ``BatchCandidateScanner.stacked_stages`` call of a schedule
+        search, for each ``S`` the call judged
         (none for a ring whose every row the sign forcing rules out)
         and one per ``evaluate_designs_batched`` call of a Problem 6.1
         search, so a sharded run counts one per shard (telemetry).
@@ -88,7 +89,8 @@ class SearchStats:
         Built rows of a batch product (dependence mask, rank mask or
         conflict screen) whose int64 overflow bound could not be
         certified and that were computed exactly over Python ints; rows
-        never built are never promoted (telemetry).
+        never built are never promoted, and a product a stacked search
+        shares counts for each ``S`` it judged (telemetry).
     shards_autotuned:
         Rings whose shard count the adaptive cost model changed from
         the naive ``effective_shards`` fan-out (telemetry).

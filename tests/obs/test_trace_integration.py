@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import MappingMatrix
+from repro.core import MappingMatrix, solve_joint_optimal
 from repro.core.optimize import procedure_5_1, ring_candidate_array, ring_size
+from repro.core.space_optimize import enumerate_space_mappings
 from repro.dse import ResultCache, explore_schedule, explore_space
 from repro.model import matrix_multiplication
 from repro.obs import load_trace, trace_session
@@ -120,6 +121,43 @@ class TestTracedScheduleSearch:
         assert result == procedure_5_1(matmul4, SPACE_51)
         assert result.stats.wall_time > 0.0
         assert all(w > 0.0 for w in result.stats.shard_wall_times)
+
+
+class TestTracedJointSearch:
+    def test_one_ring_span_per_shared_ring(self, matmul4, tmp_path):
+        # Problem 6.2 runs one stacked Procedure 5.1 over its 13 S: one
+        # core.ring span (and one mask) per shared ring, 7 in all, where
+        # a search per S would open 64.
+        singles = [
+            procedure_5_1(matmul4, space)
+            for space in enumerate_space_mappings(matmul4.n, 1)
+        ]
+        assert sum(r.rings_expanded + 1 for r in singles) == 64
+        path = tmp_path / "j.jsonl"
+        with trace_session(path):
+            solve_joint_optimal(matmul4)
+        spans = [r for r in load_trace(path) if r["type"] == "span"]
+        names = [s["name"] for s in spans]
+        rings = [s["attrs"] for s in spans if s["name"] == "core.ring"]
+        assert len(rings) == 1 + max(r.rings_expanded for r in singles) == 7
+        assert names.count("ring.mask") == len(rings)
+        assert names.count("core.procedure_5_1") == 1
+        assert rings[0]["spaces_open"] == len(singles) == 13
+        for ring, later in zip(rings, rings[1:]):
+            assert later["spaces_open"] == ring["spaces_open"] - ring["retired"]
+        assert sum(ring["retired"] for ring in rings) == 13
+        assert all("winner" not in ring for ring in rings)
+
+    def test_one_space_ring_spans_carry_the_winner(self, matmul4, tmp_path):
+        path = tmp_path / "p.jsonl"
+        with trace_session(path):
+            result = procedure_5_1(matmul4, SPACE_51)
+        rings = [
+            r["attrs"] for r in load_trace(path)
+            if r["type"] == "span" and r["name"] == "core.ring"
+        ]
+        assert all("spaces_open" not in ring for ring in rings)
+        assert rings[-1]["winner"] == list(result.schedule.pi)
 
 
 class TestTracedSpaceSearch:

@@ -37,6 +37,7 @@ from repro.core.optimize import (
     find_all_optima,
     forced_signs,
     procedure_5_1,
+    procedure_5_1_stacked,
     ring_candidate_array,
     ring_size,
     search_bounds,
@@ -138,13 +139,15 @@ def random_dependence_case(draw):
     return algo, space
 
 
-def reference_search(algo, space, max_bound=None):
+def reference_search(algo, space, max_bound=None, extra_constraint=None):
     """Procedure 5.1 as a plain loop: ``(winner, counters, ties)``.
 
     ``counters`` are the deterministic :class:`SearchStats` counters
     plus ``candidates_examined``; ``ties`` lists every conflict-free
     candidate of the winning ring with the winner's total time, in scan
     order (a ring spans ``alpha`` budgets, so it can hold slower ones).
+    A conflict-free candidate that fails ``extra_constraint`` is
+    checked but neither wins nor ties.
     """
     alpha, initial_bound, max_bound = search_bounds(algo, max_bound=max_bound)
     k = len(space) + 1
@@ -181,7 +184,7 @@ def reference_search(algo, space, max_bound=None):
             if not ties:
                 counters["candidates_checked"] += 1
                 counters["conflicts_rejected"] += not free
-            if free:
+            if free and (extra_constraint is None or extra_constraint(t)):
                 ties.append(pi)
         if ties:
             counters["rings_expanded"] = ring_index
@@ -303,6 +306,37 @@ class TestSearchEquivalence:
     def test_random_dependences_stage_codes_match_scalar_funnel(self, case, method):
         assert_stage_codes_match_scalar_funnel(*case, method)
 
+    @given(algorithm_and_space(), st.sampled_from(["auto", "paper"]))
+    @settings(max_examples=15, deadline=None)
+    def test_stacked_search_equals_reference_per_space(self, case, method):
+        algo, _space = case
+        assert_stacked_search_equals_reference(algo, method)
+
+    @given(
+        high_corank_case().filter(lambda case: case[0].n == 4),
+        st.sampled_from(["auto", "paper"]),
+    )
+    @settings(max_examples=2, deadline=None)
+    def test_high_corank_stacked_search_equals_reference(self, case, method):
+        # n = 4 keeps the reference loop over all 40 S (co-rank 2) fast.
+        algo, _space = case
+        assert_stacked_search_equals_reference(
+            algo, method, max_bound=2 * sum(algo.mu)
+        )
+
+    @given(random_dependence_case(), st.sampled_from(["auto", "paper"]))
+    @example((_algorithm((2, 2, 3), [(1, 0, 0), (1, 1, 0)]), []), "paper")
+    @settings(max_examples=10, deadline=None)
+    def test_stacked_search_with_max_bound_and_extra_constraint(self, case, method):
+        # The constraint rejects some conflict-free rows, so an S's scan
+        # goes on past an ok code (under "paper", with a judge call of
+        # that S alone); max_bound lets searches end without a winner.
+        algo, _space = case
+        assert_stacked_search_equals_reference(
+            algo, method, max_bound=2 * sum(algo.mu),
+            extra_constraint=lambda t: t.schedule[0] % 2 == 0,
+        )
+
     @given(case=high_corank_case())
     @settings(max_examples=5, deadline=None)
     def test_high_corank_every_path_equals_reference(self, tmp_path_factory, case):
@@ -313,6 +347,27 @@ class TestSearchEquivalence:
             algo, space, tmp_path_factory.mktemp("journal"),
             max_bound=2 * sum(algo.mu),
         )
+
+
+def assert_stacked_search_equals_reference(algo, method="auto", **kwargs):
+    """One stacked search over every ``S`` of Problem 6.2's design space
+    (``array_dim`` 1) gives each ``S`` the one-``S`` search's result and
+    work counters, and the reference loop's winner and counters.
+
+    The paper's dispatch is compared with the kernel-box oracle's
+    reference where it is exact (co-rank <= 1).
+    """
+    spaces = list(enumerate_space_mappings(algo.n, 1))
+    stacked = procedure_5_1_stacked(algo, spaces, method=method, **kwargs)
+    assert len(stacked) == len(spaces)
+    for space, result in zip(spaces, stacked):
+        single = procedure_5_1(algo, space, method=method, **kwargs)
+        assert result == single
+        for name in ("batches_evaluated", "conflict_screens"):
+            assert getattr(result.stats, name) == getattr(single.stats, name), name
+        if method == "auto" or algo.n - len(space) <= 2:
+            winner, counters, _ties = reference_search(algo, space, **kwargs)
+            assert summary(result) == (winner, counters)
 
 
 def assert_stage_codes_match_scalar_funnel(algo, space, method):
