@@ -1,11 +1,13 @@
 """E-DSE — the exploration engine: serial vs sharded vs cached.
 
 Standalone (no pytest needed): ``PYTHONPATH=src python
-benchmarks/bench_dse_parallel.py`` times Procedure 5.1 and the joint
-Problem 6.2 search through :mod:`repro.dse` in four configurations —
-serial baseline, 2- and 4-worker fan-out, and cold/warm persistent
-cache — asserts that every configuration returns a result equal to the
-serial one, and writes the numbers to ``BENCH_dse.json``.
+benchmarks/bench_dse_parallel.py`` times the joint Problem 6.2 search
+through :mod:`repro.dse` in four configurations — serial baseline, 2-
+and 4-worker fan-out, and cold/warm persistent cache — asserts that
+every configuration returns a result equal to the serial one, and
+writes the numbers to ``BENCH_dse.json``.  (The schedule search runs
+in process and has no fan-out to time; the end-to-end benchmark in
+``benchmarks/e2e`` times it.)
 
 The shape that must hold on any machine: warm-cache replay is at least
 2x faster than the cold serial search.  Fan-out bars are gated on the *scheduler-visible* core count
@@ -29,15 +31,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.optimize import procedure_5_1  # noqa: E402
 from repro.core.space_optimize import solve_joint_optimal  # noqa: E402
-from repro.dse import ResultCache, explore_joint, explore_schedule  # noqa: E402
-from repro.model import matrix_multiplication, transitive_closure  # noqa: E402
+from repro.dse import ResultCache, explore_joint  # noqa: E402
+from repro.model import matrix_multiplication  # noqa: E402
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_dse.json"
 
-SCHEDULE_CASES = [
-    ("example-5.1-matmul-mu6", lambda: matrix_multiplication(6), [[1, 1, -1]]),
-    ("example-5.2-tc-mu5", lambda: transitive_closure(5), [[0, 0, 1]]),
-]
 JOINT_CASES = [
     ("joint-matmul-mu4", lambda: matrix_multiplication(4)),
 ]
@@ -66,37 +64,6 @@ def _timed(fn, repeats: int = 3):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
-
-
-def bench_schedule_case(name, make_algo, space, cores) -> dict:
-    algo = make_algo()
-    record = {"case": name, "mu": list(algo.mu)}
-
-    serial_t, serial = _timed(lambda: procedure_5_1(algo, space))
-    record["serial_s"] = serial_t
-    record["total_time"] = serial.total_time
-
-    for jobs in JOB_COUNTS:
-        par_t, par = _timed(lambda: explore_schedule(algo, space, jobs=jobs))
-        assert par == serial, f"{name}: jobs={jobs} diverged from serial"
-        record[f"jobs{jobs}_s"] = par_t
-        if jobs > cores:
-            record[f"jobs{jobs}_oversubscribed"] = True
-
-    with tempfile.TemporaryDirectory() as d:
-        cache = ResultCache(d)
-        cold_t, cold = _timed(
-            lambda: explore_schedule(algo, space, jobs=1, cache=cache),
-            repeats=1,
-        )
-        warm_t, warm = _timed(
-            lambda: explore_schedule(algo, space, jobs=1, cache=cache)
-        )
-        assert cold == serial == warm, f"{name}: cached result diverged"
-    record["cache_cold_s"] = cold_t
-    record["cache_warm_s"] = warm_t
-    record["warm_speedup_vs_serial"] = serial_t / warm_t if warm_t else float("inf")
-    return record
 
 
 def bench_joint_case(name, make_algo, cores) -> dict:
@@ -227,8 +194,7 @@ def bench_checkpoint_overhead() -> dict:
 
 def main() -> int:
     cores = usable_cores()
-    records = [bench_schedule_case(*case, cores) for case in SCHEDULE_CASES]
-    records += [bench_joint_case(*case, cores) for case in JOINT_CASES]
+    records = [bench_joint_case(*case, cores) for case in JOINT_CASES]
     overhead = bench_trace_overhead()
     ckpt_overhead = bench_checkpoint_overhead()
 

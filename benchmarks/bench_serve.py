@@ -12,9 +12,11 @@ and measures, on the paper's Example 5.1 (matmul, mu=6, S=[1,1,-1]):
   state, same result-cache dir) answering the same spec from the
   persistent ``ResultCache``;
 * **N-client throughput** — 8 threads submitting distinct specs;
-* **restart recovery** — SIGTERM mid-search, restart, time until the
-  resumed job completes (with the result asserted equal to an
-  uninterrupted serial run);
+* **restart recovery** — SIGTERM mid-search (a Problem 6.1 job on two
+  shards, the second hung until its shard timeout), restart, time
+  until the resumed job completes (with the result asserted equal to
+  an uninterrupted serial run); schedule jobs run in process and
+  journal only their answer, so they have nothing to resume;
 * **hardening overhead** — the 8-client throughput shape scaled to 48
   distinct jobs, ``--no-hardening`` vs the fully armed defaults (queue
   bound, breaker, watchdog deadline), interleaved best-of-4 each; the
@@ -37,7 +39,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.dse.executor import explore_schedule  # noqa: E402
+from repro.dse.executor import explore_schedule, explore_space  # noqa: E402
 from repro.model import matrix_multiplication  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 from repro.serve.protocol import encode_result  # noqa: E402
@@ -48,6 +50,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 EXAMPLE_51 = {
     "task": "schedule", "algorithm": "matmul", "mu": [6],
     "space": [[1, 1, -1]],
+}
+#: Problem 6.1 under Example 5.1's optimal schedule Pi = (1, 6, 1).
+EXAMPLE_51_SPACE = {
+    "task": "space", "algorithm": "matmul", "mu": [6], "pi": [1, 6, 1],
 }
 
 
@@ -225,14 +231,20 @@ def bench_hardening_overhead(root: Path, clients: int = 8) -> dict:
     }
 
 
-def bench_restart_recovery(root: Path, serial_encoded: dict) -> dict:
+def bench_restart_recovery(root: Path) -> dict:
     state = root / "rec-state"
     state.mkdir()
+    serial = explore_space(matrix_multiplication(6), (1, 6, 1), jobs=1)
+    serial_encoded = encode_result("space", serial)
+    shards = ("--search-jobs", "2")
 
-    server = Server(state, None, env={"REPRO_DSE_SLOW": "0.2"})
+    server = Server(
+        state, None, extra_args=shards + ("--shard-timeout", "2"),
+        env={"REPRO_DSE_SLOW": "0.2", "REPRO_DSE_FAULT": "hang:1"},
+    )
     try:
         client = server.client()
-        record = client.submit(EXAMPLE_51)
+        record = client.submit(EXAMPLE_51_SPACE)
         job_id = record["id"]
         journal = state / "journals" / f"{job_id}.ckpt"
         deadline = time.monotonic() + 60
@@ -246,7 +258,7 @@ def bench_restart_recovery(root: Path, serial_encoded: dict) -> dict:
         server.stop()  # graceful SIGTERM: job parks as interrupted
 
     t0 = time.perf_counter()
-    server = Server(state, None)
+    server = Server(state, None, extra_args=shards)
     try:
         client = server.client()
         final = client.wait(job_id, timeout=120)
@@ -265,14 +277,14 @@ def bench_restart_recovery(root: Path, serial_encoded: dict) -> dict:
 
 
 def main() -> None:
-    serial = explore_schedule(matrix_multiplication(6), [[1, 1, -1]], jobs=1)
+    serial = explore_schedule(matrix_multiplication(6), [[1, 1, -1]])
     serial_encoded = encode_result("schedule", serial)
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         latency = bench_latency(root, serial_encoded)
         throughput = bench_throughput(root)
-        recovery = bench_restart_recovery(root, serial_encoded)
+        recovery = bench_restart_recovery(root)
         overhead = bench_hardening_overhead(root)
 
     payload = {

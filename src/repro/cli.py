@@ -39,7 +39,7 @@ Examples
         --space "1,1,-1" --schedule 1,4,1 --render
     python -m repro design --algorithm matmul --mu 4 --schedule 1,4,1
     python -m repro explore --algorithm matmul --mu 4 --space "1,1,-1" \
-        --jobs 4 --trace run.jsonl
+        --trace run.jsonl
     python -m repro explore --algorithm matmul --mu 4 --jobs 4  # joint
     python -m repro obs report run.jsonl
 """
@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
             "(Problem 2.2).  With --schedule: space-optimal S for that "
             "Pi (Problem 6.1).  With neither: joint optimization over "
             "both (Problem 6.2).  Results are identical to the serial "
-            "map/design commands for any --jobs value and cache state."
+            "map/design commands for any --jobs value and cache state; "
+            "the schedule search always runs in process."
         ),
     )
     add_algo_args(p_explore)
@@ -262,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--schedule", "-p", type=_parse_vector,
                            help="fix Pi and search S (Problem 6.1)")
     p_explore.add_argument("--jobs", "-j", type=int, default=None,
-                           help="worker processes (default: CPU count)")
+                           help="worker processes of a design search "
+                                "(--schedule, or neither; default: CPU "
+                                "count); a --space search runs in process")
     p_explore.add_argument("--cache-dir", default=None,
                            help="result cache directory "
                                 "(default: ~/.cache/repro-dse)")
@@ -283,9 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--array-dim", type=int, default=1)
     p_explore.add_argument("--magnitude", type=int, default=1)
     p_explore.add_argument("--checkpoint", metavar="PATH", default=None,
-                           help="write-ahead journal of completed shards; "
+                           help="write-ahead journal of the run (completed "
+                                "design shards, the final answer); "
                                 "SIGINT/SIGTERM and budget stops become "
-                                f"clean resumable exits (code {EXIT_INTERRUPTED})")
+                                f"clean exits (code {EXIT_INTERRUPTED})")
     p_explore.add_argument("--resume", action="store_true",
                            help="replay --checkpoint first and skip every "
                                 "shard it already holds")
@@ -293,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="wall-clock budget; exceeding it stops "
                                 "cleanly and resumably")
     p_explore.add_argument("--max-shards", type=int, default=None,
-                           help="budget on dispatched shards (resumed "
-                                "shards are free)")
+                           help="budget on dispatched design shards "
+                                "(resumed shards are free)")
     p_explore.add_argument("--max-bits", type=int, default=None,
                            help="cap on the schedule ring bound's bit "
                                 "length (bounds exact-arithmetic growth)")
@@ -338,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=2,
                          help="concurrent searches (worker threads)")
     p_serve.add_argument("--search-jobs", type=int, default=1,
-                         help="worker processes per search; a spec's own "
-                              "'jobs' field is capped at this value")
+                         help="worker processes per design (space/joint) "
+                              "search; a spec's own 'jobs' field is capped "
+                              "at this value")
     p_serve.add_argument("--cache-dir", default=None,
                          help="result cache directory "
                               "(default: ~/.cache/repro-dse)")
@@ -353,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-seconds", type=float, default=None,
                          help="default per-job wall-clock budget")
     p_serve.add_argument("--max-shards", type=int, default=None,
-                         help="default per-job dispatched-shard budget")
+                         help="default per-job budget of dispatched "
+                              "design shards")
     p_serve.add_argument("--max-bits", type=int, default=None,
                          help="default per-job ring-bound bit cap")
     p_serve.add_argument("--tenants-file", default=None, metavar="PATH",
@@ -671,8 +677,8 @@ def _run_explore(args, algo, cache, policy, budget) -> int:
     from .dse.progress import format_stats
 
     engine_kwargs = dict(
-        jobs=args.jobs, cache=cache, resilience=policy,
-        checkpoint=args.checkpoint, resume=args.resume, budget=budget,
+        cache=cache, checkpoint=args.checkpoint, resume=args.resume,
+        budget=budget,
     )
 
     if args.space is not None:
@@ -690,6 +696,7 @@ def _run_explore(args, algo, cache, policy, budget) -> int:
         print(format_stats(result.stats))
         return _finish_explore(result, args, 0)
 
+    engine_kwargs.update(jobs=args.jobs, resilience=policy)
     if args.schedule is not None:
         result = explore_space(
             algo, args.schedule,

@@ -7,8 +7,10 @@ Implements the backbone of Sections 2-4:
 * **Theorem 2.2** — a conflict vector is feasible iff some entry
   exceeds the corresponding problem-size bound;
 * **Equation 3.2 / Theorem 3.1** — the closed-form unique conflict
-  vector for co-rank-1 mappings via the adjugate, also as a batched
-  screen over stacks of candidate schedules;
+  vector for co-rank-1 mappings via the adjugate; a stack of candidate
+  schedules times :func:`adjugate_conflict_matrix` is a stack of
+  conflict vectors, which :func:`conflict_vector_verdicts` judges at
+  once;
 * **Theorems 4.1-4.2** — the Hermite-normal-form generator set
   ``u_{k+1}, ..., u_n`` of *all* conflict vectors;
 * the **box kernel** of the rows a search holds fixed — every conflict
@@ -65,7 +67,6 @@ __all__ = [
     "conflict_vector_corank1",
     "conflict_vector_via_adjugate",
     "adjugate_conflict_matrix",
-    "batch_adjugate_screen",
     "conflict_vector_verdicts",
     "box_kernel_table",
     "box_kernel_screen",
@@ -153,25 +154,6 @@ def _adjugate_conflict_matrix(space: tuple[tuple[int, ...], ...], n: int) -> Int
             for j in range(n)
         ])
     return as_intmat(adj)
-
-
-def batch_adjugate_screen(
-    pis: np.ndarray, adjugate: IntMat, mu: Sequence[int]
-) -> tuple[np.ndarray, int]:
-    """Theorems 3.1 and 2.2 for a stack of co-rank-1 candidates at once.
-
-    ``adjugate`` is :func:`adjugate_conflict_matrix` of the shared space
-    mapping.  Row ``c`` of ``pis @ adjugate`` is candidate ``c``'s
-    conflict vector ``gamma`` up to scale, and ``T = [S; pis[c]]`` is
-    conflict-free iff ``|gamma_i| / gcd(gamma) > mu_i`` for some ``i``.
-    Returns ``(conflict_free, promoted)``: a boolean per row (``False``
-    for rank-deficient rows, whose ``gamma`` is zero) and the number of
-    rows whose product could not be certified int64 and was computed
-    over Python ints.  Agrees with :func:`is_conflict_free_kernel_box`
-    on every co-rank-1 mapping.
-    """
-    gamma, promoted = batch_matmul(pis, adjugate)
-    return conflict_vector_verdicts(gamma, mu), promoted
 
 
 def conflict_vector_verdicts(gamma: np.ndarray, mu: Sequence[int]) -> np.ndarray:

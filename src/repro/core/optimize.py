@@ -16,15 +16,17 @@ Candidates are enumerated in non-decreasing execution-time order
 paper's Steps 1-7 with the candidate set ``C_l = {Pi : sum |pi_i| mu_i
 <= x_l}`` and growth ``x_{l+1} = x_l + alpha``.
 
-One ring driver, :func:`search_rings`, owns that loop for every
-execution strategy: :func:`procedure_5_1` hands it an in-process judge,
-and :func:`repro.dse.executor.explore_schedule` a sharded, cached and
-journaled one.  Every judge evaluates candidates through the one
-vectorized :class:`BatchCandidateScanner`.  The driver and the scanner
-take a stack of space mappings: the rings and the ``Pi D > 0`` mask do
-not depend on ``S``, so :func:`procedure_5_1_stacked` (Problem 6.2's
-inner search) builds and masks each ring once for every candidate
-``S``; :func:`procedure_5_1` is its one-``S`` case.
+One ring loop, :func:`search_rings`, and one judge serve every path:
+:func:`scan_rings` runs the loop on one vectorized
+:class:`BatchCandidateScanner`, in process.  :func:`procedure_5_1` and
+:func:`repro.dse.executor.explore_schedule` (the same search behind the
+result cache and the checkpoint journal) both call it, and
+:mod:`repro.core.bitlevel` hands the loop a judge of its own.  The
+loop and the scanner take a stack of space mappings: the rings and
+the ``Pi D > 0`` mask do not depend on ``S``, so
+:func:`procedure_5_1_stacked` (Problem 6.2's inner search) builds and
+masks each ring once for every candidate ``S``; :func:`procedure_5_1`
+is its one-``S`` case.
 """
 
 from __future__ import annotations
@@ -70,13 +72,12 @@ __all__ = [
     "procedure_5_1_stacked",
     "ring_candidate_array",
     "ring_size",
+    "scan_rings",
     "search_bounds",
     "search_rings",
 ]
 
-# Stage codes of the candidate filter funnel, in rejection order; the
-# sharded engine (repro.dse.executor) transports the same codes in its
-# shard outputs.
+# Stage codes of the candidate filter funnel, in rejection order.
 STAGE_DEPS = "deps"
 STAGE_RANK = "rank"
 STAGE_CONFLICT = "conflict"
@@ -107,8 +108,9 @@ class SearchResult:
         How many times the bound ``x_l`` grew before success.
     stats:
         Uniform :class:`repro.dse.progress.SearchStats` accounting; its
-        deterministic counters are identical whichever execution
-        strategy (serial, sharded, cached) produced this result.
+        deterministic counters are identical whichever entry point
+        (:func:`procedure_5_1`, the engine, a cache or journal replay)
+        produced this result.
     """
 
     schedule: LinearSchedule | None
@@ -263,8 +265,9 @@ def ring_candidate_array(
     :func:`forced_signs`) restricts the ring to the rows whose forced
     coordinates carry their forced sign; the result is then the
     subsequence of the full ring that can pass ``Pi D > 0``.  Cached
-    (the sharded engine re-derives a ring inside every worker that
-    holds one of its slices); callers must treat the array as immutable.
+    (:func:`find_all_optima` re-judges the optimal ring its search
+    built, and repeated queries reuse rings); callers must treat the
+    array as immutable.
     """
     mu_t = tuple(int(m) for m in mu)
     signs_t = (0,) * len(mu_t) if signs is None else tuple(int(s) for s in signs)
@@ -378,9 +381,9 @@ class BatchCandidateScanner:
 
     The scanner holds a stack of space mappings ``S`` (all with the same
     number of rows); ``BatchCandidateScanner(algo, S)`` is the stack of
-    one.  :meth:`stacked_stages` judges a whole ring (or shard span) for
-    every ``S`` of a subset at once and returns one ``int8`` stage code
-    per candidate and ``S`` (index into :data:`STAGE_NAMES`): a
+    one.  :meth:`stacked_stages` judges a whole ring (or its unjudged
+    tail) for every ``S`` of a subset at once and returns one ``int8``
+    stage code per candidate and ``S`` (index into :data:`STAGE_NAMES`): a
     ``Pi D > 0`` dependence mask, run once since it does not depend on
     ``S``; a rank mask, one product of the survivors against the rank
     matrices of every ``S``; then each ``S``'s conflict screen on its
@@ -802,6 +805,34 @@ def _tally_stage_codes(stats: SearchStats, codes: np.ndarray, examined: int) -> 
     return examined + len(codes) - deps
 
 
+def scan_rings(
+    algorithm: UniformDependenceAlgorithm,
+    stack: Sequence[tuple],
+    stats: Sequence[SearchStats],
+    *,
+    method: str = "auto",
+    **ring_kwargs,
+) -> list[SearchResult]:
+    """:func:`search_rings` judged in process by one :class:`BatchCandidateScanner`.
+
+    The scanner holds the whole ``stack`` (normalized rows) and judges
+    each ring with ``stop_at_ok``; a winner's verdict is recomputed by
+    :func:`check_conflict_free` under ``method``.  ``stats[i]`` receives
+    the counters of ``stack[i]``; ``ring_kwargs`` are
+    :func:`search_rings`'s keyword arguments (bounds,
+    ``extra_constraint``, span name and ring hooks).
+    """
+    scanner = BatchCandidateScanner(algorithm, *stack, method=method, stats=stats)
+    return search_rings(
+        algorithm, stack,
+        lambda ring, start, open_: scanner.stacked_stages(
+            ring.candidates[start:], open_, stop_at_ok=True
+        ),
+        lambda t: check_conflict_free(t, algorithm.mu, method=method),
+        stats=stats, **ring_kwargs,
+    )
+
+
 def procedure_5_1(
     algorithm: UniformDependenceAlgorithm,
     space: Sequence[Sequence[int]],
@@ -884,7 +915,6 @@ def procedure_5_1_stacked(
     if not stack:
         return []
     stats = [SearchStats() for _ in stack]
-    scanner = BatchCandidateScanner(algorithm, *stack, method=method, stats=stats)
     # The root span is the single timing source: SearchStats.wall_time
     # is read back from its monotonic duration after it closes.
     root = get_tracer().span(
@@ -897,14 +927,10 @@ def procedure_5_1_stacked(
         spaces=len(stack),
     )
     with root:
-        results = search_rings(
-            algorithm, stack,
-            lambda ring, start, open_: scanner.stacked_stages(
-                ring.candidates[start:], open_, stop_at_ok=True
-            ),
-            lambda t: check_conflict_free(t, algorithm.mu, method=method),
-            alpha=alpha, initial_bound=initial_bound, max_bound=max_bound,
-            stats=stats, extra_constraint=extra_constraint,
+        results = scan_rings(
+            algorithm, stack, stats, method=method, alpha=alpha,
+            initial_bound=initial_bound, max_bound=max_bound,
+            extra_constraint=extra_constraint,
         )
     # Each stats object is shared with its result; the frozen dataclass
     # holds the reference, so deriving wall_time from the span after

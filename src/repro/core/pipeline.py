@@ -77,9 +77,7 @@ def find_time_optimal_mapping(
     method: str = "auto",
     mu: int | str | None = None,
     mu_range: Sequence[int] | None = None,
-    jobs: int | None = None,
     cache=None,
-    resilience=None,
     checkpoint=None,
     resume: bool = False,
     budget=None,
@@ -115,26 +113,17 @@ def find_time_optimal_mapping(
     method:
         Conflict-check mode for the search route (see
         :func:`repro.core.conditions.check_conflict_free`).
-    jobs:
-        Route the Procedure 5.1 search through the
-        :mod:`repro.dse.executor` work-queue engine with this many
-        worker processes.  Results (including the stats) are identical
-        to the serial search for any value.  Ignored by the ILP route,
-        whose closed-form subproblems are already cheap.
     cache:
         Optional :class:`repro.dse.cache.ResultCache`; the search route
-        consults it before searching and records its decision after.
-    resilience:
-        Optional :class:`repro.dse.resilience.ResiliencePolicy` for the
-        engine route — per-shard timeouts, bounded retries, and
-        degradation behavior.  Supplying one routes the search through
-        the engine even without ``jobs``/``cache``.
+        consults it before searching and records its decision after,
+        through :func:`repro.dse.executor.explore_schedule`.  Results
+        (including the stats) are identical to the plain search.
     checkpoint, resume, budget:
-        Crash-safe checkpoint/resume and run-level resource ceilings
-        for the search route — see
-        :func:`repro.dse.executor.explore_schedule`.  Any of them
-        routes the search through the engine; the ILP route, whose
-        closed-form subproblems finish in milliseconds, ignores them.
+        Checkpoint journal and run-level resource ceilings for the
+        search route — see :func:`repro.dse.executor.explore_schedule`.
+        Any of them routes the search through the engine; the ILP
+        route, whose closed-form subproblems finish in milliseconds,
+        ignores them.
     **solver_kwargs:
         Forwarded to the search route verbatim: the serial
         :func:`~repro.core.optimize.procedure_5_1` or the engine
@@ -182,8 +171,8 @@ def find_time_optimal_mapping(
         corank=corank,
     ) as root:
         result = _dispatch_solver(
-            algorithm, space_rows, solver, method, jobs, cache, resilience,
-            checkpoint, resume, budget, solver_kwargs,
+            algorithm, space_rows, solver, method, cache, checkpoint,
+            resume, budget, solver_kwargs,
         )
         root.set(total_time=result.total_time)
     return result
@@ -266,8 +255,8 @@ def _symbolic_route(
 
 
 def _dispatch_solver(
-    algorithm, space_rows, solver, method, jobs, cache, resilience,
-    checkpoint, resume, budget, solver_kwargs,
+    algorithm, space_rows, solver, method, cache, checkpoint, resume,
+    budget, solver_kwargs,
 ) -> MappingResult:
     corank = algorithm.n - (len(space_rows) + 1)
     if solver == "ilp":
@@ -286,20 +275,15 @@ def _dispatch_solver(
         mapping = res.mapping
         schedule = res.schedule
     elif solver == "procedure-5.1":
-        if (
-            jobs is not None or cache is not None or resilience is not None
-            or checkpoint is not None or budget is not None
-        ):
+        if cache is not None or checkpoint is not None or budget is not None:
             # Lazy import: repro.dse.executor imports repro.core back.
             from ..dse.executor import explore_schedule
 
             res = explore_schedule(
                 algorithm,
                 space_rows,
-                jobs=jobs if jobs is not None else 1,
                 method=method,
                 cache=cache,
-                resilience=resilience,
                 checkpoint=checkpoint,
                 resume=resume,
                 budget=budget,

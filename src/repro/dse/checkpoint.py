@@ -4,7 +4,9 @@ PR 3 made individual *shards* survive worker crashes; this module makes
 the *run* survive the death of the parent process.  Three pieces:
 
 * :class:`CheckpointJournal` — a write-ahead journal of completed shard
-  results.  Every record is one JSONL line carrying a SHA-256 checksum
+  results (design searches) and of a run's final decision (every
+  search; a schedule search, which runs in process, journals nothing
+  else).  Every record is one JSONL line carrying a SHA-256 checksum
   of its body; appends are flushed and ``fsync``'d before the shard is
   considered durable, so a ``SIGKILL`` (OOM killer, preemption) can
   lose at most the record being written.  Replay tolerates exactly that
@@ -21,13 +23,14 @@ the *run* survive the death of the parent process.  Three pieces:
   clean, resumable stop a signal produces.
 * :class:`ShutdownGuard` / :class:`RunControl` — graceful shutdown.
   The guard intercepts ``SIGINT``/``SIGTERM`` and merely sets a flag;
-  the engine polls it between shards, stops dispatching new work,
-  drains or cancels what is in flight, and raises
-  :class:`RunInterrupted`.  Because every completed shard was journaled
-  the moment it finished, the interrupted run is resumable: restarting
-  with ``resume=True`` replays the journal, skips every completed
-  shard, and — by the engine's serial-equality contract — returns a
-  result equal to an uninterrupted run's.
+  the engine polls it between shards (and between the rings of a
+  schedule search), stops dispatching new work, drains or cancels what
+  is in flight, and raises :class:`RunInterrupted`.  Because every
+  completed shard was journaled the moment it finished, an interrupted
+  design run is resumable: restarting with ``resume=True`` replays the
+  journal, skips every completed shard, and — by the engine's
+  serial-equality contract — returns a result equal to an
+  uninterrupted run's.  An interrupted schedule run simply re-runs.
 
 The journal stores *encoded shard outputs* (plain JSON), keyed by a
 canonical digest of the run parameters plus the shard's position and
@@ -67,7 +70,8 @@ __all__ = [
 #: rejected with a :class:`CheckpointError` instead of being misread.
 #: v2: schedule shard outputs carry stage codes instead of records.
 #: v3: schedule shard spans index the sign-restricted ring.
-JOURNAL_SCHEMA_VERSION = 3
+#: v4: schedule runs journal no shards, only the header and the result.
+JOURNAL_SCHEMA_VERSION = 4
 
 
 class CheckpointError(RuntimeError):
@@ -106,8 +110,9 @@ class RunBudget:
         killed, so the stop is clean and the overshoot is bounded by
         one shard's duration.
     max_shards:
-        Ceiling on *dispatched* shards (shards replayed from a journal
-        are free — resuming never re-buys work already paid for).
+        Ceiling on *dispatched* design shards (shards replayed from a
+        journal are free — resuming never re-buys work already paid
+        for).  A schedule search dispatches no shards.
     max_bits:
         Ceiling on the bit length of Procedure 5.1's ring bound
         ``x_l``.  Every candidate schedule in ring ``l`` has

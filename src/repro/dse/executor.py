@@ -1,44 +1,34 @@
-"""Parallel, cached execution of the mapping-space searches.
+"""Cached, journaled and parallel execution of the mapping-space searches.
 
-The engine wraps the serial enumerators of :mod:`repro.core` behind a
-work-queue architecture:
+Three entry points share one cache and journal wrapper:
 
-* :func:`explore_schedule` — Procedure 5.1 (Problem 2.2).  Each
-  expanding ring ``C_l`` is described to workers as contiguous *ranges*
-  over the canonical sorted ring array, restricted to the sign patterns
-  ``Pi D > 0`` allows (:func:`~repro.core.optimize.ring_candidate_array`
-  with the :func:`~repro.core.optimize.forced_signs` of ``D``): a shard
-  payload carries ``(ring bounds, start, stop)`` and the worker re-derives its
-  slice locally, judging it through the vectorized
-  :class:`~repro.core.optimize.BatchCandidateScanner` funnel.  Shards
-  are contiguous ranges of the sorted ring, so their stage codes,
-  concatenated in range order, are already in the serial scan order;
-  the ring loop itself is Procedure 5.1's one driver
-  (:func:`~repro.core.optimize.search_rings`), so the winner, the
-  verdict *and every deterministic counter* equal the serial search's.
-  Shard granularity is cost-adaptive by default: a
-  :class:`~repro.dse.partition.ShardAutotuner` feeds observed shard
-  wall-times back into the fan-out decision, so cheap rings stay serial
-  and only genuinely expensive rings pay process-dispatch overhead.
-  Rings are processed strictly in sequence, which doubles as the
-  early-termination broadcast: the moment one ring proves an optimum,
-  no candidate of any later ring is ever submitted.
+* :func:`explore_schedule` — Procedure 5.1 (Problem 2.2), in process.
+  It runs Procedure 5.1's ring loop with the judge
+  :func:`~repro.core.optimize.procedure_5_1` uses
+  (:func:`~repro.core.optimize.scan_rings`: one vectorized
+  :class:`~repro.core.optimize.BatchCandidateScanner`), so the winner,
+  the verdict *and every counter* equal the serial search's.  Rings run
+  strictly in sequence, and the first ring that proves an optimum ends
+  the search.  Stop requests, signals and the run budget are checked
+  between rings.  A checkpoint journal holds only the final decision:
+  a killed schedule run re-runs from the start.
 * :func:`explore_space` / :func:`explore_joint` — Problems 6.1 / 6.2.
-  The bounded space-mapping design space is cut into contiguous ranges;
-  each judged design travels back whole, and the one design driver
-  (:func:`~repro.core.space_optimize.search_designs`) tallies and ranks
+  The bounded space-mapping design space is cut into contiguous ranges,
+  one shard each, run by a pool of ``jobs`` worker processes; each
+  judged design travels back whole, and
+  :func:`~repro.core.space_optimize.search_designs` tallies and ranks
   the outcomes exactly as the serial solvers do.  A Problem 6.2 shard
   runs one stacked Procedure 5.1 over its range of ``S``
-  (:func:`~repro.core.space_optimize.evaluate_joint_designs`).
+  (:func:`~repro.core.space_optimize.evaluate_joint_designs`).  Every
+  completed shard is journaled, so a killed design run resumes.
 
-Execution strategy is a detail, never a semantic: ``jobs=1``, an
-in-process run of the same shard workers (forced whenever a
-non-picklable callback such as ``extra_constraint`` is supplied), and
-any ``jobs=N`` all return results that compare equal.  All three
-``explore_*`` entry points share one cache and journal wrapper.
-Workers never receive live algorithm objects — only a plain spec
-``(mu, D, name)`` — so the executable semantics attached to library
-algorithms (closures, ufuncs) never need to pickle.
+Execution strategy is a detail, never a semantic: for the design
+searches ``jobs=1``, an in-process run of the same shard workers
+(forced whenever a non-picklable callback such as a custom
+``objective`` is supplied), and any ``jobs=N`` all return results that
+compare equal.  Workers never receive live algorithm objects — only a
+plain spec ``(mu, D, name)`` — so the executable semantics attached to
+library algorithms (closures, ufuncs) never need to pickle.
 
 Results are optionally backed by a persistent :class:`~repro.dse.cache.
 ResultCache`: the cache stores the search *decision* (winning vector,
@@ -53,22 +43,13 @@ import logging
 import os
 from collections.abc import Callable, Sequence
 from contextlib import nullcontext
+from functools import partial
 from itertools import islice
 from typing import TypeVar
 
-import numpy as np
-
 from ..core.conditions import check_conflict_free
 from ..core.mapping import MappingMatrix
-from ..core.optimize import (
-    BatchCandidateScanner,
-    Ring,
-    SearchResult,
-    forced_signs,
-    ring_candidate_array,
-    search_bounds,
-    search_rings,
-)
+from ..core.optimize import Ring, SearchResult, scan_rings, search_bounds
 from ..core.schedule import LinearSchedule
 from ..intlin import as_intvec
 from ..core.space_optimize import (
@@ -94,12 +75,7 @@ from ..obs import Span, Tracer, get_tracer
 from ..systolic.cost import ArrayCost, evaluate_cost
 from .cache import ResultCache, canonical_key
 from .checkpoint import CheckpointJournal, RunBudget, RunControl
-from .partition import (
-    ShardAutotuner,
-    calibration_probe,
-    effective_shards,
-    ring_ranges,
-)
+from .partition import effective_shards, ring_ranges
 from .progress import SearchStats
 from .resilience import ResiliencePolicy, ResilientShardRunner, maybe_slow
 
@@ -318,53 +294,6 @@ def _shard_output(tracer: Tracer, span: Span, data_key: str, data) -> dict:
     return out
 
 
-def _codes_text(codes: np.ndarray) -> str:
-    """Stage codes as a string of digits (compact in pickles and JSON)."""
-    return (codes + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-
-
-def _codes_array(text: str) -> np.ndarray:
-    return (np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")).astype(
-        np.int8
-    )
-
-
-def _scan_schedule_shard(payload: dict) -> dict:
-    """Judge one shard of a schedule ring; returns its stage codes.
-
-    The payload names the ring (``(f_min, f_max)`` bounds) and a
-    contiguous ``(start, stop)`` range of the canonical sorted ring
-    array, restricted to the forced signs of ``D``; the worker
-    re-derives its slice locally via the cached
-    :func:`~repro.core.optimize.ring_candidate_array` instead of
-    receiving candidates over the wire.  The codes travel as a string
-    of stage digits covering the prefix of the slice whose codes are
-    final (the whole slice unless a lazy screen stopped at a
-    conflict-free row).
-    """
-    maybe_slow()
-    algo = _algorithm_from_spec(payload["algorithm"])
-    f_min, f_max = payload["ring"]
-    start, stop = payload["span"]
-    local = SearchStats()
-    tracer, span = _shard_span(payload, "schedule", stop - start)
-    with span:
-        with tracer.detail("ring.materialize"):
-            signs = forced_signs(algo.dependence_vectors(), algo.n)
-            chunk = ring_candidate_array(
-                algo.mu, f_max, f_min=f_min, signs=signs
-            )[start:stop]
-        codes = BatchCandidateScanner(
-            algo, payload["space"], method=payload["method"],
-            tracer=tracer, stats=local,
-        ).stages(chunk, stop_at_ok=True)
-    out = _shard_output(tracer, span, "codes", _codes_text(codes))
-    out["batches"] = local.batches_evaluated
-    out["promotions"] = local.fastpath_promotions
-    out["screens"] = local.conflict_screens
-    return out
-
-
 def _shard_spaces(
     algo: UniformDependenceAlgorithm, payload: dict
 ) -> list[tuple[tuple[int, ...], ...]]:
@@ -409,29 +338,11 @@ def _evaluate_joint_shard(payload: dict) -> dict:
 
 # -- journal transport ------------------------------------------------------
 
-# Shard outputs must round-trip through the checkpoint journal as plain
-# JSON.  Both encodings are exact — stage codes are digits, costs are ints, the
-# objective float survives JSON unchanged — so a replayed shard merges
-# identically to a recomputed one.  Worker-side trace spans are dropped:
-# they belong to the run that produced them, not to the journal.
-
-
-def _encode_schedule_out(out: dict) -> dict:
-    # Codes are already a digit string; spans stay out of the journal.
-    return {
-        key: out[key]
-        for key in ("codes", "wall_time", "batches", "promotions", "screens")
-    }
-
-
-def _decode_schedule_out(data: dict) -> dict:
-    return {
-        "codes": str(data["codes"]),
-        "wall_time": data["wall_time"],
-        "batches": int(data["batches"]),
-        "promotions": int(data["promotions"]),
-        "screens": int(data["screens"]),
-    }
+# Design shard outputs must round-trip through the checkpoint journal as
+# plain JSON.  The encoding is exact — costs are ints, the objective
+# float survives JSON unchanged — so a replayed shard merges identically
+# to a recomputed one.  Worker-side trace spans are dropped: they belong
+# to the run that produced them, not to the journal.
 
 
 def _encode_design(design: SpaceDesign | None) -> dict | None:
@@ -486,12 +397,8 @@ def _run_shards(
     control: RunControl | None,
     *,
     kind: str,
-    ring: int,
-    content_key: str,
-    encode: Callable[[dict], dict],
-    decode: Callable[[dict], dict],
 ) -> list[dict]:
-    """Run shard payloads under the (optional) run control.
+    """Run design shard payloads under the (optional) run control.
 
     With a journal: journaled shards are replayed instead of dispatched,
     and every fresh shard is journaled the moment it completes (the
@@ -506,18 +413,18 @@ def _run_shards(
     keys: list[str] | None = None
     if control.journal is not None:
         keys = [
-            control.shard_key(kind, ring, i, payload[content_key])
+            control.shard_key(kind, 0, i, payload["span"])
             for i, payload in enumerate(payloads)
         ]
         for i, key in enumerate(keys):
             recorded = control.lookup(key)
             if recorded is not None:
-                outs[i] = decode(recorded)
+                outs[i] = _decode_design_out(recorded)
                 control.shards_resumed += 1
     todo = [i for i, out in enumerate(outs) if out is None]
     if len(todo) < len(payloads):
         control.emit(
-            "shards_resumed", kind=kind, ring=ring,
+            "shards_resumed", kind=kind, ring=0,
             count=len(payloads) - len(todo), total=len(payloads),
         )
     if not todo:
@@ -529,10 +436,10 @@ def _run_shards(
     def on_result(j: int, out: dict) -> None:
         nonlocal done
         if keys is not None:
-            control.record_shard(keys[todo[j]], encode(out))
+            control.record_shard(keys[todo[j]], _encode_design_out(out))
         done += 1
         control.emit(
-            "shard_done", kind=kind, ring=ring, completed=done,
+            "shard_done", kind=kind, ring=0, completed=done,
             total=len(todo), wall_time=out.get("wall_time"),
         )
 
@@ -560,75 +467,63 @@ def explore_schedule(
     initial_bound: int | None = None,
     max_bound: int | None = None,
     extra_constraint: Callable[[MappingMatrix], bool] | None = None,
-    adaptive: bool = True,
     cache: ResultCache | None = None,
-    resilience: ResiliencePolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = False,
     budget: RunBudget | None = None,
     stop=None,
     on_progress: Callable[[dict], None] | None = None,
 ) -> SearchResult:
-    """Procedure 5.1 through the work-queue engine.
+    """Procedure 5.1 behind the result cache and the checkpoint journal.
 
-    Equal (dataclass ``==``) to ``procedure_5_1(algorithm, space, ...)``
-    for every ``jobs`` value, for warm-cache replays and for
-    interrupted-then-resumed runs; only the telemetry fields of
-    :class:`~repro.dse.progress.SearchStats` (shards, wall times, cache
-    counters) reflect the execution strategy.
+    Equal (dataclass ``==``) to ``procedure_5_1(algorithm, space, ...)``,
+    with identical :meth:`~repro.dse.progress.SearchStats.counter_dict`
+    and work counters, for cold runs, warm-cache replays and resumed
+    runs; only the cache and wall-time telemetry differ.  The search
+    runs in this process: its rings are judged one after another, and
+    none was measured to repay the cost of a process pool.
 
     Parameters mirror :func:`repro.core.optimize.procedure_5_1`, plus:
 
     jobs:
-        Worker processes (``None``: one per available CPU).
-        ``extra_constraint`` runs the same shards in process — arbitrary
-        callbacks do not cross process boundaries.
-    adaptive:
-        Cost-adaptive shard granularity (default).  Observed shard
-        wall-times feed a :class:`~repro.dse.partition.ShardAutotuner`
-        so small rings stay serial and only expensive rings fan out to
-        ``jobs`` workers; ``adaptive=False`` restores the fixed
-        ``effective_shards`` policy (every ring cut ``jobs`` ways).
-        Decisions are deterministic given the journal, so resumes
-        re-derive identical shard ranges.
+        Accepted for call compatibility with :func:`explore_space` and
+        :func:`explore_joint`, and ignored: a schedule search always
+        runs in this process.
     cache:
         Optional persistent :class:`~repro.dse.cache.ResultCache`; hits
         skip the search and re-derive the verdict exactly.
-    resilience:
-        Optional :class:`~repro.dse.resilience.ResiliencePolicy`
-        governing shard timeouts, retries and degradation on the
-        parallel path (``None``: the default policy).
     checkpoint:
         Path of a :class:`~repro.dse.checkpoint.CheckpointJournal`.
-        Every completed shard is journaled (fsync'd) the moment it
-        finishes, and ``SIGINT``/``SIGTERM`` become a clean
-        :class:`~repro.dse.checkpoint.RunInterrupted` stop instead of a
-        lost run.  Incompatible with ``extra_constraint`` (a callback
-        cannot be canonicalized into the journal's run key).
+        The journal holds the run header and, once the search ends, its
+        final decision; a run killed before that re-runs from the
+        start.  ``SIGINT``/``SIGTERM`` become a clean
+        :class:`~repro.dse.checkpoint.RunInterrupted` stop at the next
+        ring.  Incompatible with ``extra_constraint`` (a callback cannot
+        be canonicalized into the journal's run key).
     resume:
-        With ``checkpoint``: replay the journal first and skip every
-        shard it already holds.  The journal's run key must match this
-        search's parameters exactly.
+        With ``checkpoint``: a journal that holds the final decision
+        answers like a warm cache hit.  The journal's run key must match
+        this search's parameters exactly.
     budget:
-        Optional :class:`~repro.dse.checkpoint.RunBudget`; exceeding a
-        ceiling raises :class:`~repro.dse.checkpoint.BudgetExceeded`,
-        the same clean resumable stop a signal produces.
+        Optional :class:`~repro.dse.checkpoint.RunBudget`, checked
+        before each ring: ``max_seconds`` and ``max_bits`` apply
+        (``max_shards`` counts design shards only).  Exceeding a ceiling
+        raises :class:`~repro.dse.checkpoint.BudgetExceeded`.
     stop:
-        Optional :class:`threading.Event`; once set, the run stops at
-        the next shard boundary with the same clean, resumable
-        :class:`~repro.dse.checkpoint.RunInterrupted` a signal
-        produces.  This is how a host that runs searches on worker
-        threads (the :mod:`repro.serve` job server) cancels or drains
-        them — signals only reach the main thread.
+        Optional :class:`threading.Event`; once set, the run stops
+        before its next ring with the same clean
+        :class:`~repro.dse.checkpoint.RunInterrupted` a signal produces.
+        This is how a host that runs searches on worker threads (the
+        :mod:`repro.serve` job server) cancels or drains them — signals
+        only reach the main thread.
     on_progress:
-        Optional callable receiving progress-event dicts (rings
-        completed, shards done/resumed) at the engine's natural
-        boundaries; see :meth:`~repro.dse.checkpoint.RunControl.emit`.
+        Optional callable receiving one ``phase`` progress event per
+        closed ring (see
+        :meth:`~repro.dse.checkpoint.RunControl.emit_span`).
     """
     validate_algorithm(algorithm)
-    jobs = resolve_jobs(jobs)
-    # Pre-normalized IntVec rows: every MappingMatrix built from them —
-    # in shards and in the final result — reuses them without validation.
+    # Pre-normalized IntVec rows: every MappingMatrix built from them
+    # reuses them without validation.
     space_rows = tuple(as_intvec(row) for row in space)
     validate_space(space_rows, algorithm.n)
     alpha, initial_bound, max_bound = search_bounds(
@@ -640,169 +535,45 @@ def explore_schedule(
     )
 
     def search(control: RunControl | None) -> SearchResult:
-        stats = SearchStats()
-        with ResilientShardRunner(
-            jobs, in_process=extra_constraint is not None, policy=resilience,
-        ) as runner:
-            judge = _ShardedJudge(
-                _algorithm_spec(algorithm), space_rows, method,
-                stats, runner, control, jobs, adaptive,
+        hooks = {}
+        if control is not None:
+            hooks = dict(
+                before_ring=control.check_ring,
+                after_ring=partial(_ring_done, control),
             )
-            [result] = search_rings(
-                algorithm, [space_rows], judge,
-                lambda t: check_conflict_free(t, algorithm.mu, method=method),
-                alpha=alpha, initial_bound=initial_bound,
-                max_bound=max_bound, stats=[stats],
-                extra_constraint=extra_constraint, span_name="dse.ring",
-                before_ring=control.check_ring if control is not None else None,
-                after_ring=judge.ring_done,
-            )
-        stats.shards = judge.max_shards
-        if judge.tuner is not None:
-            stats.shards_autotuned = judge.tuner.autotuned
-        runner.apply_telemetry(stats)
+        [result] = scan_rings(
+            algorithm, [space_rows], [SearchStats()], method=method,
+            alpha=alpha, initial_bound=initial_bound, max_bound=max_bound,
+            extra_constraint=extra_constraint, span_name="dse.ring", **hooks,
+        )
         return result
 
-    return _explore(
+    result = _explore(
         run_params, search, _schedule_entry_from_result,
         lambda entry: _schedule_result_from_entry(
             algorithm, space_rows, method, entry
         ),
-        span_attrs=dict(
-            algorithm=algorithm.name, jobs=jobs, method=method, adaptive=adaptive
-        ),
+        span_attrs=dict(algorithm=algorithm.name, method=method),
         callback="extra_constraint" if extra_constraint is not None else None,
         cache=cache, checkpoint=checkpoint, resume=resume, budget=budget,
         stop=stop, on_progress=on_progress,
     )
+    # One in-process shard, as in procedure_5_1.
+    result.stats.shard_wall_times = (result.stats.wall_time,)
+    return result
 
 
-class _ShardedJudge:
-    """The engine's ring judge: contiguous shard ranges, run through the
-    (optionally journaled) resilient runner, codes concatenated in range
-    order — which, the ring being sorted, is the serial scan order."""
-
-    def __init__(
-        self,
-        spec: dict,
-        space_rows: tuple,
-        method: str,
-        stats: SearchStats,
-        runner: ResilientShardRunner,
-        control: RunControl | None,
-        jobs: int,
-        adaptive: bool,
-    ) -> None:
-        self.payload = {
-            "algorithm": spec,
-            "space": space_rows,
-            "method": method,
-            "trace": get_tracer().enabled,
-        }
-        self.stats = stats
-        self.runner = runner
-        self.control = control
-        self.jobs = jobs
-        self.tuner = (
-            ShardAutotuner(jobs=jobs, calibration=_calibration_seconds(control))
-            if adaptive
-            else None
-        )
-        self.max_shards = 1
-        # Per-ring tallies for the ring's progress event.
-        self.shards = self.batches = self.promotions = 0
-
-    def __call__(self, ring: Ring, start: int, _spaces) -> list[np.ndarray]:
-        total = len(ring.candidates) - start
-        if self.tuner is not None:
-            shards = self.tuner.shards_for(total)
-        else:
-            shards = effective_shards(total, self.jobs)
-        self.max_shards = max(self.max_shards, shards)
-        ring.span.set(shards=shards)
-        ranges = [(start + a, start + b) for a, b in ring_ranges(total, shards)]
-        payloads = [
-            dict(self.payload, ring=(ring.f_min, ring.f_max), span=rng)
-            for rng in ranges
-        ]
-        outs = _run_shards(
-            self.runner, _scan_schedule_shard, payloads, self.control,
-            kind="schedule", ring=ring.index, content_key="span",
-            encode=_encode_schedule_out, decode=_decode_schedule_out,
-        )
-        stats = self.stats
-        wall_times = tuple(out["wall_time"] for out in outs)
-        stats.shard_wall_times += wall_times
-        batches = sum(out["batches"] for out in outs)
-        promotions = sum(out["promotions"] for out in outs)
-        stats.batches_evaluated += batches
-        stats.fastpath_promotions += promotions
-        stats.conflict_screens += sum(out["screens"] for out in outs)
-        self.shards += shards
-        self.batches += batches
-        self.promotions += promotions
-        if self.tuner is not None:
-            # Feed only journal-exact signals (shard wall times) so a
-            # resumed run re-derives identical shard ranges.
-            self.tuner.observe(total, sum(wall_times))
-        tracer = get_tracer()
-        codes = []
-        for shard, ((a, b), out) in enumerate(zip(ranges, outs)):
-            tracer.absorb(out.get("spans"), shard=shard, ring=ring.index)
-            codes.append(_codes_array(out["codes"]))
-            if len(codes[-1]) < b - a:
-                break  # a lazy screen stopped: later codes are not final
-        return [np.concatenate(codes)]
-
-    def ring_done(self, ring: Ring, won: bool) -> None:
-        if self.control is not None:
-            # Materialize the closed ring span as a progress event: a
-            # subscriber sees the same data a --trace file would hold.
-            # candidates/shards travel explicitly — Span.set() drops
-            # attrs when the tracer is disabled.
-            self.control.emit_span(
-                ring.span, winner=won, candidates=ring.size,
-                materialized=len(ring.candidates), shards=self.shards,
-                batches=self.batches, promotions=self.promotions,
-            )
-        if won:
-            logger.debug(
-                "explore_schedule: ring %d produced the winner", ring.index
-            )
-        self.shards = self.batches = self.promotions = 0
-
-
-# One probe per process: explore_* is called in tight loops by tests
-# and benchmarks, and the machine does not change between calls.
-_process_calibration: float | None = None
-
-
-def _calibration_seconds(control: RunControl | None) -> float:
-    """The machine-speed probe feeding the autotuner's thresholds.
-
-    With a checkpoint journal the measurement is recorded under a
-    dedicated ``"calibrate"`` shard key on first use and replayed from
-    the journal ever after, so a resumed run derives exactly the
-    thresholds — and therefore exactly the shard ranges and journal
-    keys — the original run used.  Without a journal the probe runs
-    once per process.
-    """
-    global _process_calibration
-    key = None
-    if control is not None:
-        key = control.shard_key("calibrate", 0, 0, "machine-probe")
-        recorded = control.lookup(key)
-        if recorded is not None:
-            # Replayed, not remeasured — counts as a resumed shard so a
-            # resume that serves everything from the journal reports
-            # exactly as many resumed shards as the journal holds.
-            control.shards_resumed += 1
-            return float(recorded["seconds"])
-    if _process_calibration is None:
-        _process_calibration = calibration_probe()
-    if key is not None:
-        control.record_shard(key, {"seconds": _process_calibration})
-    return _process_calibration
+def _ring_done(control: RunControl, ring: Ring, won: bool) -> None:
+    """Emit a closed ring span as a ``phase`` progress event: a
+    subscriber sees the same data a ``--trace`` file would hold.
+    ``candidates`` and ``materialized`` travel explicitly, since
+    ``Span.set()`` drops attributes when the tracer is disabled."""
+    control.emit_span(
+        ring.span, winner=won, candidates=ring.size,
+        materialized=len(ring.candidates),
+    )
+    if won:
+        logger.debug("explore_schedule: ring %d produced the winner", ring.index)
 
 
 def _schedule_entry_from_result(result: SearchResult) -> dict:
@@ -949,12 +720,20 @@ def explore_space(
 ) -> SpaceOptimizationResult:
     """Problem 6.1 through the engine; equal to ``solve_space_optimal``.
 
-    A custom ``objective`` callable runs the same shards in process and
-    bypasses the cache (it is part of the answer but not of any
-    canonical key); for the same reason it is incompatible with
-    ``checkpoint``.  ``checkpoint`` /
-    ``resume`` / ``budget`` / ``stop`` / ``on_progress`` behave as in
-    :func:`explore_schedule`.
+    The design space runs as ``jobs`` shards on a pool of worker
+    processes (``None``: one per available CPU; ``resilience`` governs
+    shard timeouts, retries and degradation).  A custom ``objective``
+    callable runs the same shards in process and bypasses the cache (it
+    is part of the answer but not of any canonical key); for the same
+    reason it is incompatible with ``checkpoint``.
+
+    ``checkpoint`` journals (fsync'd) every shard the moment it
+    completes, and ``SIGINT``/``SIGTERM`` become a clean
+    :class:`~repro.dse.checkpoint.RunInterrupted` stop; ``resume=True``
+    replays the journal and dispatches only the shards it lacks.
+    ``budget`` (``max_seconds``, ``max_shards``) and ``stop`` are polled
+    between shards, and ``on_progress`` receives ``shard_done`` and
+    ``shards_resumed`` events.
     """
     validate_algorithm(algorithm)
     pi_t = as_intvec(pi)
@@ -998,9 +777,9 @@ def explore_joint(
 
     ``schedule_kwargs`` containing callbacks (``extra_constraint``)
     runs the same shards in process, bypasses the cache and is
-    incompatible with ``checkpoint``.  ``checkpoint`` / ``resume`` /
-    ``budget`` / ``stop`` / ``on_progress`` behave as in
-    :func:`explore_schedule`.
+    incompatible with ``checkpoint``.  ``jobs``, ``resilience``,
+    ``checkpoint``, ``resume``, ``budget``, ``stop`` and ``on_progress``
+    behave as in :func:`explore_space`.
     """
     validate_algorithm(algorithm)
     kwargs = dict(schedule_kwargs or {})
@@ -1081,11 +860,7 @@ def _explore_designs(
                 resolve_jobs(jobs, max_useful=len(payloads)),
                 in_process=callback is not None, policy=resilience,
             ) as runner:
-                outs = _run_shards(
-                    runner, worker, payloads, control,
-                    kind=kind, ring=0, content_key="span",
-                    encode=_encode_design_out, decode=_decode_design_out,
-                )
+                outs = _run_shards(runner, worker, payloads, control, kind=kind)
             runner.apply_telemetry(stats)
             stats.shards = max(1, len(outs))
             stats.shard_wall_times = tuple(out["wall_time"] for out in outs)

@@ -57,14 +57,17 @@ class SearchStats:
         Completed expansion rounds ``x_{l+1} = x_l + alpha`` of
         Procedure 5.1 that produced no winner.
     shards:
-        Number of work-queue shards the search was split into
-        (telemetry; 1 for the serial path).
+        Number of work-queue shards a design search (Problems 6.1 and
+        6.2) was split into; 1 for the serial solvers and for every
+        schedule search, which runs in process (telemetry).
     cache_hits, cache_misses:
         Persistent-cache accounting for this query (telemetry).
     wall_time:
         Total wall-clock seconds spent in the search (telemetry).
     shard_wall_times:
-        Per-shard wall-clock seconds, in shard order (telemetry).
+        Per-shard wall-clock seconds, in shard order; a schedule search
+        is one in-process shard, so its one entry is its wall time
+        (telemetry).
     shard_retries:
         Failed shards re-submitted to a worker pool (telemetry).
     shard_timeouts:
@@ -73,8 +76,10 @@ class SearchStats:
     pool_restarts:
         Times a broken or hung process pool was replaced (telemetry).
     shards_resumed:
-        Shards whose journaled result was replayed from a checkpoint
-        instead of being recomputed (telemetry).
+        Design shards whose journaled result was replayed from a
+        checkpoint instead of being recomputed; always 0 for a schedule
+        search, whose journal holds only its final decision (telemetry).
+        ``RunBudget.max_shards`` likewise counts design shards only.
     degraded:
         Whether any shard fell back to the deterministic in-process
         path after exhausting its retries (telemetry).
@@ -91,9 +96,6 @@ class SearchStats:
         certified and that were computed exactly over Python ints; rows
         never built are never promoted, and a product a stacked search
         shares counts for each ``S`` it judged (telemetry).
-    shards_autotuned:
-        Rings whose shard count the adaptive cost model changed from
-        the naive ``effective_shards`` fan-out (telemetry).
     conflict_screens:
         Dependence and rank survivors of a schedule search whose
         conflict verdict a screen computed — every survivor of a judged
@@ -119,7 +121,6 @@ class SearchStats:
     degraded: bool = field(default=False, compare=False)
     batches_evaluated: int = field(default=0, compare=False)
     fastpath_promotions: int = field(default=0, compare=False)
-    shards_autotuned: int = field(default=0, compare=False)
     conflict_screens: int = field(default=0, compare=False)
 
     @property
@@ -158,7 +159,6 @@ class SearchStats:
             "degraded": self.degraded,
             "batches_evaluated": self.batches_evaluated,
             "fastpath_promotions": self.fastpath_promotions,
-            "shards_autotuned": self.shards_autotuned,
             "conflict_screens": self.conflict_screens,
         }
 
@@ -201,11 +201,6 @@ def format_stats(stats: SearchStats) -> str:
         lines.append(
             f"batched        : {stats.batches_evaluated} batch(es) / "
             f"{stats.fastpath_promotions} fast-path promotion(s)"
-        )
-    if stats.shards_autotuned:
-        lines.append(
-            f"autotuned      : {stats.shards_autotuned} ring(s) resharded "
-            "adaptively"
         )
     if stats.shards_resumed:
         lines.append(f"checkpoint     : {stats.shards_resumed} shard(s) resumed")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import os
+import signal
 import time
 from collections.abc import Callable
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -117,6 +118,19 @@ def _maybe_inject_fault(shard_index: int, attempt: int, batch: int) -> bool:
     return True  # corrupt
 
 
+def _init_worker() -> None:
+    """Pool worker start-up: drop the signal plumbing a fork inherits.
+
+    A forked worker inherits its parent's ``SIGTERM`` handler and wakeup
+    fd.  Under :mod:`repro.serve` the wakeup fd is the asyncio loop's
+    self-pipe, so terminating a hung or orphaned worker would wake the
+    server as if the *server* had been sent ``SIGTERM`` (it drains and
+    exits), and the worker itself would survive the signal.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _call_shard(worker: Callable[[dict], dict], payload: dict) -> object:
     """Pool-side shard entry point: fault hook, then the real worker.
 
@@ -150,8 +164,6 @@ def _output_ok(out: object) -> bool:
         return False
     if not isinstance(out.get("wall_time"), (int, float)):
         return False
-    if "codes" in out:
-        return isinstance(out["codes"], str)
     return isinstance(out.get("evaluated"), list)
 
 
@@ -259,7 +271,9 @@ class ResilientShardRunner:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_init_worker
+            )
         return self._pool
 
     def _abandon_pool(self) -> None:
@@ -267,11 +281,13 @@ class ResilientShardRunner:
         pool, self._pool = self._pool, None
         if pool is None:
             return
+        # Read the workers first: shutdown() forgets them.
+        procs = list((getattr(pool, "_processes", None) or {}).values())
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:  # pragma: no cover - shutdown never raises today
             pass
-        for proc in list((getattr(pool, "_processes", None) or {}).values()):
+        for proc in procs:
             try:
                 proc.terminate()
             except Exception:  # pragma: no cover - already-dead worker

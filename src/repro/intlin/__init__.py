@@ -17,7 +17,6 @@ memoized normal-form kernels key directly on the matrix.
 from .batch import (
     batch_dependence_mask,
     batch_matmul,
-    batch_nonzero_mask,
     batch_rows,
 )
 from .diophantine import DiophantineSolution, solve_diophantine
@@ -76,7 +75,6 @@ __all__ = [
     "as_intvec",
     "batch_dependence_mask",
     "batch_matmul",
-    "batch_nonzero_mask",
     "batch_rows",
     "bezout_row",
     "cofactor",

@@ -30,7 +30,6 @@ __all__ = [
     "batch_rows",
     "batch_matmul",
     "batch_dependence_mask",
-    "batch_nonzero_mask",
 ]
 
 
@@ -127,16 +126,3 @@ def batch_dependence_mask(pis: Any, dependence: Any) -> tuple[np.ndarray, int]:
     if prod.shape[1] == 0:
         return np.ones(prod.shape[0], dtype=bool), promoted
     return np.asarray((prod > 0).all(axis=1), dtype=bool), promoted
-
-
-def batch_nonzero_mask(pis: Any, mat: Any) -> tuple[np.ndarray, int]:
-    """Whether each ``pis[i] @ mat`` row has any non-zero entry.
-
-    The batch rank screen: with ``mat`` a kernel basis of the space
-    mapping ``S`` (full row rank ``k - 1``), ``rank([S; Pi]) == k`` iff
-    ``Pi`` is outside the row span of ``S`` iff ``Pi @ kernel != 0``.
-    """
-    prod, promoted = batch_matmul(pis, mat)
-    if prod.shape[1] == 0:
-        return np.zeros(prod.shape[0], dtype=bool), promoted
-    return np.asarray((prod != 0).any(axis=1), dtype=bool), promoted

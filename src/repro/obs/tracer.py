@@ -395,7 +395,7 @@ class trace_session:
     """Context manager: enable tracing, write JSONL on exit, restore.
 
     >>> with trace_session("run.jsonl"):            # doctest: +SKIP
-    ...     explore_schedule(algo, space, jobs=4)
+    ...     explore_joint(algo, jobs=4)
 
     ``path=None`` still enables in-memory tracing (records accessible
     via the yielded tracer) without writing a file.

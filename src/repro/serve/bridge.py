@@ -10,8 +10,10 @@ server-level SIGTERM handler reaches running jobs through the
 Every execution is journaled and resumable: jobs always run with
 ``checkpoint=<per-job journal>, resume=True``.  A fresh job simply has
 no journal yet (an absent file is a fresh start), while a job the
-server picked back up after a crash or restart replays its completed
-shards for free.  This is what makes the service's crash story one
+server picked back up after a crash or restart replays what its
+journal holds: a design job its completed shards, any job its final
+answer if it got that far (a schedule job journals nothing else and
+otherwise re-runs).  This is what makes the service's crash story one
 sentence long: kill the server whenever, restart it, and every
 in-flight job resumes where its journal ends with a result equal to an
 uninterrupted run.
@@ -91,14 +93,16 @@ def execute_job(
                           error="InjectedFault: hang (REPRO_SERVE_FAULT)")
     algorithm = spec.build_algorithm()
     common = dict(
-        jobs=jobs, cache=cache, resilience=resilience,
-        checkpoint=journal_path, resume=True, budget=budget,
+        cache=cache, checkpoint=journal_path, resume=True, budget=budget,
         stop=stop, on_progress=on_progress,
     )
     try:
         if spec.task == "parametric":
             return _fresh_on_stale(journal_path, lambda: _execute_parametric(
                 spec, algorithm, cache, common))
+        # Only the design searches run shards on a worker pool.
+        if spec.task != "schedule":
+            common.update(jobs=jobs, resilience=resilience)
         result = _fresh_on_stale(
             journal_path, lambda: _explore(spec, algorithm, common))
     except RunInterrupted as exc:

@@ -26,7 +26,7 @@ strict)::
       "pi": [1, 6, 1],            # space task
       "array_dim": 1, "magnitude": 1, "keep_ranking": 10,   # space/joint
       "time_weight": 1.0, "space_weight": 1.0,              # joint
-      "jobs": 2,                  # worker processes (capped by the server)
+      "jobs": 2,                  # space/joint worker processes (capped by the server)
       "tenant": "default"
     }
 

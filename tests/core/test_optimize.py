@@ -244,8 +244,8 @@ class TestPruningTelemetry:
 
 
 class TestCountersAcrossPaths:
-    """Work counters mean one thing on every path: the in-process
-    search and the engine at ``jobs=1`` report identical values."""
+    """Work counters mean one thing on every path: ``procedure_5_1`` and
+    the engine (the same in-process search) report identical values."""
 
     COUNTERS = ("batches_evaluated", "conflict_screens", "fastpath_promotions")
 
@@ -260,7 +260,7 @@ class TestCountersAcrossPaths:
     )
     def test_procedure_5_1_and_engine_agree(self, algo, space, method):
         serial = procedure_5_1(algo, space, method=method)
-        engine = explore_schedule(algo, space, jobs=1, method=method)
+        engine = explore_schedule(algo, space, method=method)
         assert engine == serial
         for name in self.COUNTERS:
             assert getattr(engine.stats, name) == getattr(serial.stats, name), name
@@ -276,7 +276,7 @@ class TestCorank2Pin:
     def test_winner_and_counters(self, engine):
         algo = bit_level_matrix_multiplication(3, 2)
         result = (
-            explore_schedule(algo, self.SPACE, jobs=1, cache=None)
+            explore_schedule(algo, self.SPACE, cache=None)
             if engine else procedure_5_1(algo, self.SPACE)
         )
         assert result.schedule.pi == (1, 1, 2, 5, 12)
@@ -346,9 +346,14 @@ class TestMu50Pins:
     )
     def test_winner_and_counters(self, engine, algo, space, pi, counters, examined):
         result = (
-            explore_schedule(algo, space, jobs=1, cache=None)
+            explore_schedule(algo, space, cache=None)
             if engine else procedure_5_1(algo, space)
         )
+        if engine:
+            # One meaning per counter: the engine is procedure_5_1.
+            serial = procedure_5_1(algo, space)
+            assert result == serial
+            assert result.stats.counter_dict() == serial.stats.counter_dict()
         enumerated, pruned, checked, rejected, rings = counters
         assert result.schedule.pi == pi
         assert result.stats.counter_dict() == {

@@ -138,29 +138,37 @@ class TestMismatches:
         with pytest.raises(CheckpointError, match="schema"):
             j.open("run-a", resume=True)
 
-    def test_schema_2_schedule_journal_is_refused(self, tmp_path):
-        # Schema-2 shard spans index the full ring, schema 3 the
-        # sign-restricted one: replaying them would misplace codes.
+    @staticmethod
+    def old_schedule_journal(path, schema):
+        """A completed matmul(4) schedule journal relabelled ``schema``,
+        with the stage-code shard a schema 2 or 3 engine wrote."""
         from repro.dse.executor import explore_schedule
         from repro.model import matrix_multiplication
 
-        algo, space, path = matrix_multiplication(4), [[1, 1, -1]], tmp_path / "run.ckpt"
-        with pytest.raises(BudgetExceeded):
-            explore_schedule(
-                algo, space, jobs=1, adaptive=False, cache=None,
-                checkpoint=path, budget=RunBudget(max_shards=1),
-            )
+        algo, space = matrix_multiplication(4), [[1, 1, -1]]
+        explore_schedule(algo, space, cache=None, checkpoint=path)
         records = [json.loads(line)["rec"] for line in path.read_text().splitlines()]
-        assert any("codes" in rec.get("out", {}) for rec in records)
+        records.insert(1, {"kind": "shard", "key": "0" * 64,
+                           "out": {"codes": "0123", "wall_time": 0.0}})
         for rec in records:
             if "schema" in rec:
-                rec["schema"] = 2
+                rec["schema"] = schema
         path.write_text("".join(_record_line(rec) for rec in records))
+        return lambda: explore_schedule(
+            algo, space, cache=None, checkpoint=path, resume=True
+        )
+
+    def test_schema_2_schedule_journal_is_refused(self, tmp_path):
+        resume = self.old_schedule_journal(tmp_path / "run.ckpt", 2)
         with pytest.raises(CheckpointError, match="schema 2"):
-            explore_schedule(
-                algo, space, jobs=1, adaptive=False, cache=None,
-                checkpoint=path, resume=True,
-            )
+            resume()
+
+    def test_schema_3_schedule_journal_is_refused(self, tmp_path):
+        # Schema 3 journals carry schedule shards; schema 4 runs the
+        # schedule search in process and journals only its decision.
+        resume = self.old_schedule_journal(tmp_path / "run.ckpt", 3)
+        with pytest.raises(CheckpointError, match="schema 3"):
+            resume()
 
     def test_shards_without_header_are_refused(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -283,44 +291,61 @@ class TestRunControl:
 
 
 class TestEngineResume:
-    """Seams between the schedule engine and its journal."""
+    """Seams between the engine and its journal."""
 
     @staticmethod
-    def journaled_shards(path):
-        records = [json.loads(line)["rec"] for line in path.read_text().splitlines()]
-        return [r for r in records if r["kind"] == "shard"]
+    def records(path):
+        return [json.loads(line)["rec"] for line in path.read_text().splitlines()]
 
     def test_resumed_run_rederives_identical_shard_ranges(self, tmp_path):
+        import threading
+
+        from repro import matrix_multiplication
+        from repro.core.space_optimize import solve_joint_optimal
+        from repro.dse.executor import explore_joint
+
+        algo, journal = matrix_multiplication(4), tmp_path / "run.ckpt"
+        stop = threading.Event()
+
+        def stop_after_first_shard(event):
+            if event["event"] == "shard_done":
+                stop.set()
+
+        with pytest.raises(RunInterrupted):
+            explore_joint(
+                algo, jobs=4, checkpoint=journal, stop=stop,
+                on_progress=stop_after_first_shard,
+            )
+        recorded = [r for r in self.records(journal) if r["kind"] == "shard"]
+        resumed = explore_joint(algo, jobs=4, checkpoint=journal, resume=True)
+        # Every journaled shard is hit: the resumed run cut exactly the
+        # ranges the first run cut, and dispatched only the rest.
+        assert resumed.stats.shards_resumed == len(recorded) == 1
+        assert resumed.stats.shards == 4
+        assert resumed == solve_joint_optimal(algo)
+
+    def test_schedule_journal_holds_header_and_result_only(
+        self, tmp_path, monkeypatch
+    ):
         from repro import matrix_multiplication
         from repro.core.optimize import procedure_5_1
-        from repro.dse.executor import explore_schedule
+        from repro.dse import executor
 
-        algo, space = matrix_multiplication(6), ((1, 1, -1),)
+        algo, space = matrix_multiplication(4), ((1, 1, -1),)
         journal = tmp_path / "run.ckpt"
-        with pytest.raises(BudgetExceeded):
-            explore_schedule(
-                algo, space, jobs=2, adaptive=True, checkpoint=journal,
-                budget=RunBudget(max_shards=3),
-            )
-        recorded = len(self.journaled_shards(journal))
-        resumed = explore_schedule(
-            algo, space, jobs=2, adaptive=True, checkpoint=journal, resume=True
-        )
-        # Every journaled shard (the calibration probe included) is hit:
-        # the resumed autotuner cut exactly the ranges the first run cut.
-        assert resumed.stats.shards_resumed == recorded >= 3
-        assert resumed == procedure_5_1(algo, space)
+        cold = executor.explore_schedule(algo, space, checkpoint=journal)
+        records = self.records(journal)
+        assert [r["kind"] for r in records] == ["run", "result"]
+        assert records[0]["schema"] == JOURNAL_SCHEMA_VERSION == 4
 
-    def test_schedule_shards_journal_stage_codes(self, tmp_path):
-        from repro import matrix_multiplication
-        from repro.dse.executor import explore_schedule
+        def no_search(*args, **kwargs):
+            raise AssertionError("a completed journal must not search again")
 
-        journal = tmp_path / "run.ckpt"
-        explore_schedule(
-            matrix_multiplication(4), ((1, 1, -1),), jobs=1, checkpoint=journal
+        # Resuming a completed journal short-circuits like a cache hit.
+        monkeypatch.setattr(executor, "scan_rings", no_search)
+        resumed = executor.explore_schedule(
+            algo, space, checkpoint=journal, resume=True
         )
-        outs = [r["out"] for r in self.journaled_shards(journal) if "codes" in r["out"]]
-        assert outs
-        for out in outs:
-            assert "records" not in out
-            assert set(out["codes"]) <= set("0123")
+        assert resumed == cold == procedure_5_1(algo, space)
+        assert resumed.stats.counter_dict() == cold.stats.counter_dict()
+        assert resumed.stats.shards_resumed == 0

@@ -2,9 +2,11 @@
 
 The engine's contract is that execution strategy is invisible in the
 result: for the paper's worked examples (5.1, 5.2, the 4-D Example 2.1
-algorithm) the sharded searches with ``jobs in {1, 2, 4}`` and warm
+algorithm) the engine searches with ``jobs in {1, 2, 4}`` and warm
 cache replays must return results that compare equal to the serial
-solvers' — winners, verdicts and deterministic stats included.
+solvers' — winners, verdicts and deterministic stats included.  The
+schedule search runs in process and ignores ``jobs``; the design
+searches shard over a pool of ``jobs`` workers.
 """
 
 import threading
@@ -37,6 +39,9 @@ S_4D = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
 
 class TestScheduleEquivalence:
+    """``explore_schedule`` accepts ``jobs`` like the design searches and
+    ignores it: every value gives the in-process search's result."""
+
     @pytest.mark.parametrize("jobs", JOBS)
     def test_example_5_1(self, matmul4, jobs):
         serial = procedure_5_1(matmul4, [[1, 1, -1]])
@@ -80,30 +85,48 @@ class TestScheduleEquivalence:
         assert explore_schedule(matmul4, [[1, 1, -1]], jobs=2, **kwargs) == serial
 
     def test_telemetry_reports_shards(self, matmul4):
-        # Fixed sharding: every ring is cut jobs ways.
-        parallel = explore_schedule(
-            matmul4, [[1, 1, -1]], jobs=2, adaptive=False
-        )
-        assert parallel.stats.shards == 2
-        assert len(parallel.stats.shard_wall_times) >= 2
-        assert parallel.stats.shards_autotuned == 0
+        # One in-process shard whatever jobs says, timed like
+        # procedure_5_1's: its one shard time is the search's wall time.
+        result = explore_schedule(matmul4, [[1, 1, -1]], jobs=2)
+        serial = procedure_5_1(matmul4, [[1, 1, -1]])
+        assert result.stats.shards == serial.stats.shards == 1
+        assert result.stats.shard_wall_times == (result.stats.wall_time,)
+        assert result.stats.shards_resumed == 0
 
-    def test_adaptive_keeps_cheap_rings_serial(self, matmul4):
-        # These rings scan in well under the fan-out threshold, so the
-        # autotuner keeps every one serial — same result, no pool churn.
-        fixed = explore_schedule(matmul4, [[1, 1, -1]], jobs=2, adaptive=False)
-        adaptive = explore_schedule(matmul4, [[1, 1, -1]], jobs=2)
-        assert adaptive == fixed
-        assert adaptive.stats.shards == 1
-        assert adaptive.stats.shards_autotuned > 0
+
+class TestScheduleRunControl:
+    """Stop, budget and progress act between the rings of the
+    in-process schedule search."""
+
+    def test_stop_event_interrupts_before_the_first_ring(self, matmul4):
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(RunInterrupted):
+            explore_schedule(matmul4, [[1, 1, -1]], stop=stop)
+
+    def test_bit_budget_stops_at_the_ring_that_needs_more_bits(self, matmul4):
+        serial = procedure_5_1(matmul4, [[1, 1, -1]])
+        assert serial.rings_expanded >= 1
+        with pytest.raises(BudgetExceeded):
+            explore_schedule(
+                matmul4, [[1, 1, -1]], budget=RunBudget(max_bits=1)
+            )
+
+    def test_one_phase_event_per_ring(self, matmul4):
+        events = []
+        result = explore_schedule(matmul4, [[1, 1, -1]], on_progress=events.append)
+        assert result == procedure_5_1(matmul4, [[1, 1, -1]])
+        assert {e["event"] for e in events} == {"phase"}
+        assert [e["phase"] for e in events] == ["dse.ring"] * (result.rings_expanded + 1)
+        assert [e["winner"] for e in events] == [False] * result.rings_expanded + [True]
 
 
 class TestScheduleCache:
     def test_warm_equals_cold_equals_serial(self, matmul4, tmp_path):
         cache = ResultCache(tmp_path)
         serial = procedure_5_1(matmul4, [[1, 1, -1]])
-        cold = explore_schedule(matmul4, [[1, 1, -1]], jobs=2, cache=cache)
-        warm = explore_schedule(matmul4, [[1, 1, -1]], jobs=2, cache=cache)
+        cold = explore_schedule(matmul4, [[1, 1, -1]], cache=cache)
+        warm = explore_schedule(matmul4, [[1, 1, -1]], cache=cache)
         assert cold == serial == warm
         assert cold.stats.cache_misses == 1 and cold.stats.cache_hits == 0
         assert warm.stats.cache_hits == 1 and warm.stats.cache_misses == 0
@@ -112,21 +135,21 @@ class TestScheduleCache:
     def test_not_found_is_cached_too(self, matmul4, tmp_path):
         cache = ResultCache(tmp_path)
         kwargs = dict(initial_bound=3, max_bound=5, cache=cache)
-        cold = explore_schedule(matmul4, [[1, 1, -1]], jobs=1, **kwargs)
-        warm = explore_schedule(matmul4, [[1, 1, -1]], jobs=1, **kwargs)
+        cold = explore_schedule(matmul4, [[1, 1, -1]], **kwargs)
+        warm = explore_schedule(matmul4, [[1, 1, -1]], **kwargs)
         assert not cold.found and cold == warm
         assert warm.stats.cache_hits == 1
 
     def test_different_bounds_do_not_collide(self, matmul4, tmp_path):
         cache = ResultCache(tmp_path)
-        explore_schedule(matmul4, [[1, 1, -1]], jobs=1, cache=cache)
-        explore_schedule(matmul4, [[1, 1, -1]], jobs=1, cache=cache, alpha=2)
+        explore_schedule(matmul4, [[1, 1, -1]], cache=cache)
+        explore_schedule(matmul4, [[1, 1, -1]], cache=cache, alpha=2)
         assert len(cache) == 2
 
     def test_extra_constraint_bypasses_cache(self, matmul4, tmp_path):
         cache = ResultCache(tmp_path)
         explore_schedule(
-            matmul4, [[1, 1, -1]], jobs=1, cache=cache,
+            matmul4, [[1, 1, -1]], cache=cache,
             extra_constraint=lambda t: True,
         )
         assert len(cache) == 0
@@ -280,16 +303,18 @@ class TestCallbackPath:
 
 
 class TestPipelineIntegration:
-    def test_jobs_routes_through_engine(self, matmul4):
+    def test_checkpoint_routes_through_engine(self, matmul4, tmp_path):
         baseline = find_time_optimal_mapping(
             matmul4, [[1, 1, -1]], solver="procedure-5.1"
         )
+        journal = tmp_path / "run.ckpt"
         engine = find_time_optimal_mapping(
-            matmul4, [[1, 1, -1]], solver="procedure-5.1", jobs=2
+            matmul4, [[1, 1, -1]], solver="procedure-5.1", checkpoint=journal
         )
         assert engine.schedule == baseline.schedule
         assert engine.mapping == baseline.mapping
         assert engine.stats == baseline.stats
+        assert '"kind":"result"' in journal.read_text()
 
     def test_cache_routes_through_engine(self, matmul4, tmp_path):
         cache = ResultCache(tmp_path)

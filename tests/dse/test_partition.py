@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.dse.partition import (
-    ShardAutotuner,
-    effective_shards,
-    ring_bounds,
-    ring_ranges,
-)
+from repro.dse.partition import effective_shards, ring_bounds, ring_ranges
 
 
 class TestEffectiveShards:
@@ -76,102 +71,3 @@ class TestRingRanges:
             ring_ranges(5, 0)
         with pytest.raises(ValueError):
             ring_ranges(-1, 2)
-
-
-class TestShardAutotuner:
-    def test_first_ring_is_a_serial_probe(self):
-        tuner = ShardAutotuner(jobs=8)
-        assert tuner.shards_for(1000) == 1
-
-    def test_cheap_rings_stay_serial(self):
-        tuner = ShardAutotuner(jobs=8)
-        tuner.observe(1000, 0.001)  # 1 us per candidate
-        assert tuner.shards_for(2000) == 1  # predicted 2 ms << fan-out bar
-
-    def test_expensive_rings_fan_out(self):
-        tuner = ShardAutotuner(jobs=8)
-        tuner.observe(100, 1.0)  # 10 ms per candidate
-        assert tuner.shards_for(200) == 8  # predicted 2 s >> target/shard
-
-    def test_fanout_sized_to_target_not_always_max(self):
-        tuner = ShardAutotuner(jobs=16)
-        tuner.observe(1000, 0.1)  # 0.1 ms per candidate
-        # Predicted 0.2 s: above the fan-out bar, but only worth
-        # ceil(0.2 / 0.05) = 4 shards, not all 16 workers.
-        assert tuner.shards_for(2000) == 4
-
-    def test_counts_only_decisions_that_differ_from_baseline(self):
-        tuner = ShardAutotuner(jobs=4)
-        tuner.shards_for(100)  # probe: 1 != baseline 4
-        assert tuner.autotuned == 1
-        tuner.observe(100, 10.0)
-        tuner.shards_for(100)  # expensive: 4 == baseline 4
-        assert tuner.autotuned == 1
-
-    def test_jobs_1_is_always_baseline(self):
-        tuner = ShardAutotuner(jobs=1)
-        tuner.shards_for(50)
-        tuner.observe(50, 5.0)
-        tuner.shards_for(50)
-        assert tuner.autotuned == 0
-
-    def test_deterministic_replay(self):
-        # Identical observation sequences yield identical decisions —
-        # the property checkpoint resume depends on.
-        a = ShardAutotuner(jobs=4)
-        b = ShardAutotuner(jobs=4)
-        decisions_a, decisions_b = [], []
-        for total, secs in [(100, 0.5), (200, 0.9), (50, 0.01), (400, 2.0)]:
-            decisions_a.append(a.shards_for(total))
-            a.observe(total, secs)
-            decisions_b.append(b.shards_for(total))
-            b.observe(total, secs)
-        assert decisions_a == decisions_b
-
-    def test_rejects_negative_observations(self):
-        tuner = ShardAutotuner(jobs=2)
-        with pytest.raises(ValueError):
-            tuner.observe(-1, 0.0)
-        with pytest.raises(ValueError):
-            tuner.observe(1, -0.5)
-
-    def test_shard_cap_stays_at_enumerated_count(self):
-        # Fan-out is capped by how many candidates can be dealt.
-        tuner = ShardAutotuner(jobs=8)
-        tuner.observe(10, 10.0)  # 1 s per candidate: always fan out
-        assert tuner.shards_for(3) == 3
-
-
-class TestAutotunerAccounting:
-    """The adaptive engine's serial-probe ring is counted exactly once."""
-
-    ALGO_MU = 4
-    SPACE = ((1, 1, -1),)
-
-    def test_adaptive_counts_equal_serial(self):
-        from repro import matrix_multiplication
-        from repro.core.optimize import procedure_5_1
-        from repro.dse.executor import explore_schedule
-
-        algo = matrix_multiplication(self.ALGO_MU)
-        serial = procedure_5_1(algo, self.SPACE)
-        for jobs in (1, 2):
-            adaptive = explore_schedule(algo, self.SPACE, jobs=jobs, adaptive=True)
-            assert adaptive == serial
-            assert adaptive.stats.counter_dict() == serial.stats.counter_dict()
-
-    def test_probed_ring_wall_time_counted_once(self):
-        """One wall-time sample per dispatched shard — the probe ring
-        contributes exactly one, never a probe + re-deal pair."""
-        from repro import matrix_multiplication
-        from repro.dse.executor import explore_schedule
-
-        result = explore_schedule(
-            matrix_multiplication(self.ALGO_MU), self.SPACE, jobs=2, adaptive=True
-        )
-        rings_scanned = result.stats.rings_expanded + 1
-        assert len(result.stats.shard_wall_times) >= rings_scanned
-        assert (
-            len(result.stats.shard_wall_times)
-            <= rings_scanned * result.stats.shards
-        )

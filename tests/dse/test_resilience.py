@@ -6,7 +6,9 @@ cache entry — via the deterministic ``$REPRO_DSE_FAULT`` hook, which
 fires *inside the worker process*.  Nothing is mocked.  The invariant
 under test is the engine's contract: a recovered search result compares
 equal to the serial (``jobs=1``, no-cache) one, with the recovery
-visible only in the ``SearchStats`` failure telemetry.
+visible only in the ``SearchStats`` failure telemetry.  Only the design
+searches (Problems 6.1 and 6.2) run shards on a pool; the schedule
+search runs in process, so its cache recovery is tested here too.
 """
 
 import json
@@ -14,7 +16,6 @@ import json
 import pytest
 
 from repro.core.optimize import procedure_5_1
-from repro.core.pipeline import find_time_optimal_mapping
 from repro.core.space_optimize import solve_joint_optimal, solve_space_optimal
 from repro.dse.cache import ResultCache
 from repro.dse.executor import explore_joint, explore_schedule, explore_space
@@ -28,6 +29,7 @@ from repro.dse.resilience import (
 )
 
 SPACE = [[1, 1, -1]]
+PI = (1, 2, 3)  # a schedule of Example 5.1 for the Problem 6.1 searches
 
 # No backoff sleeps in tests; recovery behavior is unaffected.
 FAST = ResiliencePolicy(backoff_base=0.0)
@@ -36,6 +38,20 @@ FAST = ResiliencePolicy(backoff_base=0.0)
 def _echo_shard(payload):
     """A trivial shard worker (module level, so the pool can pickle it)."""
     return {"wall_time": 0.0, "evaluated": [payload["x"]]}
+
+
+def _nap(seconds):
+    import time
+
+    time.sleep(seconds)
+
+
+def _signal_state(payload):
+    """A pool worker's SIGTERM disposition and wakeup fd."""
+    import signal
+
+    default = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    return {"wall_time": 0.0, "evaluated": [default, signal.set_wakeup_fd(-1)]}
 
 
 class TestResiliencePolicy:
@@ -82,11 +98,12 @@ class TestFaultSpec:
 
 class TestCrashRecovery:
     def test_shard_killed_mid_ring_recovers(self, matmul4, monkeypatch):
-        serial = procedure_5_1(matmul4, SPACE)
+        # A Problem 6.2 shard runs Procedure 5.1's rings over its S.
+        serial = solve_joint_optimal(matmul4)
         monkeypatch.setenv(FAULT_ENV_VAR, "crash:0")
-        recovered = explore_schedule(matmul4, SPACE, jobs=2, adaptive=False, resilience=FAST)
+        recovered = explore_joint(matmul4, jobs=2, resilience=FAST)
         assert recovered == serial
-        assert recovered.schedule.pi == serial.schedule.pi
+        assert recovered.best.mapping == serial.best.mapping
         # The recovery is visible in the failure telemetry.
         assert recovered.stats.shard_retries >= 1
         assert recovered.stats.pool_restarts == 1
@@ -110,11 +127,11 @@ class TestCrashRecovery:
 
 class TestTimeoutRecovery:
     def test_hung_shard_is_reaped_and_retried(self, matmul4, monkeypatch):
-        serial = procedure_5_1(matmul4, SPACE)
+        serial = solve_space_optimal(matmul4, PI)
         monkeypatch.setenv(FAULT_ENV_VAR, "hang:0")
         monkeypatch.setenv(FAULT_HANG_ENV_VAR, "30")
         policy = ResiliencePolicy(shard_timeout=1.0, backoff_base=0.0)
-        recovered = explore_schedule(matmul4, SPACE, jobs=2, adaptive=False, resilience=policy)
+        recovered = explore_space(matmul4, PI, jobs=2, resilience=policy)
         assert recovered == serial
         assert recovered.stats.shard_timeouts >= 1
         assert recovered.stats.pool_restarts >= 1
@@ -123,9 +140,9 @@ class TestTimeoutRecovery:
 
 class TestCorruptOutputRecovery:
     def test_corrupted_shard_output_is_retried(self, matmul4, monkeypatch):
-        serial = procedure_5_1(matmul4, SPACE)
+        serial = solve_space_optimal(matmul4, PI)
         monkeypatch.setenv(FAULT_ENV_VAR, "corrupt:0")
-        recovered = explore_schedule(matmul4, SPACE, jobs=2, adaptive=False, resilience=FAST)
+        recovered = explore_space(matmul4, PI, jobs=2, resilience=FAST)
         assert recovered == serial
         assert recovered.stats.shard_retries == 1
         # The pool itself survives a garbage result.
@@ -134,23 +151,23 @@ class TestCorruptOutputRecovery:
 
 class TestDegradation:
     def test_persistent_crash_degrades_in_process(self, matmul4, monkeypatch):
-        serial = procedure_5_1(matmul4, SPACE)
+        serial = solve_space_optimal(matmul4, PI)
         monkeypatch.setenv(FAULT_ENV_VAR, "crash:0:always")
         policy = ResiliencePolicy(
             max_retries=1, backoff_base=0.0, max_pool_restarts=100
         )
-        recovered = explore_schedule(matmul4, SPACE, jobs=2, adaptive=False, resilience=policy)
+        recovered = explore_space(matmul4, PI, jobs=2, resilience=policy)
         assert recovered == serial
         assert recovered.stats.degraded
         assert recovered.stats.shard_retries >= 1
 
     def test_pool_restart_budget_degrades_globally(self, matmul4, monkeypatch):
-        serial = procedure_5_1(matmul4, SPACE)
+        serial = solve_space_optimal(matmul4, PI)
         monkeypatch.setenv(FAULT_ENV_VAR, "crash:0:always")
         policy = ResiliencePolicy(
             max_retries=5, backoff_base=0.0, max_pool_restarts=0
         )
-        recovered = explore_schedule(matmul4, SPACE, jobs=2, adaptive=False, resilience=policy)
+        recovered = explore_space(matmul4, PI, jobs=2, resilience=policy)
         assert recovered == serial
         assert recovered.stats.degraded
         assert recovered.stats.pool_restarts == 1
@@ -161,14 +178,14 @@ class TestDegradation:
             max_retries=1, backoff_base=0.0, degrade=False, max_pool_restarts=100
         )
         with pytest.raises(ResilienceError):
-            explore_schedule(matmul4, SPACE, jobs=2, adaptive=False, resilience=policy)
+            explore_space(matmul4, PI, jobs=2, resilience=policy)
 
     def test_jobs_1_never_touches_a_pool(self, matmul4, monkeypatch):
         # The in-process path is the degradation target; faults only fire
         # inside pool workers, so jobs=1 is immune by construction.
         monkeypatch.setenv(FAULT_ENV_VAR, "crash:0:always")
-        serial = procedure_5_1(matmul4, SPACE)
-        assert explore_schedule(matmul4, SPACE, jobs=1, resilience=FAST) == serial
+        serial = solve_space_optimal(matmul4, PI)
+        assert explore_space(matmul4, PI, jobs=1, resilience=FAST) == serial
 
 
 class TestCorruptCacheRecovery:
@@ -178,19 +195,17 @@ class TestCorruptCacheRecovery:
     def test_truncated_entry_recovers_and_quarantines(self, matmul4, tmp_path):
         serial = procedure_5_1(matmul4, SPACE)
         cache = ResultCache(tmp_path)
-        explore_schedule(matmul4, SPACE, jobs=2, cache=cache, resilience=FAST)
+        explore_schedule(matmul4, SPACE, cache=cache)
         (entry,) = self._entry_files(tmp_path)
         entry.write_text(entry.read_text()[: len(entry.read_text()) // 2])
-        recovered = explore_schedule(
-            matmul4, SPACE, jobs=2, cache=cache, resilience=FAST
-        )
+        recovered = explore_schedule(matmul4, SPACE, cache=cache)
         assert recovered == serial
         assert recovered.stats.cache_hits == 0
         assert recovered.stats.cache_misses == 1
         assert cache.quarantined == 1
         assert list(tmp_path.glob("*.json.corrupt"))
         # The re-search rewrote a good entry: the next replay hits.
-        warm = explore_schedule(matmul4, SPACE, jobs=2, cache=cache, resilience=FAST)
+        warm = explore_schedule(matmul4, SPACE, cache=cache)
         assert warm == serial
         assert warm.stats.cache_hits == 1
 
@@ -199,10 +214,10 @@ class TestCorruptCacheRecovery:
 
         serial = procedure_5_1(matmul4, SPACE)
         cache = ResultCache(tmp_path)
-        explore_schedule(matmul4, SPACE, jobs=1, cache=cache)
+        explore_schedule(matmul4, SPACE, cache=cache)
         (entry,) = self._entry_files(tmp_path)
         entry.write_text(json.dumps({"schema": CACHE_SCHEMA_VERSION}))
-        recovered = explore_schedule(matmul4, SPACE, jobs=1, cache=cache)
+        recovered = explore_schedule(matmul4, SPACE, cache=cache)
         assert recovered == serial
         assert cache.quarantined == 1
 
@@ -240,6 +255,37 @@ class TestRunnerUnit:
         ]
         assert runner.pool_restarts == 1 and runner.shard_retries == 1
 
+    def test_abandoned_pool_terminates_its_workers(self):
+        runner = ResilientShardRunner(2, policy=FAST)
+        runner._ensure_pool().submit(_nap, 30)
+        procs = list(runner._pool._processes.values())
+        assert procs
+        runner._abandon_pool()
+        for proc in procs:
+            proc.join(timeout=10)
+            assert proc.exitcode is not None, "a hung worker outlived its pool"
+
+    def test_workers_drop_the_parents_signal_plumbing(self):
+        # A parent with its own SIGTERM handler and wakeup fd (as the
+        # job server's asyncio loop has): a terminated worker must die,
+        # not write SIGTERM into the parent's wakeup fd.
+        import signal
+        import socket
+
+        ours, theirs = socket.socketpair()
+        ours.setblocking(False)
+        old_fd = signal.set_wakeup_fd(ours.fileno())
+        old_handler = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            with ResilientShardRunner(2, policy=FAST) as runner:
+                outs = runner.run(_signal_state, [{}, {}])
+        finally:
+            signal.signal(signal.SIGTERM, old_handler)
+            signal.set_wakeup_fd(old_fd)
+            ours.close()
+            theirs.close()
+        assert [out["evaluated"] for out in outs] == [[True, -1], [True, -1]]
+
     def test_telemetry_application(self):
         from repro.dse.progress import SearchStats
 
@@ -259,18 +305,6 @@ class TestRunnerUnit:
 
 
 class TestPipelineAndStats:
-    def test_pipeline_threads_resilience_policy(self, matmul4, monkeypatch):
-        baseline = find_time_optimal_mapping(
-            matmul4, SPACE, solver="procedure-5.1"
-        )
-        monkeypatch.setenv(FAULT_ENV_VAR, "crash:0")
-        engine = find_time_optimal_mapping(
-            matmul4, SPACE, solver="procedure-5.1", jobs=2, adaptive=False, resilience=FAST
-        )
-        assert engine.schedule == baseline.schedule
-        assert engine.mapping == baseline.mapping
-        assert engine.stats == baseline.stats
-
     def test_failure_counters_round_trip_and_format(self):
         from repro.dse.progress import SearchStats, format_stats
 
@@ -292,13 +326,13 @@ class TestCLIFlags:
         from repro.cli import main
 
         code = main([
-            "explore", "-a", "matmul", "--mu", "3", "-s", "1,1,-1",
+            "explore", "-a", "matmul", "--mu", "3", "-p", "1,3,1",
             "--jobs", "2", "--cache-dir", str(tmp_path),
             "--shard-timeout", "30", "--max-retries", "1", "--no-degrade",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "optimal Pi" in out
+        assert "space search" in out and "#1:" in out
 
     def test_bad_shard_timeout_is_a_clean_exit(self, tmp_path):
         from repro.cli import main

@@ -14,7 +14,6 @@ from repro.intlin import (
     as_intmat,
     batch_dependence_mask,
     batch_matmul,
-    batch_nonzero_mask,
     batch_rows,
 )
 
@@ -124,14 +123,3 @@ class TestBatchMasks:
             [[1, 2]], np.empty((2, 0), dtype=np.int64)
         )
         assert mask.tolist() == [True]
-
-    def test_nonzero_mask(self):
-        kernel = [[1], [0], [-1]]
-        mask, _ = batch_nonzero_mask([[1, 5, 1], [2, 0, 1], [0, 7, 0]], kernel)
-        assert mask.tolist() == [False, True, False]
-
-    def test_nonzero_mask_empty_matrix_is_all_false(self):
-        mask, _ = batch_nonzero_mask(
-            [[1, 2]], np.empty((2, 0), dtype=np.int64)
-        )
-        assert mask.tolist() == [False]

@@ -183,7 +183,7 @@ class TestFrontDoors:
 
         algo = matrix_multiplication(3)
         with pytest.raises(SpecSizeError):
-            explore_schedule(algo, [[10**10, 1, -1]], jobs=1)
+            explore_schedule(algo, [[10**10, 1, -1]])
 
     def test_explore_space_rejects_bad_pi(self):
         from repro.dse import explore_space

@@ -5,9 +5,12 @@ The acceptance contract of the observability layer:
 * a traced parallel search returns a result equal to the serial one
   (tracing is telemetry, never a semantic);
 * the exported JSONL is schema-valid;
-* the timing is one source of truth — the shard spans in the trace sum
-  exactly to ``SearchStats.shard_wall_times`` and the root span *is*
-  ``SearchStats.wall_time``.
+* the timing is one source of truth — the shard spans of a design
+  search sum exactly to ``SearchStats.shard_wall_times`` and the root
+  span *is* ``SearchStats.wall_time``.
+
+The schedule search runs in process: its trace is the ring spans under
+the ``dse.explore_schedule`` root, with no shard spans.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import pytest
 from repro.core import MappingMatrix, solve_joint_optimal
 from repro.core.optimize import procedure_5_1, ring_candidate_array, ring_size
 from repro.core.space_optimize import enumerate_space_mappings
-from repro.dse import ResultCache, explore_schedule, explore_space
+from repro.dse import ResultCache, explore_joint, explore_schedule, explore_space
 from repro.model import matrix_multiplication
 from repro.obs import load_trace, trace_session
 from repro.systolic import simulate_mapping
@@ -37,7 +40,7 @@ class TestTracedScheduleSearch:
         path, events = tmp_path / "t.jsonl", []
         with trace_session(path):
             result = procedure_5_1(matmul4, SPACE_51)
-            explore_schedule(matmul4, SPACE_51, jobs=1, on_progress=events.append)
+            explore_schedule(matmul4, SPACE_51, on_progress=events.append)
         rings = [
             r["attrs"] for r in load_trace(path)
             if r["type"] == "span" and r["name"] in ("core.ring", "dse.ring")
@@ -55,17 +58,19 @@ class TestTracedScheduleSearch:
             assert ring["materialized"] < ring["candidates"]
 
     def test_traced_parallel_equals_serial(self, matmul4, tmp_path):
-        serial = procedure_5_1(matmul4, SPACE_51)
         with trace_session(tmp_path / "t.jsonl"):
-            parallel = explore_schedule(matmul4, SPACE_51, jobs=4)
-        assert parallel == serial
+            schedule = explore_schedule(matmul4, SPACE_51)
+            parallel = explore_joint(matmul4, jobs=4)
+        assert schedule == procedure_5_1(matmul4, SPACE_51)
+        assert parallel == solve_joint_optimal(matmul4)
 
     def test_trace_is_schema_valid_and_timing_consistent(
         self, matmul4, tmp_path
     ):
         path = tmp_path / "t.jsonl"
         with trace_session(path):
-            result = explore_schedule(matmul4, SPACE_51, jobs=4)
+            result = explore_joint(matmul4, jobs=4)
+            schedule = explore_schedule(matmul4, SPACE_51)
         records = load_trace(path)  # raises on any schema problem
         spans = [r for r in records if r["type"] == "span"]
 
@@ -75,33 +80,40 @@ class TestTracedScheduleSearch:
             sum(result.stats.shard_wall_times), rel=1e-9
         )
 
-        [root] = [
-            s for s in spans
-            if s["name"] == "dse.explore_schedule" and s["parent_id"] is None
-        ]
-        assert root["duration"] == pytest.approx(
-            result.stats.wall_time, rel=1e-9
-        )
+        for name, run in (("dse.explore_joint", result),
+                          ("dse.explore_schedule", schedule)):
+            [root] = [
+                s for s in spans if s["name"] == name and s["parent_id"] is None
+            ]
+            assert root["duration"] == pytest.approx(
+                run.stats.wall_time, rel=1e-9
+            )
 
     def test_spans_form_one_tree_with_shard_tags(self, matmul4, tmp_path):
         path = tmp_path / "t.jsonl"
         with trace_session(path):
-            explore_schedule(matmul4, SPACE_51, jobs=4)
+            explore_joint(matmul4, jobs=4)
+            explore_schedule(matmul4, SPACE_51)
         spans = [r for r in load_trace(path) if r["type"] == "span"]
         by_id = {s["span_id"]: s for s in spans}
-        rings = [s for s in spans if s["name"] == "dse.ring"]
-        assert rings
-        for shard in (s for s in spans if s["name"] == "dse.shard"):
+        shards = [s for s in spans if s["name"] == "dse.shard"]
+        assert len(shards) == 4
+        for shard in shards:
             assert "shard" in shard["attrs"]
             parent = by_id[shard["parent_id"]]
-            assert parent["name"] == "dse.ring"
+            assert parent["name"] == "dse.designs"
+        # The in-process schedule search: its rings hang off its root.
+        rings = [s for s in spans if s["name"] == "dse.ring"]
+        assert rings
+        for ring in rings:
+            assert by_id[ring["parent_id"]]["name"] == "dse.explore_schedule"
 
     def test_cache_events_reach_the_trace(self, matmul4, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         with trace_session(tmp_path / "cold.jsonl"):
-            cold = explore_schedule(matmul4, SPACE_51, jobs=1, cache=cache)
+            cold = explore_schedule(matmul4, SPACE_51, cache=cache)
         with trace_session(tmp_path / "warm.jsonl"):
-            warm = explore_schedule(matmul4, SPACE_51, jobs=1, cache=cache)
+            warm = explore_schedule(matmul4, SPACE_51, cache=cache)
         assert warm == cold
         cold_events = [
             r["name"] for r in load_trace(tmp_path / "cold.jsonl")
@@ -117,7 +129,7 @@ class TestTracedScheduleSearch:
     def test_untraced_run_unchanged(self, matmul4):
         # The disabled path: no tracer configured, result still equal
         # and wall_time still populated (spans time themselves).
-        result = explore_schedule(matmul4, SPACE_51, jobs=2)
+        result = explore_schedule(matmul4, SPACE_51)
         assert result == procedure_5_1(matmul4, SPACE_51)
         assert result.stats.wall_time > 0.0
         assert all(w > 0.0 for w in result.stats.shard_wall_times)
@@ -238,14 +250,14 @@ class TestRingSubPhases:
             line = next(ln for ln in out.splitlines() if ln.startswith(phase))
             assert int(line.split()[1]) == len(rings)
 
-    def test_shard_spans_carry_the_split(self, matmul4, tmp_path):
+    def test_engine_ring_spans_carry_the_split(self, matmul4, tmp_path):
         path = tmp_path / "e.jsonl"
         with trace_session(path):
-            explore_schedule(matmul4, SPACE_51, jobs=1)
+            explore_schedule(matmul4, SPACE_51)
         spans = [r for r in load_trace(path) if r["type"] == "span"]
-        shards, children = self._children_by_parent(spans, "dse.shard")
-        assert shards
-        for shard_id, shard in shards.items():
-            kids = children[shard_id]
+        rings, children = self._children_by_parent(spans, "dse.ring")
+        assert rings
+        for ring_id, ring in rings.items():
+            kids = children[ring_id]
             assert sorted(s["name"] for s in kids) == sorted(self.PHASES)
-            assert sum(s["duration"] for s in kids) <= shard["duration"]
+            assert sum(s["duration"] for s in kids) <= ring["duration"]

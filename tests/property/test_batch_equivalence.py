@@ -2,8 +2,9 @@
 
 Procedure 5.1 has one ring driver and one vectorized evaluator; the
 contract is that, for any algorithm/space pair, every way of running
-it — ``procedure_5_1``, ``explore_schedule`` at ``jobs`` 1 and 2, and
-an interrupted-then-resumed engine run — returns the winner, verdict,
+it — ``procedure_5_1``, ``explore_schedule``, a checkpointed engine run
+replayed from its journal, and an interrupted-then-rerun one — returns
+the winner, verdict,
 tie set and deterministic counters of a plain reference loop:
 :func:`enumerate_schedule_vectors` rings sorted by ``(f, Pi)`` and
 judged one candidate at a time by the kernel-box oracle.  The
@@ -24,9 +25,9 @@ from hypothesis import strategies as st
 from repro.core.conditions import check_conflict_free
 from repro.core.conflict import (
     adjugate_conflict_matrix,
-    batch_adjugate_screen,
     box_kernel_screen,
     box_kernel_table,
+    conflict_vector_verdicts,
     is_conflict_free_kernel_box,
 )
 from repro.core.mapping import MappingMatrix
@@ -210,27 +211,40 @@ def assert_every_path_equals_reference(algo, space, tmp_path, max_bound=None):
         assert serial.verdict == check_conflict_free(serial.mapping, algo.mu)
     ties_found = find_all_optima(algo, space, max_bound=max_bound)
     assert [r.schedule.pi for r in ties_found] == ties
-    one = explore_schedule(algo, space, jobs=1, cache=None, max_bound=max_bound)
-    two = explore_schedule(
-        algo, space, jobs=2, adaptive=False, cache=None, max_bound=max_bound
-    )
-    assert one == serial and two == serial
-    for name in ("batches_evaluated", "conflict_screens", "fastpath_promotions"):
-        assert getattr(one.stats, name) == getattr(serial.stats, name), name
+    assert_engine_equals_procedure_5_1(algo, space, serial, max_bound=max_bound)
     journal = tmp_path / "run.ckpt"
-    try:
-        explore_schedule(
-            algo, space, jobs=1, adaptive=False, cache=None,
-            max_bound=max_bound, checkpoint=journal,
-            budget=RunBudget(max_shards=1),
-        )
-    except BudgetExceeded:
-        pass
-    resumed = explore_schedule(
-        algo, space, jobs=1, adaptive=False, cache=None,
-        max_bound=max_bound, checkpoint=journal, resume=True,
+    # A journaled run replays its decision; one stopped before its
+    # first ring (a 1-bit ring budget) re-runs from the start.
+    explore_schedule(
+        algo, space, cache=None, max_bound=max_bound, checkpoint=journal
     )
-    assert resumed == serial
+    replayed = explore_schedule(
+        algo, space, cache=None, max_bound=max_bound, checkpoint=journal,
+        resume=True,
+    )
+    assert replayed == serial
+    assert replayed.stats.counter_dict() == serial.stats.counter_dict()
+    with pytest.raises(BudgetExceeded):
+        explore_schedule(
+            algo, space, cache=None, max_bound=max_bound, checkpoint=journal,
+            budget=RunBudget(max_bits=1),
+        )
+    rerun = explore_schedule(
+        algo, space, cache=None, max_bound=max_bound, checkpoint=journal,
+        resume=True,
+    )
+    assert rerun == serial
+
+
+def assert_engine_equals_procedure_5_1(algo, space, serial, **kwargs):
+    """``explore_schedule`` is ``procedure_5_1`` behind the cache: the
+    same result (dataclass ``==``), the same deterministic counters and
+    the same work counters."""
+    engine = explore_schedule(algo, space, cache=None, **kwargs)
+    assert engine == serial
+    assert engine.stats.counter_dict() == serial.stats.counter_dict()
+    for name in ("batches_evaluated", "conflict_screens", "fastpath_promotions"):
+        assert getattr(engine.stats, name) == getattr(serial.stats, name), name
 
 
 class TestSearchEquivalence:
@@ -239,7 +253,9 @@ class TestSearchEquivalence:
     def test_procedure_5_1_batched_equals_scalar(self, case):
         algo, space = case
         winner, counters, _ties = reference_search(algo, space)
-        assert summary(procedure_5_1(algo, space)) == (winner, counters)
+        serial = procedure_5_1(algo, space)
+        assert summary(serial) == (winner, counters)
+        assert_engine_equals_procedure_5_1(algo, space, serial)
 
     @given(case=algorithm_and_space())
     @settings(max_examples=8, deadline=None)
@@ -363,6 +379,9 @@ def assert_stacked_search_equals_reference(algo, method="auto", **kwargs):
     for space, result in zip(spaces, stacked):
         single = procedure_5_1(algo, space, method=method, **kwargs)
         assert result == single
+        assert_engine_equals_procedure_5_1(
+            algo, space, single, method=method, **kwargs
+        )
         for name in ("batches_evaluated", "conflict_screens"):
             assert getattr(result.stats, name) == getattr(single.stats, name), name
         if method == "auto" or algo.n - len(space) <= 2:
@@ -656,6 +675,13 @@ def corank1_case(draw):
     return space, pi, mu
 
 
+def adjugate_screen(pis, adj, mu):
+    """The scanner's co-rank-1 screen: the conflict vectors
+    ``pis @ adj`` judged by Theorem 2.2; returns (free, promoted)."""
+    gamma, promoted = batch_matmul(pis, adj)
+    return conflict_vector_verdicts(gamma, mu), promoted
+
+
 class TestAdjugateScreen:
     """The paper's screen equals the kernel-box oracle at co-rank 1."""
 
@@ -671,9 +697,7 @@ class TestAdjugateScreen:
     def test_matches_kernel_box(self, case):
         space, pi, mu = case
         adj = adjugate_conflict_matrix(space, len(pi))
-        free, promoted = batch_adjugate_screen(
-            np.array([pi], dtype=np.int64), adj, mu
-        )
+        free, promoted = adjugate_screen(np.array([pi], dtype=np.int64), adj, mu)
         assert promoted == 0
         assert bool(free[0]) == self.oracle(space, pi, mu)
 
@@ -694,7 +718,7 @@ class TestAdjugateScreen:
         thr = INT64_MAX // (adj.max_abs() * adj.nrows)
         pis = [[thr + off, a, b] for off, a, b in rows]
         mu = (mu_entry,) * 3
-        free, promoted = batch_adjugate_screen(pis, adj, mu)
+        free, promoted = adjugate_screen(pis, adj, mu)
         assert promoted == sum(1 for p in pis if p[0] > thr)
         assert [bool(x) for x in free] == [
             self.oracle(space, p, mu) for p in pis
@@ -703,7 +727,7 @@ class TestAdjugateScreen:
     def test_two_dimensional_without_space_rows(self):
         adj = adjugate_conflict_matrix([], 2)
         pis = np.array([[1, 3], [1, 2], [2, 4], [0, 0]], dtype=np.int64)
-        free, _ = batch_adjugate_screen(pis, adj, (2, 2))
+        free, _ = adjugate_screen(pis, adj, (2, 2))
         assert free.tolist() == [
             self.oracle([], list(p), (2, 2)) for p in pis.tolist()
         ]

@@ -87,11 +87,20 @@ def server(tmp_path):
     proc.stop()
 
 
+#: Every design shard sleeps this long on the slowed servers below.
+#: Schedule jobs run in process without shards, so only design jobs
+#: (the ``*_SPACE_SPEC``\ s) can be slowed.
+SLOW = "1.0"
+
+
 @pytest.fixture
 def slow_server(tmp_path):
-    """A server whose shards each sleep 0.4s — jobs stay observable
-    long enough to be cancelled, deduplicated onto, or killed."""
-    proc = ServerProc(tmp_path / "state", env={"REPRO_DSE_SLOW": "0.4"})
+    """A server whose design shards each sleep :data:`SLOW` seconds,
+    two shards per search — space jobs stay observable long enough to
+    be cancelled (a stop lands at the first shard boundary),
+    deduplicated onto, or killed."""
+    proc = ServerProc(tmp_path / "state", env={"REPRO_DSE_SLOW": SLOW},
+                      extra_args=["--search-jobs", "2"])
     yield proc
     proc.stop()
 
@@ -105,3 +114,12 @@ MATMUL6_SPEC = {
     "task": "schedule", "algorithm": "matmul", "mu": [6],
     "space": [[1, 1, -1]],
 }
+
+
+def space_spec(mu: int) -> dict:
+    """Problem 6.1 for matmul(mu) under Example 5.1's Pi = (1, mu, 1)."""
+    return {"task": "space", "algorithm": "matmul", "mu": [mu],
+            "pi": [1, mu, 1]}
+
+
+MATMUL4_SPACE_SPEC = space_spec(4)

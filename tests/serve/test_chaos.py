@@ -23,7 +23,13 @@ from http.client import HTTPConnection
 
 import pytest
 
-from .conftest import MATMUL4_SPEC, MATMUL6_SPEC, ServerProc
+from .conftest import (
+    MATMUL4_SPACE_SPEC,
+    MATMUL4_SPEC,
+    SLOW,
+    ServerProc,
+    space_spec,
+)
 
 MATMUL3_SPEC = {
     "task": "schedule", "algorithm": "matmul", "mu": [3],
@@ -76,7 +82,8 @@ def clean_results(tmp_path_factory):
         client = proc.client()
         results = {}
         for name, spec in (("mu3", MATMUL3_SPEC), ("mu4", MATMUL4_SPEC),
-                           ("mu5", MATMUL5_SPEC)):
+                           ("mu5", MATMUL5_SPEC),
+                           ("space4", MATMUL4_SPACE_SPEC)):
             record = client.submit(spec)
             final = client.wait(record["id"], timeout=120)
             assert final["state"] == "done"
@@ -92,22 +99,22 @@ def clean_results(tmp_path_factory):
 def test_overload_sheds_503_with_retry_after(tmp_path, clean_results):
     """Past --max-queue the server sheds instead of buffering: 503,
     Retry-After header, machine-readable body — and /healthz stays up
-    the whole time."""
+    the whole time.  Slowed design jobs hold the one worker."""
     proc = ServerProc(
         tmp_path / "state",
         extra_args=["--workers", "1", "--max-queue", "1"],
-        env={"REPRO_DSE_SLOW": "0.4"},
+        env={"REPRO_DSE_SLOW": SLOW},
     )
     try:
         client = proc.client()
-        first = client.submit(MATMUL4_SPEC)
+        first = client.submit(MATMUL4_SPACE_SPEC)
         wait_until(lambda: client.job(first["id"])["state"] == "running",
                    message="first job running")
-        queued = client.submit(MATMUL5_SPEC)   # fills the 1-slot queue
+        queued = client.submit(space_spec(5))   # fills the 1-slot queue
         assert client.job(queued["id"])["state"] == "queued"
 
         status, headers, body = raw_request(proc.port, "POST", "/jobs",
-                                            MATMUL6_SPEC)
+                                            space_spec(6))
         assert status == 503
         assert int(headers["Retry-After"]) >= 1
         assert body["code"] == "queue_full"
@@ -132,11 +139,11 @@ def test_overload_sheds_503_with_retry_after(tmp_path, clean_results):
         # of the one that ran under load matches the unfaulted run.
         final = client.wait(first["id"], timeout=120)
         assert final["state"] == "done"
-        assert final["result"] == clean_results["mu4"]
+        assert final["result"] == clean_results["space4"]
         assert client.wait(queued["id"], timeout=120)["state"] == "done"
 
         # Capacity freed: the shed spec is accepted on retry.
-        retried = client.submit(MATMUL6_SPEC)
+        retried = client.submit(space_spec(6))
         assert retried["state"] == "queued"
         assert client.ready()["ready"] is True
         client.cancel(retried["id"])
@@ -338,21 +345,23 @@ def test_corrupt_store_quarantined_on_restart(tmp_path, clean_results):
 def test_cancel_while_running_releases_slot_and_tenant_cap(tmp_path):
     """Cancelling a running job must release both the worker slot and
     the tenant's max_active budget — the two leaks that would slowly
-    brick a server whose clients cancel a lot."""
+    brick a server whose clients cancel a lot.  The slowed design jobs
+    run two shards, so a cancel lands at the first shard boundary."""
     proc = ServerProc(
         tmp_path / "state",
-        extra_args=["--workers", "1", "--max-active", "1"],
-        env={"REPRO_DSE_SLOW": "0.4"},
+        extra_args=["--workers", "1", "--max-active", "1",
+                    "--search-jobs", "2"],
+        env={"REPRO_DSE_SLOW": SLOW},
     )
     try:
         client = proc.client()
-        first = client.submit(MATMUL4_SPEC)
+        first = client.submit(MATMUL4_SPACE_SPEC)
         wait_until(lambda: client.job(first["id"])["state"] == "running",
                    message="first job running")
 
         # The tenant cap holds while the job runs...
         status, headers, body = raw_request(proc.port, "POST", "/jobs",
-                                            MATMUL5_SPEC)
+                                            space_spec(5))
         assert status == 429
         assert body["code"] == "tenant_busy"
         assert int(headers["Retry-After"]) >= 1
@@ -365,7 +374,7 @@ def test_cancel_while_running_releases_slot_and_tenant_cap(tmp_path):
 
         # ...and releases on cancel: the same spec is now admitted and
         # actually gets the worker.
-        second = client.submit(MATMUL5_SPEC)
+        second = client.submit(space_spec(5))
         assert second["state"] == "queued"
         wait_until(
             lambda: client.job(second["id"])["state"] in ("running", "done"),

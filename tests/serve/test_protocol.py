@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.optimize import procedure_5_1
 from repro.dse.cache import canonical_key
 from repro.dse.executor import (
     explore_schedule,
@@ -140,10 +141,10 @@ class TestRejections:
 class TestEncodeResult:
     def test_schedule_encoding_is_deterministic_across_strategies(self):
         algo = matrix_multiplication(4)
-        serial = explore_schedule(algo, [[1, 1, -1]], jobs=1)
-        sharded = explore_schedule(algo, [[1, 1, -1]], jobs=2)
+        serial = procedure_5_1(algo, [[1, 1, -1]])
+        engine = explore_schedule(algo, [[1, 1, -1]])
         assert (encode_result("schedule", serial)
-                == encode_result("schedule", sharded))
+                == encode_result("schedule", engine))
         encoded = encode_result("schedule", serial)
         assert encoded["pi"] == [1, 2, 3]
         assert encoded["total_time"] == 25
@@ -164,7 +165,7 @@ class TestEncodeResult:
     def test_not_found_has_no_pi(self):
         algo = matrix_multiplication(3)
         result = explore_schedule(
-            algo, [[1, 1, -1]], jobs=1, initial_bound=1, max_bound=1
+            algo, [[1, 1, -1]], initial_bound=1, max_bound=1
         )
         encoded = encode_result("schedule", result)
         assert encoded["found"] is False

@@ -1,11 +1,13 @@
 """The service's crash story: kill the server mid-run, restart, resume.
 
 Mirrors ``tests/dse/test_signals.py`` at the service level.  A slowed
-search is interrupted by SIGTERM after at least two shards are
-journaled; the restarted server must pick the job up on its own (no
-resubmission), replay the journaled shards, and finish with a result
-*equal* to an uninterrupted serial run — the engine's serial-equality
-contract surviving a process boundary and a server generation.
+design search (a space job over two shards, the second of which hangs)
+is interrupted by SIGTERM once its first shard is journaled; the
+restarted server must pick the job up on its own (no resubmission),
+replay the journaled shard, and finish with a result *equal* to an
+uninterrupted serial run — the engine's serial-equality contract
+surviving a process boundary and a server generation.  Schedule jobs
+journal only their final answer, so a killed one simply re-runs.
 """
 
 import sys
@@ -13,11 +15,11 @@ import time
 
 import pytest
 
-from repro.dse.executor import explore_schedule
+from repro.dse.executor import explore_schedule, explore_space
 from repro.model.library import matrix_multiplication
 from repro.serve.protocol import encode_result
 
-from .conftest import MATMUL6_SPEC, ServerProc
+from .conftest import MATMUL6_SPEC, ServerProc, space_spec
 
 pytestmark = pytest.mark.skipif(
     sys.platform == "win32", reason="POSIX signal handling required"
@@ -38,12 +40,17 @@ def wait_for_journal_lines(path, wanted: int, timeout: float = 30.0) -> None:
 class TestKillAndRestart:
     def test_sigterm_then_restart_resumes_to_equal_result(self, tmp_path):
         state = tmp_path / "state"
+        shards = ["--search-jobs", "2"]
 
-        # Generation 1: slowed shards, killed mid-run.
-        gen1 = ServerProc(state, env={"REPRO_DSE_SLOW": "0.4"})
+        # Generation 1: slowed shards, the last one hung until its
+        # shard timeout; SIGTERM lands after the first is journaled.
+        gen1 = ServerProc(
+            state, extra_args=shards + ["--shard-timeout", "2"],
+            env={"REPRO_DSE_SLOW": "0.4", "REPRO_DSE_FAULT": "hang:1"},
+        )
         try:
             client = gen1.client()
-            record = client.submit(MATMUL6_SPEC)
+            record = client.submit(space_spec(6))
             job_id = record["id"]
             journal = state / "journals" / f"{job_id}.ckpt"
             wait_for_journal_lines(journal, 2)
@@ -58,9 +65,9 @@ class TestKillAndRestart:
         assert interrupted is not None
         assert interrupted.state == "interrupted"
 
-        # Generation 2: full speed.  No resubmission — recovery alone
-        # must re-enqueue and resume the job.
-        gen2 = ServerProc(state)
+        # Generation 2: full speed, same shard count.  No resubmission —
+        # recovery alone must re-enqueue and resume the job.
+        gen2 = ServerProc(state, extra_args=shards)
         try:
             client = gen2.client()
             final = client.wait(job_id, timeout=120)
@@ -68,10 +75,8 @@ class TestKillAndRestart:
             assert final["resumes"] >= 1
             assert final["telemetry"]["shards_resumed"] >= 1
 
-            serial = explore_schedule(
-                matrix_multiplication(6), [[1, 1, -1]], jobs=1
-            )
-            assert final["result"] == encode_result("schedule", serial)
+            serial = explore_space(matrix_multiplication(6), (1, 6, 1), jobs=1)
+            assert final["result"] == encode_result("space", serial)
         finally:
             gen2.stop()
 
@@ -134,9 +139,7 @@ class TestUpgradeRestart:
             assert final.get("error") is None
             assert not final.get("quarantined")
             assert final["telemetry"]["shards_resumed"] == 0
-            serial = explore_schedule(
-                matrix_multiplication(6), [[1, 1, -1]], jobs=1
-            )
+            serial = explore_schedule(matrix_multiplication(6), [[1, 1, -1]])
             assert final["result"] == encode_result("schedule", serial)
         finally:
             server.stop()

@@ -10,7 +10,7 @@ from repro.model.library import matrix_multiplication
 from repro.serve.client import ServeError
 from repro.serve.protocol import encode_result
 
-from .conftest import MATMUL4_SPEC, ServerProc
+from .conftest import MATMUL4_SPACE_SPEC, MATMUL4_SPEC, SLOW, ServerProc, space_spec
 
 pytestmark = pytest.mark.skipif(
     sys.platform == "win32", reason="POSIX signal handling required"
@@ -25,9 +25,7 @@ class TestJobLifecycle:
         final = client.wait(record["id"])
         assert final["state"] == "done"
 
-        serial = explore_schedule(
-            matrix_multiplication(4), [[1, 1, -1]], jobs=1
-        )
+        serial = explore_schedule(matrix_multiplication(4), [[1, 1, -1]])
         assert final["result"] == encode_result("schedule", serial)
         assert final["telemetry"]["wall_time"] > 0
 
@@ -57,12 +55,18 @@ class TestJobLifecycle:
         events = list(client.events(record["id"]))
         kinds = [e["event"] for e in events]
         assert kinds[0] == "state"
-        assert "shard_done" in kinds
         assert "phase" in kinds          # ring spans, via repro.obs
+        assert "shard_done" not in kinds  # a schedule job runs in process
         assert kinds[-1] == "state"      # terminal transition
         ring = next(e for e in events if e["event"] == "phase")
         assert ring["phase"] == "dse.ring"
         assert "wall_time" in ring
+        # A design job reports its shards instead.
+        design = client.submit(MATMUL4_SPACE_SPEC)
+        client.wait(design["id"])
+        kinds = [e["event"] for e in client.events(design["id"])]
+        assert (kinds[0], kinds[-1]) == ("state", "state")
+        assert "shard_done" in kinds
 
     def test_follow_streams_until_done(self, server):
         client = server.client()
@@ -144,7 +148,7 @@ class TestErrors:
 class TestCancelAndAdmission:
     def test_cancel_running_job(self, slow_server):
         client = slow_server.client()
-        record = client.submit(MATMUL4_SPEC)
+        record = client.submit(MATMUL4_SPACE_SPEC)
         # Let it start, then stop it mid-search.
         for _ in range(100):
             if client.job(record["id"])["state"] == "running":
@@ -159,10 +163,10 @@ class TestCancelAndAdmission:
         # Resubmitting a cancelled job re-arms the same id and appends to
         # its event log: the old terminal event must not end the stream.
         client = slow_server.client()
-        record = client.submit(MATMUL4_SPEC)
+        record = client.submit(MATMUL4_SPACE_SPEC)
         client.cancel(record["id"])
         assert client.wait(record["id"], timeout=30)["state"] == "cancelled"
-        again = client.submit(MATMUL4_SPEC)
+        again = client.submit(MATMUL4_SPACE_SPEC)
         assert (again["id"], again["created"]) == (record["id"], False)
         events = list(client.events(record["id"], follow=True))
         states = [e["state"] for e in events if e["event"] == "state"]
@@ -173,19 +177,18 @@ class TestCancelAndAdmission:
     def test_tenant_cap_yields_429(self, tmp_path):
         proc = ServerProc(
             tmp_path / "state",
-            env={"REPRO_DSE_SLOW": "0.4"},
+            env={"REPRO_DSE_SLOW": SLOW},
             extra_args=["--max-active", "1"],
         )
         try:
             client = proc.client()
-            first = client.submit(MATMUL4_SPEC)
-            other = dict(MATMUL4_SPEC, mu=[5])
+            first = client.submit(MATMUL4_SPACE_SPEC)
             with pytest.raises(ServeError) as excinfo:
-                client.submit(other)
+                client.submit(space_spec(5))
             assert excinfo.value.status == 429
             # Deduplicating onto the running job stays allowed: it adds
             # no work.
-            again = client.submit(MATMUL4_SPEC)
+            again = client.submit(MATMUL4_SPACE_SPEC)
             assert again["id"] == first["id"]
             assert again["created"] is False
         finally:
