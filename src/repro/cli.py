@@ -633,8 +633,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             "give --space (schedule search) OR --schedule (space search) "
             "OR neither (joint search), not both"
         )
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     try:
         resolve_jobs(args.jobs)
     except ValueError as exc:

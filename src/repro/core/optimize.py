@@ -38,7 +38,6 @@ from math import gcd, prod
 
 import numpy as np
 
-from ..dse.partition import ring_bounds
 from ..dse.progress import SearchStats
 from ..intlin import INT64_MAX, IntMat, as_intmat, as_intvec, kernel_basis
 from ..intlin.batch import batch_dependence_mask, batch_matmul
@@ -70,6 +69,7 @@ __all__ = [
     "forced_signs",
     "procedure_5_1",
     "procedure_5_1_stacked",
+    "ring_bounds",
     "ring_candidate_array",
     "ring_size",
     "scan_rings",
@@ -658,6 +658,27 @@ _RingWinner = tuple[LinearSchedule, MappingMatrix, ConditionVerdict]
 RingJudge = Callable[[Ring, int, Sequence[int]], Sequence[np.ndarray]]
 
 
+def ring_bounds(
+    initial_bound: int, alpha: int, max_bound: int
+) -> Iterator[tuple[int, int]]:
+    """Successive ``(f_min, f_max)`` windows of Procedure 5.1's rings.
+
+    The first ring is ``[0, initial_bound]``, each following ring covers
+    ``[previous_max + 1, previous_max + alpha]``, and every upper bound
+    is clamped to ``max_bound``.  The iterator stops once ``max_bound``
+    has been covered.
+    """
+    if alpha < 1:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    x_prev = -1
+    x = initial_bound
+    while x_prev < max_bound:
+        top = min(x, max_bound)
+        yield (x_prev + 1, top)
+        x_prev = top
+        x += alpha
+
+
 def search_rings(
     algorithm: UniformDependenceAlgorithm,
     spaces: Sequence[tuple],
@@ -676,7 +697,7 @@ def search_rings(
     """The ring loop of Procedure 5.1 (Steps 1-7), for any judge and a
     stack of space mappings; one :class:`SearchResult` per ``S``.
 
-    Rings follow :func:`~repro.dse.partition.ring_bounds`.  Neither a
+    Rings follow :func:`ring_bounds`.  Neither a
     ring nor its sign restriction depends on ``S``, so each ring is
     materialized once for the whole stack, with only the rows whose
     signs can satisfy ``Pi D > 0`` (:func:`forced_signs`), and judged by

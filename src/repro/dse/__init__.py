@@ -12,15 +12,14 @@ Public surface:
   :func:`default_cache_dir` — the persistent result cache
   (:mod:`repro.dse.cache`).
 * :class:`ResiliencePolicy`, :class:`ResilienceError` — fault
-  tolerance for the parallel path (:mod:`repro.dse.resilience`):
-  shard timeouts, bounded retries, pool replacement and graceful
-  degradation, all preserving serial-result equality.
+  tolerance for the design searches' process pool
+  (:mod:`repro.dse.resilience`): shard timeouts, bounded retries, pool
+  replacement and in-process degradation, all preserving serial-result
+  equality.
 * :class:`CheckpointJournal`, :class:`RunBudget`,
   :class:`RunInterrupted`, :class:`BudgetExceeded`,
   :class:`CheckpointError` — crash-safe checkpoint/resume, graceful
   shutdown and run budgets (:mod:`repro.dse.checkpoint`).
-* :func:`ring_bounds`, :func:`effective_shards` —
-  deterministic sharding primitives (:mod:`repro.dse.partition`).
 
 Only :mod:`~repro.dse.progress` is imported eagerly: :mod:`repro.core`
 imports it from here, so everything that pulls in :mod:`repro.core`
@@ -52,8 +51,6 @@ __all__ = [
     "RunInterrupted",
     "BudgetExceeded",
     "CheckpointError",
-    "ring_bounds",
-    "effective_shards",
 ]
 
 _LAZY = {
@@ -74,8 +71,6 @@ _LAZY = {
     "RunInterrupted": "checkpoint",
     "BudgetExceeded": "checkpoint",
     "CheckpointError": "checkpoint",
-    "ring_bounds": "partition",
-    "effective_shards": "partition",
 }
 
 

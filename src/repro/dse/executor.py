@@ -26,9 +26,12 @@ Execution strategy is a detail, never a semantic: for the design
 searches ``jobs=1``, an in-process run of the same shard workers
 (forced whenever a non-picklable callback such as a custom
 ``objective`` is supplied), and any ``jobs=N`` all return results that
-compare equal.  Workers never receive live algorithm objects — only a
-plain spec ``(mu, D, name)`` — so the executable semantics attached to
-library algorithms (closures, ufuncs) never need to pickle.
+compare equal, and every shard is journaled, announced and followed by
+a stop poll the same way
+(:meth:`~repro.dse.resilience.ResilientShardRunner.run`).  Workers
+never receive live algorithm objects — only a plain spec
+``(mu, D, name)`` — so the executable semantics attached to library
+algorithms (closures, ufuncs) never need to pickle.
 
 Results are optionally backed by a persistent :class:`~repro.dse.cache.
 ResultCache`: the cache stores the search *decision* (winning vector,
@@ -71,11 +74,10 @@ from ..model import (
     validate_space,
     validate_vector,
 )
-from ..obs import Span, Tracer, get_tracer
+from ..obs import get_tracer
 from ..systolic.cost import ArrayCost, evaluate_cost
 from .cache import ResultCache, canonical_key
 from .checkpoint import CheckpointJournal, RunBudget, RunControl
-from .partition import effective_shards, ring_ranges
 from .progress import SearchStats
 from .resilience import ResiliencePolicy, ResilientShardRunner, maybe_slow
 
@@ -102,7 +104,7 @@ _KINDS = {"procedure-5.1": "schedule", "space-optimal": "space", "joint-optimal"
 JOBS_ENV_VAR = "REPRO_JOBS"
 
 
-def resolve_jobs(jobs: int | None, max_useful: int | None = None) -> int:
+def resolve_jobs(jobs: int | None) -> int:
     """``None`` means one worker per *available* CPU; explicit values
     must be >= 1.
 
@@ -115,42 +117,29 @@ def resolve_jobs(jobs: int | None, max_useful: int | None = None) -> int:
     "Available" honors cgroup/affinity limits where the platform
     exposes them (``os.sched_getaffinity``), so a container pinned to 2
     cores gets 2 workers, not one per physical core of the host.
-
-    ``max_useful`` caps the resolved value at the number of work units
-    that actually exist (pending shards or rings): asking for 32 workers
-    to scan 3 shards resolves to 3, never spawning processes that could
-    only idle.  The cap applies after validation and never drops the
-    result below 1.
     """
-    if jobs is None:
-        resolved: int | None = None
-        env = os.environ.get(JOBS_ENV_VAR)
-        if env is not None and env.strip():
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"${JOBS_ENV_VAR} must be a positive integer, got {env!r}"
-                ) from None
-            if value < 1:
-                raise ValueError(
-                    f"${JOBS_ENV_VAR} must be >= 1, got {value}"
-                )
-            resolved = value
-        if resolved is None and hasattr(os, "sched_getaffinity"):
-            try:
-                resolved = len(os.sched_getaffinity(0)) or 1
-            except OSError:  # pragma: no cover - affinity query denied
-                resolved = None
-        if resolved is None:
-            resolved = os.cpu_count() or 1
-    else:
+    if jobs is not None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        resolved = jobs
-    if max_useful is not None:
-        resolved = max(1, min(resolved, max_useful))
-    return resolved
+        return jobs
+    resolved: int | None = None
+    env = os.environ.get(JOBS_ENV_VAR)
+    if env is not None and env.strip():
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(
+                f"${JOBS_ENV_VAR} must be a positive integer, got {env!r}"
+            ) from None
+        if value < 1:
+            raise ValueError(f"${JOBS_ENV_VAR} must be >= 1, got {value}")
+        resolved = value
+    if resolved is None and hasattr(os, "sched_getaffinity"):
+        try:
+            resolved = len(os.sched_getaffinity(0)) or 1
+        except OSError:  # pragma: no cover - affinity query denied
+            resolved = None
+    return resolved if resolved is not None else os.cpu_count() or 1
 
 
 # -- algorithm transport ----------------------------------------------------
@@ -274,26 +263,6 @@ def joint_run_params(
 # -- shard workers (module level: must pickle under ProcessPoolExecutor) ----
 
 
-def _shard_span(payload: dict, kind: str, candidates: int) -> tuple[Tracer, Span]:
-    """The worker-side span timing one whole shard, with its tracer.
-
-    The span's monotonic duration *is* the shard's reported
-    ``wall_time``.  The tracer is worker-local and enabled only when the
-    parent asked for tracing (``payload["trace"]``); then the shard span
-    and every child span opened under it travel back in the output for
-    :meth:`~repro.obs.Tracer.absorb` to merge under the parent trace.
-    """
-    tracer = Tracer(enabled=bool(payload.get("trace")))
-    return tracer, tracer.span("dse.shard", kind=kind, candidates=candidates)
-
-
-def _shard_output(tracer: Tracer, span: Span, data_key: str, data) -> dict:
-    out = {data_key: data, "wall_time": span.duration}
-    if tracer.enabled:
-        out["spans"] = tracer.records()
-    return out
-
-
 def _shard_spaces(
     algo: UniformDependenceAlgorithm, payload: dict
 ) -> list[tuple[tuple[int, ...], ...]]:
@@ -310,15 +279,16 @@ def _evaluate_space_shard(payload: dict) -> dict:
     maybe_slow()
     algo = _algorithm_from_spec(payload["algorithm"])
     spaces = _shard_spaces(algo, payload)
-    tracer, span = _shard_span(payload, "space", len(spaces))
-    with span:
+    with get_tracer().span(
+        "dse.shard", kind="space", candidates=len(spaces), shard=payload["shard"]
+    ) as span:
         evaluated, batches, promotions = evaluate_designs_batched(
             algo, spaces, payload["pi"], payload.get("objective")
         )
-    out = _shard_output(tracer, span, "evaluated", evaluated)
-    out["batches"] = batches
-    out["promotions"] = promotions
-    return out
+    return {
+        "evaluated": evaluated, "wall_time": span.duration,
+        "batches": batches, "promotions": promotions,
+    }
 
 
 def _evaluate_joint_shard(payload: dict) -> dict:
@@ -328,12 +298,13 @@ def _evaluate_joint_shard(payload: dict) -> dict:
     algo = _algorithm_from_spec(payload["algorithm"])
     spaces = _shard_spaces(algo, payload)
     kwargs = payload["schedule_kwargs"]
-    tracer, span = _shard_span(payload, "joint", len(spaces))
-    with span:
+    with get_tracer().span(
+        "dse.shard", kind="joint", candidates=len(spaces), shard=payload["shard"]
+    ) as span:
         evaluated = evaluate_joint_designs(
             algo, spaces, payload["time_weight"], payload["space_weight"], kwargs
         )
-    return _shard_output(tracer, span, "evaluated", evaluated)
+    return {"evaluated": evaluated, "wall_time": span.duration}
 
 
 # -- journal transport ------------------------------------------------------
@@ -341,8 +312,7 @@ def _evaluate_joint_shard(payload: dict) -> dict:
 # Design shard outputs must round-trip through the checkpoint journal as
 # plain JSON.  The encoding is exact — costs are ints, the objective
 # float survives JSON unchanged — so a replayed shard merges identically
-# to a recomputed one.  Worker-side trace spans are dropped: they belong
-# to the run that produced them, not to the journal.
+# to a recomputed one.
 
 
 def _encode_design(design: SpaceDesign | None) -> dict | None:
@@ -388,70 +358,6 @@ def _decode_design_out(data: dict) -> dict:
         "batches": int(data.get("batches", 0)),
         "promotions": int(data.get("promotions", 0)),
     }
-
-
-def _run_shards(
-    runner: ResilientShardRunner,
-    worker: Callable[[dict], dict],
-    payloads: list[dict],
-    control: RunControl | None,
-    *,
-    kind: str,
-) -> list[dict]:
-    """Run design shard payloads under the (optional) run control.
-
-    With a journal: journaled shards are replayed instead of dispatched,
-    and every fresh shard is journaled the moment it completes (the
-    runner's ``on_result`` hook fires before later shards are awaited,
-    so a kill can lose at most in-flight work).  With a budget: the
-    stop conditions are polled between shards.  With neither: a plain
-    ``runner.run``.
-    """
-    if control is None:
-        return runner.run(worker, payloads)
-    outs: list[dict | None] = [None] * len(payloads)
-    keys: list[str] | None = None
-    if control.journal is not None:
-        keys = [
-            control.shard_key(kind, 0, i, payload["span"])
-            for i, payload in enumerate(payloads)
-        ]
-        for i, key in enumerate(keys):
-            recorded = control.lookup(key)
-            if recorded is not None:
-                outs[i] = _decode_design_out(recorded)
-                control.shards_resumed += 1
-    todo = [i for i, out in enumerate(outs) if out is None]
-    if len(todo) < len(payloads):
-        control.emit(
-            "shards_resumed", kind=kind, ring=0,
-            count=len(payloads) - len(todo), total=len(payloads),
-        )
-    if not todo:
-        control.poll()  # fully replayed rings still honor signals/budget
-        return outs  # type: ignore[return-value]
-    control.before_dispatch(len(todo))
-    done = 0
-
-    def on_result(j: int, out: dict) -> None:
-        nonlocal done
-        if keys is not None:
-            control.record_shard(keys[todo[j]], _encode_design_out(out))
-        done += 1
-        control.emit(
-            "shard_done", kind=kind, ring=0, completed=done,
-            total=len(todo), wall_time=out.get("wall_time"),
-        )
-
-    fresh = runner.run(
-        worker,
-        [payloads[i] for i in todo],
-        on_result=on_result,
-        should_stop=control.poll,
-    )
-    for j, i in enumerate(todo):
-        outs[i] = fresh[j]
-    return outs  # type: ignore[return-value]
 
 
 # -- Problem 2.2: schedule search ------------------------------------------
@@ -826,13 +732,15 @@ def _explore_designs(
 ) -> SpaceOptimizationResult:
     """The one explore body of Problems 6.1 and 6.2.
 
-    The design space is cut into contiguous ranges, one shard payload
-    each (``fields`` plus the range), and run by ``worker`` through the
-    resilient runner — in process when ``callback`` names a live
-    callable in ``fields``, so stop, budget and progress behave the same
-    either way.  Outcomes concatenate in range order, which is candidate
-    order, and :func:`~repro.core.space_optimize.search_designs` tallies
-    and ranks them as the serial solvers do.  ``rebuild(space, pi)``
+    The design space is cut into at most ``jobs`` contiguous ranges, one
+    shard payload each (``fields`` plus the range), and run by
+    ``worker`` through the resilient runner's shard loop — in process
+    when there is one shard or ``callback`` names a live callable in
+    ``fields``, on a pool otherwise; journal, progress events, stop and
+    budget behave the same either way.  Outcomes concatenate in range
+    order, which is candidate order, and
+    :func:`~repro.core.space_optimize.search_designs` tallies and ranks
+    them as the serial solvers do.  ``rebuild(space, pi)``
     re-derives a ranked design from a cache or journal entry (``pi`` is
     ``None`` for Problem 6.1, whose entries do not store it).
     """
@@ -852,22 +760,22 @@ def _explore_designs(
         stats = SearchStats()
 
         def judge(spaces: list) -> list:
-            ranges = ring_ranges(len(spaces), effective_shards(len(spaces), jobs))
-            payloads = [dict(base, span=rng) for rng in ranges]
-            # Never spawn workers that could only idle: the pool is
-            # capped at the number of pending shards.
+            payloads = [
+                dict(base, span=rng, shard=i)
+                for i, rng in enumerate(_design_ranges(len(spaces), jobs))
+            ]
             with ResilientShardRunner(
-                resolve_jobs(jobs, max_useful=len(payloads)),
-                in_process=callback is not None, policy=resilience,
+                len(payloads), in_process=callback is not None, policy=resilience,
             ) as runner:
-                outs = _run_shards(runner, worker, payloads, control, kind=kind)
+                outs = runner.run(
+                    worker, payloads, control, kind=kind,
+                    encode=_encode_design_out, decode=_decode_design_out,
+                )
             runner.apply_telemetry(stats)
             stats.shards = max(1, len(outs))
             stats.shard_wall_times = tuple(out["wall_time"] for out in outs)
             stats.batches_evaluated = sum(out.get("batches", 0) for out in outs)
             stats.fastpath_promotions = sum(out.get("promotions", 0) for out in outs)
-            for shard, out in enumerate(outs):
-                get_tracer().absorb(out.get("spans"), shard=shard)
             return [outcome for out in outs for outcome in out["evaluated"]]
 
         return search_designs(
@@ -885,6 +793,21 @@ def _explore_designs(
         ),
         callback=callback, **cache_and_control,
     )
+
+
+def _design_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
+    """Cut ``[0, total)`` into ``min(jobs, total)`` contiguous ranges.
+
+    The ranges cover the interval in order, each of ``total // shards``
+    items or one more (the remainder goes to the leading ranges), so the
+    shard outputs concatenated in order are the serial visit order.
+    """
+    shards = min(jobs, total)
+    if shards == 0:
+        return []
+    base, extra = divmod(total, shards)
+    cuts = [k * base + min(k, extra) for k in range(shards + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _space_entry_from_result(

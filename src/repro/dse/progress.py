@@ -74,7 +74,8 @@ class SearchStats:
         Shards declared hung after exceeding the policy's per-shard
         timeout (telemetry).
     pool_restarts:
-        Times a broken or hung process pool was replaced (telemetry).
+        Times a broken or hung process pool was abandoned; the next
+        retry round starts a fresh one (telemetry).
     shards_resumed:
         Design shards whose journaled result was replayed from a
         checkpoint instead of being recomputed; always 0 for a schedule

@@ -1,4 +1,4 @@
-"""Fault tolerance for the parallel design-space exploration engine.
+"""The design searches' shard loop, and its fault tolerance.
 
 The executor's contract — a sharded search returns a result *equal* to
 the serial one — makes recovery unusually simple: every shard is a pure
@@ -7,13 +7,17 @@ conflict check, or a corrupted result can always be re-judged
 deterministically.  This module supplies the machinery:
 
 * :class:`ResiliencePolicy` — the knobs: per-shard timeout, bounded
-  retries with exponential backoff, and whether the engine may degrade
-  to the in-process path once the process pool proves unreliable.
-* :class:`ResilientShardRunner` — the fan-out loop.  It detects worker
-  death (``BrokenProcessPool``), hung shards (per-batch deadline), and
-  malformed shard outputs; failed shards are retried on a replacement
-  pool and, once retries are exhausted, re-judged in-process — a shard
-  is **never dropped**, which is what preserves result equality.
+  retries, and whether the engine may finish the run in process once a
+  shard has used up its retries.
+* :class:`ResilientShardRunner` — the one shard loop.  Every shard,
+  whether it runs on the process pool or in process, is looked up in
+  the run's checkpoint journal, run, journaled, announced as a
+  ``shard_done`` event and followed by a stop poll.  On the pool it
+  detects worker death (``BrokenProcessPool``), hung shards (per-batch
+  deadline) and malformed outputs; failed shards are retried on a
+  replacement pool and, once retries are exhausted, the rest of the run
+  is judged in process — a shard is **never dropped**, which is what
+  preserves result equality.
 * Deterministic fault injection — ``$REPRO_DSE_FAULT`` makes a chosen
   shard crash, hang, or return garbage *inside the worker process*, so
   the recovery paths are exercised for real in tests rather than
@@ -37,7 +41,8 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from ..obs import get_tracer
+from ..obs import Tracer, get_tracer, set_tracer
+from .checkpoint import RunControl
 
 logger = logging.getLogger("repro.dse.resilience")
 
@@ -136,13 +141,24 @@ def _call_shard(worker: Callable[[dict], dict], payload: dict) -> object:
 
     The runner annotates payloads with ``_shard_index`` / ``_attempt`` /
     ``_batch``; they are stripped before the worker sees the payload.
+    The worker runs under a fresh worker-local tracer, enabled when the
+    parent traces (``payload["trace"]``); its records travel back in
+    the output as ``spans`` for the parent to absorb.
     """
     shard_index = payload.pop("_shard_index", -1)
     attempt = payload.pop("_attempt", 0)
     batch = payload.pop("_batch", 0)
     if _maybe_inject_fault(shard_index, attempt, batch):
         return {"corrupted": True}  # fails _output_ok; retried by parent
-    return worker(payload)
+    tracer = Tracer(enabled=bool(payload.get("trace")))
+    previous = set_tracer(tracer)
+    try:
+        out = worker(payload)
+    finally:
+        set_tracer(previous)
+    if tracer.enabled:
+        out["spans"] = tracer.records()
+    return out
 
 
 def _submit(
@@ -169,6 +185,14 @@ def _output_ok(out: object) -> bool:
 
 # -- policy -----------------------------------------------------------------
 
+#: Seconds slept before the first retry round; each later round doubles it.
+BACKOFF_SECONDS = 0.05
+
+
+def _backoff_delay(retry_round: int) -> float:
+    """Sleep before retry round ``retry_round`` (1-based)."""
+    return BACKOFF_SECONDS * 2 ** (retry_round - 1)
+
 
 class ResilienceError(RuntimeError):
     """A shard could not be completed under the active policy."""
@@ -176,7 +200,7 @@ class ResilienceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Fault-tolerance knobs for the parallel execution path.
+    """Fault-tolerance knobs for the process-pool path.
 
     Attributes
     ----------
@@ -184,26 +208,17 @@ class ResiliencePolicy:
         Seconds a batch of shards may run before unfinished shards are
         declared hung and their pool replaced (``None``: wait forever).
     max_retries:
-        How many times a failed shard is re-submitted to a pool before
-        the policy gives up on parallel execution for it.
-    backoff_base, backoff_factor:
-        The ``r``-th retry round sleeps ``backoff_base *
-        backoff_factor**(r - 1)`` seconds before resubmitting.
-    max_pool_restarts:
-        After this many pool replacements the runner stops trusting
-        process pools for the rest of the search.
+        How many times a failed shard is re-submitted to a pool.  Once
+        a shard has failed ``max_retries + 1`` times, the rest of the
+        run is judged in process.
     degrade:
-        Whether exhausted retries fall back to the deterministic
-        in-process path (the default).  With ``degrade=False`` the
-        search raises :class:`ResilienceError` instead — the result is
-        still never silently wrong, just absent.
+        Whether that in-process fallback is allowed (the default).  With
+        ``degrade=False`` the search raises :class:`ResilienceError`
+        instead — the result is still never silently wrong, just absent.
     """
 
     shard_timeout: float | None = None
     max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    max_pool_restarts: int = 3
     degrade: bool = True
 
     def __post_init__(self) -> None:
@@ -213,35 +228,19 @@ class ResiliencePolicy:
             )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0:
-            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_factor < 1:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.max_pool_restarts < 0:
-            raise ValueError(
-                f"max_pool_restarts must be >= 0, got {self.max_pool_restarts}"
-            )
-
-    def backoff_delay(self, retry_round: int) -> float:
-        """Sleep before retry round ``retry_round`` (1-based)."""
-        return self.backoff_base * self.backoff_factor ** max(0, retry_round - 1)
 
 
 # -- runner -----------------------------------------------------------------
 
 
 class ResilientShardRunner:
-    """Runs shard payloads in-process or on a supervised process pool.
+    """Runs shard payloads in process or on a supervised process pool.
 
-    The pool is created lazily on the first parallel batch and reused
-    across batches (rings), so an early-terminating search never pays
-    fork start-up for rings it does not reach.  Every failure mode ends
-    in one of two states: the shard's result was recomputed exactly, or
-    (with ``degrade=False``) :class:`ResilienceError` was raised —
-    results are never dropped or reordered, preserving the engine's
-    serial-equality contract.
+    The pool is created lazily on the first pool batch.  Every failure
+    mode ends in one of two states: the shard's result was recomputed
+    exactly, or (with ``degrade=False``) :class:`ResilienceError` was
+    raised — results are never dropped or reordered, preserving the
+    engine's serial-equality contract.
 
     Failure telemetry accumulates on the runner; callers fold it into
     their :class:`~repro.dse.progress.SearchStats` via
@@ -260,8 +259,6 @@ class ResilientShardRunner:
         self.policy = policy or ResiliencePolicy()
         self._pool: ProcessPoolExecutor | None = None
         self._batch = 0
-        self._degraded = False
-        self._pool_dead = False
         self.shard_retries = 0
         self.shard_timeouts = 0
         self.pool_restarts = 0
@@ -310,79 +307,121 @@ class ResilientShardRunner:
         self,
         worker: Callable[[dict], dict],
         payloads: list[dict],
+        control: RunControl | None = None,
         *,
-        on_result: Callable[[int, dict], None] | None = None,
-        should_stop: Callable[[], None] | None = None,
+        kind: str = "shard",
+        encode: Callable[[dict], dict] = dict,
+        decode: Callable[[dict], dict] = dict,
     ) -> list[dict]:
         """Run every payload; returns outputs in payload order.
 
-        on_result:
-            Called as ``on_result(i, out)`` the moment shard ``i``'s
-            final good output is known — exactly once per shard, before
-            later shards are awaited.  The checkpoint journal hangs off
-            this hook: a shard is durable before the run moves on.
-        should_stop:
-            Polled between shards; it *raises* (``RunInterrupted``) to
-            stop the run.  Pending work is cancelled, in-flight workers
-            are terminated, and the exception propagates — completed
-            shards have already been delivered through ``on_result``.
+        With a run ``control``, every shard takes the same steps,
+        whichever process runs it: a shard the journal already holds
+        (keyed by ``kind``, its index and its ``payload["span"]``) is
+        replayed through ``decode`` instead of run; a fresh shard runs,
+        is journaled through ``encode``, announced as a ``shard_done``
+        event, and followed by ``control.poll()``, which raises
+        (``RunInterrupted``) to stop the run.  A stop mid-batch cancels
+        pending work and terminates in-flight workers; completed shards
+        are journaled by then.
+
+        Shards run in process when the runner is (``jobs <= 1``, a live
+        callback, a single pending shard, or after degradation), and on
+        the pool otherwise.
         """
-        def emit(i: int, out: dict) -> None:
-            if on_result is not None:
-                on_result(i, out)
+        outs: list[dict | None] = [None] * len(payloads)
+        keys: list[str] = []
+        if control is not None and control.journal is not None:
+            keys = [
+                control.shard_key(kind, 0, i, payload["span"])
+                for i, payload in enumerate(payloads)
+            ]
+            for i, key in enumerate(keys):
+                recorded = control.lookup(key)
+                if recorded is not None:
+                    outs[i] = decode(recorded)
+                    control.shards_resumed += 1
+        todo = [i for i, out in enumerate(outs) if out is None]
+        done = 0
 
-        def poll() -> None:
-            if should_stop is not None:
-                should_stop()
+        def finish(i: int, out: dict) -> None:
+            nonlocal done
+            outs[i] = out
+            if control is None:
+                return
+            if keys:
+                control.record_shard(keys[i], encode(out))
+            done += 1
+            control.emit(
+                "shard_done", kind=kind, ring=0, completed=done,
+                total=len(todo), wall_time=out["wall_time"],
+            )
+            control.poll()
 
-        if self.in_process or self._degraded or len(payloads) <= 1:
-            results_ip: list[dict] = []
-            for i, p in enumerate(payloads):
-                poll()
-                out = worker(p)
-                emit(i, out)
-                results_ip.append(out)
-            return results_ip
+        if control is not None:
+            if len(todo) < len(payloads):
+                control.emit(
+                    "shards_resumed", kind=kind, ring=0,
+                    count=len(payloads) - len(todo), total=len(payloads),
+                )
+            control.before_dispatch(len(todo))
+        local = todo
+        if not self.in_process and len(todo) > 1:
+            local = self._run_pool(
+                worker, payloads, todo, finish,
+                control.poll if control is not None else lambda: None,
+            )
+        for i in local:
+            finish(i, worker(payloads[i]))
+        return outs  # type: ignore[return-value]  # every slot is filled
 
-        results: list[dict | None] = [None] * len(payloads)
+    def _run_pool(
+        self,
+        worker: Callable[[dict], dict],
+        payloads: list[dict],
+        pending: list[int],
+        finish: Callable[[int, dict], None],
+        poll: Callable[[], None],
+    ) -> list[int]:
+        """Run ``pending`` shards on the pool, retrying failures; returns
+        the shards left to run in process (empty unless degraded)."""
         attempts = [0] * len(payloads)
-        pending = list(range(len(payloads)))
         retry_round = 0
         while pending:
-            poll()
-            if self._degraded:
-                for i in pending:
-                    poll()
-                    results[i] = worker(payloads[i])
-                    emit(i, results[i])
-                break
             if retry_round:
-                delay = self.policy.backoff_delay(retry_round)
-                if delay > 0:
-                    time.sleep(delay)
-            failed = self._run_batch(
-                worker, payloads, pending, attempts, results,
-                emit=emit, poll=poll,
-            )
-            pending = []
+                poll()
+                time.sleep(_backoff_delay(retry_round))
+            failed = self._run_batch(worker, payloads, pending, attempts, finish)
             for i in failed:
                 attempts[i] += 1
-                if attempts[i] <= self.policy.max_retries:
-                    self.shard_retries += 1
-                    get_tracer().event(
-                        "dse.shard_retry", shard=i, attempt=attempts[i]
-                    )
-                    logger.warning(
-                        "shard %d failed; retrying (attempt %d/%d)",
-                        i, attempts[i], self.policy.max_retries,
-                    )
-                    pending.append(i)
-                else:
-                    poll()
-                    self._degrade_shard(worker, payloads, results, i)
-                    emit(i, results[i])
+                if attempts[i] > self.policy.max_retries:
+                    self._degrade(i)
+                    return failed
+            for i in failed:
+                self.shard_retries += 1
+                get_tracer().event("dse.shard_retry", shard=i, attempt=attempts[i])
+                logger.warning(
+                    "shard %d failed; retrying (attempt %d/%d)",
+                    i, attempts[i], self.policy.max_retries,
+                )
+            pending = failed
             retry_round += 1
-        return results  # type: ignore[return-value]  # every slot is filled
+        return []
+
+    def _degrade(self, i: int) -> None:
+        """Shard ``i`` used up its retries: judge the rest of the run in
+        process (or raise)."""
+        if not self.policy.degrade:
+            raise ResilienceError(
+                f"shard {i} failed {self.policy.max_retries + 1} attempts "
+                "and degradation is disabled"
+            )
+        self.degraded = self.in_process = True
+        get_tracer().event("dse.degraded", shard=i)
+        logger.warning(
+            "shard %d failed %d attempts; judging the rest of the search "
+            "in process", i, self.policy.max_retries + 1,
+        )
 
     def _run_batch(
         self,
@@ -390,9 +429,7 @@ class ResilientShardRunner:
         payloads: list[dict],
         pending: list[int],
         attempts: list[int],
-        results: list[dict | None],
-        emit: Callable[[int, dict], None] = lambda i, out: None,
-        poll: Callable[[], None] = lambda: None,
+        finish: Callable[[int, dict], None],
     ) -> list[int]:
         """Submit ``pending`` shards once; returns the indices that failed."""
         pool = self._ensure_pool()
@@ -414,11 +451,8 @@ class ResilientShardRunner:
             if self.policy.shard_timeout is None
             else time.monotonic() + self.policy.shard_timeout
         )
-        failed: list[int] = []
         try:
-            self._collect_batch(
-                submitted, deadline, results, failed, emit, poll,
-            )
+            failed, pool_dead = self._collect_batch(submitted, deadline, finish)
         except BaseException:
             # A stop request (or a journal write failing) mid-batch:
             # cancel what has not started, terminate what has — the
@@ -427,42 +461,26 @@ class ResilientShardRunner:
                 fut.cancel()
             self._abandon_pool()
             raise
-        pool_dead, self._pool_dead = self._pool_dead, False
         if pool_dead:
             self._abandon_pool()
             self.pool_restarts += 1
             get_tracer().event("dse.pool_restart", restarts=self.pool_restarts)
             logger.warning(
-                "process pool abandoned and replaced (restart %d/%d)",
-                self.pool_restarts, self.policy.max_pool_restarts,
+                "process pool abandoned and replaced (restart %d)",
+                self.pool_restarts,
             )
-            if self.pool_restarts > self.policy.max_pool_restarts:
-                if not self.policy.degrade:
-                    raise ResilienceError(
-                        f"process pool failed {self.pool_restarts} times "
-                        f"(> max_pool_restarts={self.policy.max_pool_restarts}) "
-                        "and degradation is disabled"
-                    )
-                self._degraded = True
-                self.degraded = True
-                get_tracer().event("dse.degraded", cause="pool_restarts")
-                logger.warning(
-                    "pool restart budget exhausted; degrading to in-process "
-                    "execution for the rest of the search"
-                )
         return failed
 
     def _collect_batch(
         self,
         submitted: list,
         deadline: float | None,
-        results: list[dict | None],
-        failed: list[int],
-        emit: Callable[[int, dict], None],
-        poll: Callable[[], None],
-    ) -> None:
-        """Await each submitted future, sorting outputs from failures."""
-        self._pool_dead = False
+        finish: Callable[[int, dict], None],
+    ) -> tuple[list[int], bool]:
+        """Await each submitted future, finishing good outputs; returns
+        the failed shards and whether the pool must be replaced."""
+        failed: list[int] = []
+        pool_dead = False
         for i, fut in submitted:
             try:
                 if deadline is None:
@@ -481,42 +499,21 @@ class ResilientShardRunner:
                     i, self.policy.shard_timeout,
                 )
                 failed.append(i)
-                self._pool_dead = True  # the worker may be hung; reclaim it
+                pool_dead = True  # the worker may be hung; reclaim it
                 continue
             except BrokenProcessPool:
                 failed.append(i)
-                self._pool_dead = True
+                pool_dead = True
                 continue
             except Exception:
                 failed.append(i)  # worker raised; pool itself survives
                 continue
             if _output_ok(out):
-                results[i] = out  # type: ignore[assignment]
-                emit(i, out)
-                poll()
+                get_tracer().absorb(out.pop("spans", None), shard=i)
+                finish(i, out)
             else:
                 failed.append(i)
-
-    def _degrade_shard(
-        self,
-        worker: Callable[[dict], dict],
-        payloads: list[dict],
-        results: list[dict | None],
-        i: int,
-    ) -> None:
-        """Retries exhausted: re-judge shard ``i`` in-process (or raise)."""
-        if not self.policy.degrade:
-            raise ResilienceError(
-                f"shard {i} failed {self.policy.max_retries + 1} attempts "
-                "and degradation is disabled"
-            )
-        get_tracer().event("dse.degraded", cause="retries_exhausted", shard=i)
-        logger.warning(
-            "shard %d exhausted its %d retries; re-judging in-process",
-            i, self.policy.max_retries,
-        )
-        results[i] = worker(payloads[i])
-        self.degraded = True
+        return failed, pool_dead
 
     # -- telemetry -------------------------------------------------------
 

@@ -8,7 +8,7 @@ from repro.core import (
     is_conflict_free_kernel_box,
     procedure_5_1,
 )
-from repro.core.optimize import forced_signs
+from repro.core.optimize import forced_signs, ring_bounds
 from repro.dse.executor import explore_schedule
 from repro.model import (
     ConstantBoundedIndexSet,
@@ -53,6 +53,29 @@ class TestEnumeration:
     def test_lazy(self):
         gen = enumerate_schedule_vectors((1,) * 4, 8)
         assert next(iter(gen)) is not None  # does not materialize everything
+
+
+class TestRingBounds:
+    def test_mirrors_serial_loop(self):
+        # initial_bound=12, alpha=4, max_bound=21:
+        # serial: x_prev=-1, x=12 -> ring [0,12]; [13,16]; [17,20]; [21,21]
+        assert list(ring_bounds(12, 4, 21)) == [
+            (0, 12), (13, 16), (17, 20), (21, 21),
+        ]
+
+    def test_clamps_first_ring_to_max_bound(self):
+        assert list(ring_bounds(50, 5, 10)) == [(0, 10)]
+
+    def test_windows_partition_the_range(self):
+        windows = list(ring_bounds(7, 3, 40))
+        assert windows[0][0] == 0
+        assert windows[-1][1] == 40
+        for (_, hi), (lo2, _) in zip(windows, windows[1:]):
+            assert lo2 == hi + 1
+
+    def test_rejects_nonpositive_alpha(self):
+        with pytest.raises(ValueError):
+            next(ring_bounds(5, 0, 10))
 
 
 class TestProcedure51:

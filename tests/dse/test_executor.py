@@ -19,6 +19,7 @@ from repro.core.space_optimize import solve_joint_optimal, solve_space_optimal
 from repro.dse.cache import ResultCache
 from repro.dse.checkpoint import BudgetExceeded, RunBudget, RunInterrupted
 from repro.dse.executor import (
+    _design_ranges,
     explore_joint,
     explore_schedule,
     explore_space,
@@ -365,19 +366,6 @@ class TestResolveJobs:
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert resolve_jobs(2) == 2
 
-    def test_max_useful_caps_resolved_jobs(self):
-        # 32 workers for 3 pending shards resolves to 3 — never spawn
-        # processes that could only idle.
-        assert resolve_jobs(32, max_useful=3) == 3
-        assert resolve_jobs(2, max_useful=3) == 2
-
-    def test_max_useful_caps_env_and_detection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "16")
-        assert resolve_jobs(None, max_useful=4) == 4
-
-    def test_max_useful_never_drops_below_one(self):
-        assert resolve_jobs(8, max_useful=0) == 1
-
     def test_env_beats_cpu_detection(self, monkeypatch):
         import os
 
@@ -396,3 +384,35 @@ class TestResolveJobs:
         monkeypatch.setenv("REPRO_JOBS", value)
         with pytest.raises(ValueError, match="REPRO_JOBS"):
             resolve_jobs(None)
+
+
+class TestDesignRanges:
+    """The design space is cut into ``min(jobs, len(spaces))`` shards."""
+
+    def test_caps_at_item_count(self):
+        assert len(_design_ranges(3, 8)) == 3
+
+    def test_caps_at_jobs(self):
+        assert len(_design_ranges(100, 4)) == 4
+
+    @pytest.mark.parametrize("total,shards", [
+        (10, 3), (7, 7), (1, 4), (23, 4), (100, 16),
+    ])
+    def test_contiguous_cover_in_order(self, total, shards):
+        ranges = _design_ranges(total, shards)
+        assert ranges[0][0] == 0
+        assert ranges[-1][1] == total
+        for (_, stop), (start2, _) in zip(ranges, ranges[1:]):
+            assert start2 == stop
+        assert [i for a, b in ranges for i in range(a, b)] == list(range(total))
+
+    def test_balanced_within_one(self):
+        sizes = [b - a for a, b in _design_ranges(23, 4)]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_never_produces_empty_ranges(self):
+        assert len(_design_ranges(2, 5)) == 2
+        assert all(b > a for a, b in _design_ranges(2, 5))
+
+    def test_empty_total(self):
+        assert _design_ranges(0, 4) == []

@@ -12,12 +12,15 @@ search runs in process, so its cache recovery is tested here too.
 """
 
 import json
+import threading
 
 import pytest
 
 from repro.core.optimize import procedure_5_1
 from repro.core.space_optimize import solve_joint_optimal, solve_space_optimal
+from repro.dse import resilience
 from repro.dse.cache import ResultCache
+from repro.dse.checkpoint import CheckpointJournal, RunControl, RunInterrupted
 from repro.dse.executor import explore_joint, explore_schedule, explore_space
 from repro.dse.resilience import (
     FAULT_ENV_VAR,
@@ -25,14 +28,18 @@ from repro.dse.resilience import (
     ResilienceError,
     ResiliencePolicy,
     ResilientShardRunner,
+    _backoff_delay,
     _parse_fault_spec,
 )
 
 SPACE = [[1, 1, -1]]
 PI = (1, 2, 3)  # a schedule of Example 5.1 for the Problem 6.1 searches
 
-# No backoff sleeps in tests; recovery behavior is unaffected.
-FAST = ResiliencePolicy(backoff_base=0.0)
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """No backoff sleeps in tests; recovery behavior is unaffected."""
+    monkeypatch.setattr(resilience, "BACKOFF_SECONDS", 0.0)
 
 
 def _echo_shard(payload):
@@ -67,20 +74,17 @@ class TestResiliencePolicy:
             {"shard_timeout": 0.0},
             {"shard_timeout": -1.0},
             {"max_retries": -1},
-            {"backoff_base": -0.1},
-            {"backoff_factor": 0.5},
-            {"max_pool_restarts": -1},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             ResiliencePolicy(**kwargs)
 
-    def test_backoff_progression(self):
-        p = ResiliencePolicy(backoff_base=0.1, backoff_factor=2.0)
-        assert p.backoff_delay(1) == pytest.approx(0.1)
-        assert p.backoff_delay(2) == pytest.approx(0.2)
-        assert p.backoff_delay(3) == pytest.approx(0.4)
+    def test_backoff_progression(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BACKOFF_SECONDS", 0.1)
+        assert _backoff_delay(1) == pytest.approx(0.1)
+        assert _backoff_delay(2) == pytest.approx(0.2)
+        assert _backoff_delay(3) == pytest.approx(0.4)
 
 
 class TestFaultSpec:
@@ -101,7 +105,7 @@ class TestCrashRecovery:
         # A Problem 6.2 shard runs Procedure 5.1's rings over its S.
         serial = solve_joint_optimal(matmul4)
         monkeypatch.setenv(FAULT_ENV_VAR, "crash:0")
-        recovered = explore_joint(matmul4, jobs=2, resilience=FAST)
+        recovered = explore_joint(matmul4, jobs=2)
         assert recovered == serial
         assert recovered.best.mapping == serial.best.mapping
         # The recovery is visible in the failure telemetry.
@@ -113,14 +117,14 @@ class TestCrashRecovery:
     def test_space_search_recovers_from_crash(self, matmul4, monkeypatch):
         serial = solve_space_optimal(matmul4, (1, 2, 3))
         monkeypatch.setenv(FAULT_ENV_VAR, "crash:1")
-        recovered = explore_space(matmul4, (1, 2, 3), jobs=2, resilience=FAST)
+        recovered = explore_space(matmul4, (1, 2, 3), jobs=2)
         assert recovered == serial
         assert recovered.stats.pool_restarts == 1
 
     def test_joint_search_recovers_from_crash(self, matmul4, monkeypatch):
         serial = solve_joint_optimal(matmul4)
         monkeypatch.setenv(FAULT_ENV_VAR, "crash:0")
-        recovered = explore_joint(matmul4, jobs=2, resilience=FAST)
+        recovered = explore_joint(matmul4, jobs=2)
         assert recovered == serial
         assert recovered.stats.shard_retries >= 1
 
@@ -130,7 +134,7 @@ class TestTimeoutRecovery:
         serial = solve_space_optimal(matmul4, PI)
         monkeypatch.setenv(FAULT_ENV_VAR, "hang:0")
         monkeypatch.setenv(FAULT_HANG_ENV_VAR, "30")
-        policy = ResiliencePolicy(shard_timeout=1.0, backoff_base=0.0)
+        policy = ResiliencePolicy(shard_timeout=1.0)
         recovered = explore_space(matmul4, PI, jobs=2, resilience=policy)
         assert recovered == serial
         assert recovered.stats.shard_timeouts >= 1
@@ -142,7 +146,7 @@ class TestCorruptOutputRecovery:
     def test_corrupted_shard_output_is_retried(self, matmul4, monkeypatch):
         serial = solve_space_optimal(matmul4, PI)
         monkeypatch.setenv(FAULT_ENV_VAR, "corrupt:0")
-        recovered = explore_space(matmul4, PI, jobs=2, resilience=FAST)
+        recovered = explore_space(matmul4, PI, jobs=2)
         assert recovered == serial
         assert recovered.stats.shard_retries == 1
         # The pool itself survives a garbage result.
@@ -153,30 +157,29 @@ class TestDegradation:
     def test_persistent_crash_degrades_in_process(self, matmul4, monkeypatch):
         serial = solve_space_optimal(matmul4, PI)
         monkeypatch.setenv(FAULT_ENV_VAR, "crash:0:always")
-        policy = ResiliencePolicy(
-            max_retries=1, backoff_base=0.0, max_pool_restarts=100
-        )
+        policy = ResiliencePolicy(max_retries=1)
         recovered = explore_space(matmul4, PI, jobs=2, resilience=policy)
         assert recovered == serial
         assert recovered.stats.degraded
         assert recovered.stats.shard_retries >= 1
 
-    def test_pool_restart_budget_degrades_globally(self, matmul4, monkeypatch):
+    def test_exhausted_shard_degrades_the_rest_of_the_run(
+        self, matmul4, monkeypatch
+    ):
+        # With no retries, the first failure ends pool execution: the
+        # failed shards are judged in process, never resubmitted.
         serial = solve_space_optimal(matmul4, PI)
         monkeypatch.setenv(FAULT_ENV_VAR, "crash:0:always")
-        policy = ResiliencePolicy(
-            max_retries=5, backoff_base=0.0, max_pool_restarts=0
-        )
+        policy = ResiliencePolicy(max_retries=0)
         recovered = explore_space(matmul4, PI, jobs=2, resilience=policy)
         assert recovered == serial
         assert recovered.stats.degraded
         assert recovered.stats.pool_restarts == 1
+        assert recovered.stats.shard_retries == 0
 
     def test_no_degrade_raises_instead(self, matmul4, monkeypatch):
         monkeypatch.setenv(FAULT_ENV_VAR, "crash:0:always")
-        policy = ResiliencePolicy(
-            max_retries=1, backoff_base=0.0, degrade=False, max_pool_restarts=100
-        )
+        policy = ResiliencePolicy(max_retries=1, degrade=False)
         with pytest.raises(ResilienceError):
             explore_space(matmul4, PI, jobs=2, resilience=policy)
 
@@ -185,7 +188,7 @@ class TestDegradation:
         # inside pool workers, so jobs=1 is immune by construction.
         monkeypatch.setenv(FAULT_ENV_VAR, "crash:0:always")
         serial = solve_space_optimal(matmul4, PI)
-        assert explore_space(matmul4, PI, jobs=1, resilience=FAST) == serial
+        assert explore_space(matmul4, PI, jobs=1) == serial
 
 
 class TestCorruptCacheRecovery:
@@ -224,11 +227,45 @@ class TestCorruptCacheRecovery:
 
 class TestRunnerUnit:
     def test_single_payload_stays_in_process(self):
-        runner = ResilientShardRunner(4, policy=FAST)
+        runner = ResilientShardRunner(4)
         out = runner.run(lambda p: {"wall_time": 0.0, "evaluated": [p["x"]]},
                          [{"x": 1}])
         assert out == [{"wall_time": 0.0, "evaluated": [1]}]
         assert runner.pool_restarts == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_shard_is_journaled_announced_then_polled(self, tmp_path, jobs):
+        # One loop for both paths: a stop requested by a shard's
+        # shard_done event lands right after it, the last shard
+        # included, and a resumed run replays what was journaled.
+        payloads = [{"span": (i, i + 1), "x": i} for i in range(jobs)]
+
+        def run(resume):
+            stop, events = threading.Event(), []
+
+            def on_progress(event):
+                events.append(event)
+                if not resume:
+                    stop.set()
+
+            journal = CheckpointJournal(tmp_path / "run.ckpt")
+            journal.open("run", resume=resume)
+            control = RunControl(journal=journal, stop=stop,
+                                 on_progress=on_progress)
+            with control, ResilientShardRunner(jobs) as runner:
+                try:
+                    outs = runner.run(_echo_shard, payloads, control)
+                except RunInterrupted:
+                    outs = None
+            return outs, events
+
+        outs, events = run(resume=False)
+        assert outs is None
+        assert events[0]["event"] == "shard_done"
+        outs, events = run(resume=True)
+        assert outs == [{"wall_time": 0.0, "evaluated": [i]} for i in range(jobs)]
+        assert events[0]["event"] == "shards_resumed"
+        assert events[0]["count"] >= 1
 
     def test_pool_broken_between_submissions_is_retried(self, monkeypatch):
         # A shard's worker can die, and break the pool, before the next
@@ -247,7 +284,7 @@ class TestRunnerUnit:
             return real_submit(pool, fn, *args, **kwargs)
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
-        with ResilientShardRunner(2, policy=FAST) as runner:
+        with ResilientShardRunner(2) as runner:
             outs = runner.run(_echo_shard, [{"x": 1}, {"x": 2}])
         assert outs == [
             {"wall_time": 0.0, "evaluated": [1]},
@@ -256,7 +293,7 @@ class TestRunnerUnit:
         assert runner.pool_restarts == 1 and runner.shard_retries == 1
 
     def test_abandoned_pool_terminates_its_workers(self):
-        runner = ResilientShardRunner(2, policy=FAST)
+        runner = ResilientShardRunner(2)
         runner._ensure_pool().submit(_nap, 30)
         procs = list(runner._pool._processes.values())
         assert procs
@@ -277,7 +314,7 @@ class TestRunnerUnit:
         old_fd = signal.set_wakeup_fd(ours.fileno())
         old_handler = signal.signal(signal.SIGTERM, lambda *_: None)
         try:
-            with ResilientShardRunner(2, policy=FAST) as runner:
+            with ResilientShardRunner(2) as runner:
                 outs = runner.run(_signal_state, [{}, {}])
         finally:
             signal.signal(signal.SIGTERM, old_handler)
@@ -289,7 +326,7 @@ class TestRunnerUnit:
     def test_telemetry_application(self):
         from repro.dse.progress import SearchStats
 
-        runner = ResilientShardRunner(2, policy=FAST)
+        runner = ResilientShardRunner(2)
         runner.shard_retries = 3
         runner.shard_timeouts = 1
         runner.pool_restarts = 2

@@ -90,18 +90,35 @@ class TestTracedScheduleSearch:
             )
 
     def test_spans_form_one_tree_with_shard_tags(self, matmul4, tmp_path):
+        # A shard traces where it runs: in process at jobs=1, in a pool
+        # worker at jobs=4; either way its search nests under it.
+        for jobs in (1, 4):
+            path = tmp_path / f"joint{jobs}.jsonl"
+            with trace_session(path):
+                result = explore_joint(matmul4, jobs=jobs)
+            spans = [r for r in load_trace(path) if r["type"] == "span"]
+            by_id = {s["span_id"]: s for s in spans}
+            shards = [s for s in spans if s["name"] == "dse.shard"]
+            assert len(shards) == jobs
+            for shard in shards:
+                assert "shard" in shard["attrs"]
+                assert by_id[shard["parent_id"]]["name"] == "dse.designs"
+            assert sum(s["duration"] for s in shards) == pytest.approx(
+                sum(result.stats.shard_wall_times), rel=1e-9
+            )
+            inner = [s for s in spans
+                     if s["name"] in ("core.procedure_5_1", "core.ring")]
+            assert {s["name"] for s in inner} == {"core.procedure_5_1", "core.ring"}
+            for span in inner:
+                while span["name"] != "dse.shard":
+                    assert span["parent_id"] is not None, (jobs, span["name"])
+                    span = by_id[span["parent_id"]]
+
         path = tmp_path / "t.jsonl"
         with trace_session(path):
-            explore_joint(matmul4, jobs=4)
             explore_schedule(matmul4, SPACE_51)
         spans = [r for r in load_trace(path) if r["type"] == "span"]
         by_id = {s["span_id"]: s for s in spans}
-        shards = [s for s in spans if s["name"] == "dse.shard"]
-        assert len(shards) == 4
-        for shard in shards:
-            assert "shard" in shard["attrs"]
-            parent = by_id[shard["parent_id"]]
-            assert parent["name"] == "dse.designs"
         # The in-process schedule search: its rings hang off its root.
         rings = [s for s in spans if s["name"] == "dse.ring"]
         assert rings

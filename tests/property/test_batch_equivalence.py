@@ -39,6 +39,7 @@ from repro.core.optimize import (
     forced_signs,
     procedure_5_1,
     procedure_5_1_stacked,
+    ring_bounds,
     ring_candidate_array,
     ring_size,
     search_bounds,
@@ -51,7 +52,6 @@ from repro.core.space_optimize import (
 )
 from repro.dse.checkpoint import BudgetExceeded, RunBudget
 from repro.dse.executor import explore_schedule
-from repro.dse.partition import ring_bounds
 from repro.intlin import INT64_MAX, as_intmat, batch_matmul, rank
 from repro.model import (
     ConstantBoundedIndexSet,

@@ -94,13 +94,15 @@ SLOW = "1.0"
 
 
 @pytest.fixture
-def slow_server(tmp_path):
+def slow_server(tmp_path, request):
     """A server whose design shards each sleep :data:`SLOW` seconds,
-    two shards per search — space jobs stay observable long enough to
-    be cancelled (a stop lands at the first shard boundary),
-    deduplicated onto, or killed."""
+    two shards per search unless parametrized (indirectly) with another
+    ``--search-jobs`` — space jobs stay observable long enough to be
+    cancelled (a stop lands after the running shard), deduplicated
+    onto, or killed."""
+    jobs = getattr(request, "param", 2)
     proc = ServerProc(tmp_path / "state", env={"REPRO_DSE_SLOW": SLOW},
-                      extra_args=["--search-jobs", "2"])
+                      extra_args=["--search-jobs", str(jobs)])
     yield proc
     proc.stop()
 

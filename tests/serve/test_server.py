@@ -146,18 +146,29 @@ class TestErrors:
 
 
 class TestCancelAndAdmission:
+    @pytest.mark.parametrize("slow_server", [1, 2], indirect=True)
     def test_cancel_running_job(self, slow_server):
+        # At --search-jobs 1 the one shard runs in process: the stop
+        # must land after it, not be lost with the run's end.
         client = slow_server.client()
         record = client.submit(MATMUL4_SPACE_SPEC)
-        # Let it start, then stop it mid-search.
-        for _ in range(100):
-            if client.job(record["id"])["state"] == "running":
+        journal = slow_server.state_dir / "journals" / f"{record['id']}.ckpt"
+        # Let a shard start (the journal header is written first), then
+        # stop the search while the shard sleeps.
+        for _ in range(200):
+            if journal.exists() and journal.stat().st_size:
                 break
-            import time
             time.sleep(0.05)
+        time.sleep(0.2)
         client.cancel(record["id"])
         final = client.wait(record["id"], timeout=30)
         assert final["state"] == "cancelled"
+        # The shard that was running is journaled: a resubmission
+        # replays it.
+        client.submit(MATMUL4_SPACE_SPEC)
+        final = client.wait(record["id"], timeout=30)
+        assert final["state"] == "done"
+        assert final["telemetry"]["shards_resumed"] >= 1
 
     def test_follow_of_a_resubmitted_job_streams_the_new_run(self, slow_server):
         # Resubmitting a cancelled job re-arms the same id and appends to
