@@ -34,7 +34,7 @@ from ..intlin import normalize_primitive, rank
 from ..intlin.batch import batch_rows
 from ..obs import get_tracer
 from ..model import SpecBoundsError, UniformDependenceAlgorithm
-from ..systolic.cost import ArrayCost, evaluate_cost
+from ..systolic.cost import ArrayCost, evaluate_costs
 from ..systolic.interconnect import RoutingError
 from .conditions import check_conflict_free
 from .conflict import box_kernel_screen, box_kernel_table
@@ -47,6 +47,7 @@ __all__ = [
     "SpaceDesign",
     "SpaceOptimizationResult",
     "check_design_args",
+    "cost_designs",
     "enumerate_space_rows",
     "evaluate_design",
     "evaluate_designs_batched",
@@ -165,8 +166,7 @@ def evaluate_design(
 
     Returns ``(status, design)`` with status one of ``"rank"``,
     ``"conflict"``, ``"routing"`` (design is ``None``) or ``"ok"``.
-    This is the scalar reference of :func:`evaluate_designs_batched`,
-    and the engine's warm rebuild re-derives cached designs with it.
+    This is the scalar reference of :func:`evaluate_designs_batched`.
     """
     pi_t = tuple(int(x) for x in pi)
     space_rows = tuple(tuple(int(x) for x in row) for row in space)
@@ -176,20 +176,21 @@ def evaluate_design(
         return "rank", None
     if not check_conflict_free(t, algorithm.mu, method="auto").holds:
         return "conflict", None
-    return _costed(algorithm, t, obj)
+    return cost_designs(algorithm, [t], obj)[0]
 
 
-def _costed(
+def cost_designs(
     algorithm: UniformDependenceAlgorithm,
-    t: MappingMatrix,
+    mappings: Sequence[MappingMatrix],
     objective: Callable[[ArrayCost], float],
-) -> tuple[str, SpaceDesign | None]:
-    """The last stage of every judge: route and cost a conflict-free ``T``."""
-    try:
-        cost = evaluate_cost(algorithm, t)
-    except RoutingError:
-        return "routing", None
-    return "ok", SpaceDesign(mapping=t, cost=cost, objective=objective(cost))
+) -> list[tuple[str, SpaceDesign | None]]:
+    """The last stage of every judge: route and cost conflict-free ``T``s
+    as one :func:`~repro.systolic.cost.evaluate_costs` stack."""
+    return [
+        ("routing", None) if isinstance(cost, RoutingError)
+        else ("ok", SpaceDesign(mapping=t, cost=cost, objective=objective(cost)))
+        for t, cost in zip(mappings, evaluate_costs(algorithm, mappings))
+    ]
 
 
 def evaluate_designs_batched(
@@ -240,9 +241,10 @@ def evaluate_designs_batched(
         free[survivors], promotions = box_kernel_screen(
             stack, box_kernel_table([pi_t], algorithm.mu)
         )
+    costed = iter(cost_designs(algorithm, [t for i, t in mappings.items() if free[i]], obj))
     outcomes = [
         ("rank", None) if i not in mappings
-        else _costed(algorithm, mappings[i], obj) if free[i]
+        else next(costed) if free[i]
         else ("conflict", None)
         for i in range(len(norm_spaces))
     ]
@@ -261,21 +263,19 @@ def evaluate_joint_designs(
 
     One :func:`~repro.core.optimize.procedure_5_1_stacked` search finds
     every ``S``'s Procedure 5.1 winner in one ring pass; the winners are
-    then routed and costed one by one.  ``outcomes[i]`` has status
-    ``"conflict"`` when ``spaces[i]`` has no conflict-free schedule in
-    the search bound, ``"routing"`` when its winner is unroutable, else
-    ``"ok"``.  ``schedule_kwargs`` reaches the search verbatim.  Shared
-    by :func:`solve_joint_optimal`, :func:`pareto_frontier` and the
-    engine.
+    then routed and costed as one stack (:func:`cost_designs`).
+    ``outcomes[i]`` has status ``"conflict"`` when ``spaces[i]`` has no
+    conflict-free schedule in the search bound, ``"routing"`` when its
+    winner is unroutable, else ``"ok"``.  ``schedule_kwargs`` reaches
+    the search verbatim.  Shared by :func:`solve_joint_optimal`,
+    :func:`pareto_frontier` and the engine.
     """
     searches = procedure_5_1_stacked(algorithm, spaces, **(schedule_kwargs or {}))
-    return [
-        _costed(
-            algorithm, search.mapping,
-            lambda cost: joint_objective(cost, time_weight, space_weight),
-        ) if search.found else ("conflict", None)
-        for search in searches
-    ]
+    costed = iter(cost_designs(
+        algorithm, [search.mapping for search in searches if search.found],
+        lambda cost: joint_objective(cost, time_weight, space_weight),
+    ))
+    return [next(costed) if search.found else ("conflict", None) for search in searches]
 
 
 def rank_designs(designs: list[SpaceDesign]) -> list[SpaceDesign]:

@@ -59,8 +59,8 @@ from ..core.space_optimize import (
     SpaceDesign,
     SpaceOptimizationResult,
     check_design_args,
+    cost_designs,
     enumerate_space_mappings,
-    evaluate_design,
     evaluate_designs_batched,
     evaluate_joint_designs,
     joint_objective,
@@ -75,7 +75,7 @@ from ..model import (
     validate_vector,
 )
 from ..obs import get_tracer
-from ..systolic.cost import ArrayCost, evaluate_cost
+from ..systolic.cost import ArrayCost
 from .cache import ResultCache, canonical_key
 from .checkpoint import CheckpointJournal, RunBudget, RunControl
 from .progress import SearchStats
@@ -654,7 +654,8 @@ def explore_space(
         ),
         _evaluate_space_shard,
         {"pi": pi_t, "objective": objective},
-        lambda space, _pi: evaluate_design(algorithm, space, pi_t)[1],
+        lambda items: [design for _, design in evaluate_designs_batched(
+            algorithm, [space for space, _ in items], pi_t)[0]],
         callback="a custom objective" if objective is not None else None,
         jobs=jobs, cache=cache, resilience=resilience, checkpoint=checkpoint,
         resume=resume, budget=budget, stop=stop, on_progress=on_progress,
@@ -691,13 +692,14 @@ def explore_joint(
     kwargs = dict(schedule_kwargs or {})
     has_callback = any(callable(v) for v in kwargs.values())
 
-    def rebuild(space, pi):
+    def rebuild(items):
         # Shares joint_objective with evaluate_joint_designs, so a
         # warm rebuild can never drift from the cold path's cost model.
-        mapping = MappingMatrix(space=space, schedule=tuple(pi))
-        cost = evaluate_cost(algorithm, mapping)
-        objective = joint_objective(cost, time_weight, space_weight)
-        return SpaceDesign(mapping=mapping, cost=cost, objective=objective)
+        mappings = [MappingMatrix(space=space, schedule=tuple(pi)) for space, pi in items]
+        return [design for _, design in cost_designs(
+            algorithm, mappings,
+            lambda cost: joint_objective(cost, time_weight, space_weight),
+        )]
 
     return _explore_designs(
         algorithm,
@@ -723,7 +725,7 @@ def _explore_designs(
     run_params: dict,
     worker: Callable[[dict], dict],
     fields: dict,
-    rebuild: Callable[..., SpaceDesign | None],
+    rebuild: Callable[[list], list[SpaceDesign | None]],
     *,
     callback: str | None,
     jobs: int | None,
@@ -740,9 +742,9 @@ def _explore_designs(
     budget behave the same either way.  Outcomes concatenate in range
     order, which is candidate order, and
     :func:`~repro.core.space_optimize.search_designs` tallies and ranks
-    them as the serial solvers do.  ``rebuild(space, pi)``
-    re-derives a ranked design from a cache or journal entry (``pi`` is
-    ``None`` for Problem 6.1, whose entries do not store it).
+    them as the serial solvers do.  ``rebuild(items)`` re-derives a
+    cached ranking in one call, a design or ``None`` per ``(space, pi)``
+    (``pi`` is ``None`` for Problem 6.1, whose entries do not store it).
     """
     array_dim = run_params["array_dim"]
     magnitude = run_params["magnitude"]
@@ -829,12 +831,12 @@ def _space_entry_from_result(
 
 
 def _space_result_from_entry(
-    entry: dict, rebuild: Callable[..., SpaceDesign | None]
+    entry: dict, rebuild: Callable[[list], list[SpaceDesign | None]]
 ) -> SpaceOptimizationResult:
-    rebuilt = (
-        rebuild(tuple(tuple(int(x) for x in row) for row in item["space"]), item.get("pi"))
+    rebuilt = rebuild([
+        (tuple(tuple(int(x) for x in row) for row in item["space"]), item.get("pi"))
         for item in entry["ranking"]
-    )
+    ])
     # A design the current code no longer accepts (version skew) is dropped.
     designs = [design for design in rebuilt if design is not None]
     return SpaceOptimizationResult(

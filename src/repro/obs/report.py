@@ -2,10 +2,10 @@
 
 ``repro obs report trace.jsonl`` answers the question the trace exists
 for: *where did the time go?*  Spans are grouped by name into phases;
-for each phase the report shows call count, total/mean/max duration,
-and the share of the trace's wall time (the duration of the longest
-root span — for a search trace that is the search's own
-``wall_time``).  Events and counters are summarized below the table.
+for each phase the report shows call count, total/mean/max duration
+(busy time) and the share of the trace's wall time (the longest root
+span's duration; for a search, its ``wall_time``) that its spans cover,
+overlaps once.  Events and counters are summarized below the table.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class PhaseSummary:
     total: float
     mean: float
     max: float
-    share: float  # of the trace wall time, in [0, 1] (0 when unknown)
+    share: float  # of the trace wall time covered, in [0, 1] (0 when unknown)
 
 
 def _wall_time(spans: Sequence[dict]) -> float:
@@ -41,6 +41,19 @@ def _wall_time(spans: Sequence[dict]) -> float:
     roots = [s["duration"] for s in spans if s["parent_id"] is None]
     pool = roots or [s["duration"] for s in spans]
     return max(pool, default=0.0)
+
+
+def _covered(spans: Sequence[dict]) -> float:
+    """Wall-clock time inside the union of the spans' intervals
+    ``[start_unix, start_unix + duration]`` (spans without a start are
+    left out)."""
+    covered, reach = 0.0, float("-inf")
+    for start, duration in sorted(
+        (s["start_unix"], s["duration"]) for s in spans if s["start_unix"] is not None
+    ):
+        covered += max(0.0, start + duration - max(start, reach))
+        reach = max(reach, start + duration)
+    return covered
 
 
 def phase_breakdown(records: Iterable[dict]) -> list[PhaseSummary]:
@@ -57,7 +70,9 @@ def phase_breakdown(records: Iterable[dict]) -> list[PhaseSummary]:
             total=sum(durs),
             mean=sum(durs) / len(durs),
             max=max(durs),
-            share=(sum(durs) / wall) if wall > 0 else 0.0,
+            # Capped: span starts (wall clock) and durations (monotonic) can disagree.
+            share=min(1.0, _covered([s for s in spans if s["name"] == name]) / wall)
+            if wall > 0 else 0.0,
         )
         for name, durs in groups.items()
     ]

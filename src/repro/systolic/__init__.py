@@ -9,7 +9,7 @@ renderings of Figures 1-3.
 """
 
 from .array import Link, ProcessorArray, build_array
-from .cost import ArrayCost, evaluate_cost, processor_count, wire_length
+from .cost import ArrayCost, evaluate_cost, evaluate_costs, processor_count, wire_length
 from .netlist import Cell, Net, Netlist, build_netlist
 from .trace import ExecutionTrace, TraceEvent, derive_trace
 from .io_schedule import IOEvent, IOSchedule, derive_io_schedule, render_injection_profile
@@ -64,6 +64,7 @@ __all__ = [
     "derive_io_schedule",
     "derive_trace",
     "evaluate_cost",
+    "evaluate_costs",
     "processor_count",
     "wire_length",
     "extract_convolution_result",

@@ -18,7 +18,7 @@ Routing finds, per dependence, a minimum-hop ``K_i >= 0`` with
   (the default, and the machine every design search costs on) the
   minimum is unique and closed-form: ``max(t_a, 0)`` hops on ``+e_a``
   and ``max(-t_a, 0)`` on ``-e_a`` for ``t = S d_i``, feasible iff
-  ``|t|_1 <= Pi d_i``;
+  ``|t|_1 <= Pi d_i`` (:func:`nearest_neighbor_usage`, for a whole stack);
 * on a custom ``P`` it is an integer program, solved with our
   branch-and-bound solver, preferring a single-use decomposition.
 
@@ -34,12 +34,16 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..ilp import LinearProgram, solve_ilp
+from ..intlin.batch import batch_rows
 from ..model import UniformDependenceAlgorithm
 from ..core.mapping import MappingMatrix
 
 __all__ = [
     "nearest_neighbor_primitives",
+    "nearest_neighbor_usage",
     "InterconnectionPlan",
     "plan_interconnection",
     "RoutingError",
@@ -123,24 +127,37 @@ class InterconnectionPlan:
         return [[self.usage[j][i] for j in range(r)] for i in range(m)]
 
 
-def _route_nearest_neighbor(target: list[int], budget: int) -> list[int]:
-    """Closed-form min-hop ``K_i`` on :func:`nearest_neighbor_primitives`.
+def nearest_neighbor_usage(displacements: np.ndarray) -> np.ndarray:
+    """Closed-form min-hop ``K`` on :func:`nearest_neighbor_primitives` for
+    a ``(..., dim)`` stack of displacements ``t``: columns ``2 (dim - 1 - a)``
+    and ``2 (dim - 1 - a) + 1`` (``+e_a``, ``-e_a``) take ``max(t_a, 0)`` and
+    ``max(-t_a, 0)`` hops, ``|t|_1`` in all."""
+    t = displacements[..., ::-1]
+    usage = np.stack([np.maximum(t, 0), np.maximum(-t, 0)], axis=-1)
+    return usage.reshape(*t.shape[:-1], 2 * t.shape[-1])
 
-    Columns ``2 (dim - 1 - a)`` and ``2 (dim - 1 - a) + 1`` of that
-    ``P`` are ``+e_a`` and ``-e_a``; the unique minimum decomposition of
-    ``target`` takes ``max(t_a, 0)`` hops on the first and
-    ``max(-t_a, 0)`` on the second.  Raises :class:`RoutingError` when
-    its ``|t|_1`` hops exceed ``budget`` (Equation 2.3).
-    """
-    hops = sum(abs(x) for x in target)
+
+def check_budget(
+    target: Sequence[int], hops: int, budget: int, dependence: Sequence[int] | None = None
+) -> None:
+    """Raise :class:`RoutingError` unless ``budget = Pi d`` is positive (when
+    the ``dependence`` is named) and covers the ``hops`` that carry
+    ``target = S d`` (Equation 2.3)."""
+    if dependence is not None and budget <= 0:
+        raise RoutingError(
+            f"dependence {dependence} has non-positive schedule length {budget}"
+        )
     if hops > budget:
         raise RoutingError(
             f"displacement {target} needs {hops} hops but the schedule "
             f"allows only {budget} (Equation 2.3 violated)"
         )
-    k: list[int] = []
-    for x in reversed(target):
-        k += [max(x, 0), max(-x, 0)]
+
+
+def _route_nearest_neighbor(target: list[int], budget: int) -> list[int]:
+    """One displacement's :func:`nearest_neighbor_usage`, within ``budget``."""
+    k = nearest_neighbor_usage(batch_rows([target]))[0].tolist()
+    check_budget(target, sum(k), budget)
     return k
 
 
@@ -185,11 +202,7 @@ def _route_one(
     if not sol.ok:
         raise RoutingError(f"no primitive decomposition of displacement {target}")
     k = list(sol.x_int())
-    if sum(k) > budget:
-        raise RoutingError(
-            f"displacement {target} needs {sum(k)} hops but the schedule "
-            f"allows only {budget} (Equation 2.3 violated)"
-        )
+    check_budget(target, sum(k), budget)
     return k
 
 
@@ -232,16 +245,13 @@ def plan_interconnection(
     buffers: list[int] = []
     smat = mapping.space_matrix
     for d in deps:
-        displacement = smat.matvec(d) if smat.nrows else []
+        displacement = list(smat.matvec(d)) if smat.nrows else []
         budget = mapping.time(d)
-        if budget <= 0:
-            raise RoutingError(
-                f"dependence {d} has non-positive schedule length {budget}"
-            )
+        check_budget(displacement, 0, budget, d)
         k = (
-            _route_nearest_neighbor(list(displacement), budget)
+            _route_nearest_neighbor(displacement, budget)
             if nearest
-            else _route_one(p, list(displacement), budget)
+            else _route_one(p, displacement, budget)
         )
         usage_cols.append(k)
         hops: list[int] = []

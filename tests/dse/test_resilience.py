@@ -12,7 +12,9 @@ search runs in process, so its cache recovery is tested here too.
 """
 
 import json
+import os
 import threading
+import time
 
 import pytest
 
@@ -48,9 +50,16 @@ def _echo_shard(payload):
 
 
 def _nap(seconds):
-    import time
-
     time.sleep(seconds)
+
+
+def _alive(pid):
+    """Whether ``pid`` still names a process (a zombie counts)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _signal_state(payload):
@@ -298,9 +307,13 @@ class TestRunnerUnit:
         procs = list(runner._pool._processes.values())
         assert procs
         runner._abandon_pool()
-        for proc in procs:
-            proc.join(timeout=10)
-            assert proc.exitcode is not None, "a hung worker outlived its pool"
+        # The abandoned pool's manager thread may reap a worker before
+        # we do; its exit code is then lost, but so is its pid.
+        deadline = time.monotonic() + 10
+        while procs and time.monotonic() < deadline:
+            procs = [proc for proc in procs if proc.exitcode is None and _alive(proc.pid)]
+            time.sleep(0.05)
+        assert not procs, "a hung worker outlived its pool"
 
     def test_workers_drop_the_parents_signal_plumbing(self):
         # A parent with its own SIGTERM handler and wakeup fd (as the

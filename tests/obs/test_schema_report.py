@@ -108,7 +108,8 @@ class TestReport:
              "created_unix": 0.0},
             _valid_span(name="search", span_id=1, duration=2.5),
             _valid_span(name="ring", span_id=2, parent_id=1, duration=1.5),
-            _valid_span(name="ring", span_id=3, parent_id=1, duration=0.5),
+            _valid_span(name="ring", span_id=3, parent_id=1, start_unix=2.5,
+                        duration=0.5),
             {"type": "event", "name": "cache.hit", "time_unix": 0.0,
              "span_id": 1, "pid": 1, "attrs": {}},
             {"type": "counter", "name": "cache.hits", "value": 1},
@@ -122,6 +123,21 @@ class TestReport:
         assert ring.total == 2.0
         assert ring.max == 1.5
         assert ring.share == pytest.approx(0.8)  # 2.0s over a 2.5s wall
+
+    def test_parallel_spans_share_wall_time_once(self):
+        """Two overlapping shards: busy time adds up, the share does not."""
+        records = [
+            _valid_span(name="dse.designs", span_id=1, duration=0.063),
+            _valid_span(name="dse.shard", span_id=2, parent_id=1,
+                        start_unix=1.010, duration=0.042),
+            _valid_span(name="dse.shard", span_id=3, parent_id=1,
+                        start_unix=1.015, duration=0.042),
+        ]
+        shard = phase_breakdown(records)[0]
+        assert shard.name == "dse.shard"
+        assert shard.total == pytest.approx(0.084)
+        assert shard.share == pytest.approx(0.047 / 0.063)
+        assert all(p.share <= 1.0 for p in phase_breakdown(records))
 
     def test_wall_time_is_longest_root_span(self):
         phases = phase_breakdown(self._records())

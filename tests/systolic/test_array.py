@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import MappingMatrix
+from repro.core.schedule import total_execution_time
 from repro.intlin import IntMat
 from repro.model import (
     ConstantBoundedIndexSet,
@@ -16,9 +17,12 @@ from repro.model import (
     transitive_closure,
 )
 from repro.systolic import (
+    ArrayCost,
     Link,
+    RoutingError,
     build_array,
     evaluate_cost,
+    evaluate_costs,
     plan_interconnection,
     processor_count,
     wire_length,
@@ -215,6 +219,41 @@ def _special_cases():
 CASES = [*_library_cases(), *_special_cases()]
 
 
+def _oracle_cost(algorithm, mapping):
+    """The cost sheet from the per-point oracle, or the routing error's text."""
+    try:
+        plan = plan_interconnection(algorithm, mapping)
+    except RoutingError as exc:
+        return str(exc)
+    processors, _links, wire = _oracle_build_array(algorithm, mapping, plan)
+    return ArrayCost(
+        processors=len(processors), wire_length=wire, buffers=plan.total_buffers,
+        total_time=total_execution_time(mapping.schedule, algorithm.mu),
+    )
+
+
+def _stacked_costs(algorithm, mappings):
+    """``evaluate_costs`` with each routing error replaced by its text."""
+    return [
+        str(cost) if isinstance(cost, RoutingError) else cost
+        for cost in evaluate_costs(algorithm, mappings)
+    ]
+
+
+def _mixed_stack():
+    """One stack over the 2 x 2 set with ``d = (1, -1)``: an int64
+    member, the past-int64 mapping, an unroutable one (``|S d| = 3 >
+    Pi d = 1``), a 0-D one and one with ``S d = 0`` but ``Pi d = 0``."""
+    algo, huge, _ = CASES[-1]
+    return algo, [
+        MappingMatrix(space=((1, 0),), schedule=(2, 1)),
+        huge,
+        MappingMatrix(space=((3, 0),), schedule=(2, 1)),
+        MappingMatrix(space=(), schedule=(2, 1)),
+        MappingMatrix(space=((1, 1),), schedule=(1, 1)),
+    ]
+
+
 class TestGeometryOracle:
     """The numpy geometry equals the per-point loop it replaced."""
 
@@ -265,3 +304,32 @@ class TestGeometryOracle:
         with mock.patch("repro.systolic.array.INT64_MAX", 0):
             self._check(algo, t, primitives)
 
+
+    def test_stacked_costs_equal_oracle(self):
+        """Each algorithm's nearest-neighbour cases, costed as one stack."""
+        stacks: dict[int, tuple] = {}
+        for algo, t, primitives in CASES:
+            if primitives is None:
+                stacks.setdefault(id(algo), (algo, []))[1].append(t)
+        for algo, mappings in stacks.values():
+            assert _stacked_costs(algo, mappings) == [
+                _oracle_cost(algo, t) for t in mappings
+            ]
+        assert max(len(mappings) for _, mappings in stacks.values()) == 6
+
+    def test_mixed_stack_equals_oracle(self):
+        algo, mappings = _mixed_stack()
+        costs = _stacked_costs(algo, mappings)
+        assert costs == [_oracle_cost(algo, t) for t in mappings]
+        assert [type(cost) for cost in costs] == [ArrayCost, ArrayCost, str, ArrayCost, str]
+        assert "Equation 2.3" in costs[2] and "non-positive" in costs[4]
+        assert costs[3] == ArrayCost(processors=1, wire_length=0, buffers=1, total_time=7)
+
+    def test_reversed_stack_reverses_answers(self):
+        algo, mappings = _mixed_stack()
+        library_algo = CASES[0][0]
+        library_stack = [t for a, t, p in CASES if a is library_algo and p is None]
+        for algo, mappings in ((algo, mappings), (library_algo, library_stack)):
+            assert _stacked_costs(algo, mappings[::-1]) == (
+                _stacked_costs(algo, mappings)[::-1]
+            )
