@@ -32,52 +32,21 @@ Sub-packages
     Cycle-accurate processor-array simulation and visualization.
 """
 
-from .core import (
-    LinearSchedule,
-    MappingMatrix,
-    MappingResult,
-    analyze_conflicts,
-    check_conflict_free,
-    find_time_optimal_mapping,
-    procedure_5_1,
-    solve_corank1_optimal,
-)
-from .model import (
-    Access,
-    ConstantBoundedIndexSet,
-    LoopNest,
-    UniformDependenceAlgorithm,
-    bit_level_convolution,
-    bit_level_matrix_multiplication,
-    convolution_1d,
-    lu_decomposition,
-    matrix_multiplication,
-    transitive_closure,
-)
-from .systolic import plan_interconnection, simulate_mapping
+from . import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Access",
-    "ConstantBoundedIndexSet",
-    "LinearSchedule",
-    "LoopNest",
-    "MappingMatrix",
-    "MappingResult",
-    "UniformDependenceAlgorithm",
-    "analyze_conflicts",
-    "bit_level_convolution",
-    "bit_level_matrix_multiplication",
-    "check_conflict_free",
-    "convolution_1d",
-    "find_time_optimal_mapping",
-    "lu_decomposition",
-    "matrix_multiplication",
-    "plan_interconnection",
-    "procedure_5_1",
-    "simulate_mapping",
-    "solve_corank1_optimal",
-    "transitive_closure",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".core": (
+        "LinearSchedule", "MappingMatrix", "MappingResult", "analyze_conflicts",
+        "check_conflict_free", "find_time_optimal_mapping", "procedure_5_1",
+        "solve_corank1_optimal",
+    ),
+    ".model": (
+        "Access", "ConstantBoundedIndexSet", "LoopNest", "UniformDependenceAlgorithm",
+        "bit_level_convolution", "bit_level_matrix_multiplication", "convolution_1d",
+        "lu_decomposition", "matrix_multiplication", "transitive_closure",
+    ),
+    ".systolic": ("plan_interconnection", "simulate_mapping"),
+})
+__all__.append("__version__")

@@ -21,70 +21,24 @@ Public surface:
   :class:`CheckpointError` — crash-safe checkpoint/resume, graceful
   shutdown and run budgets (:mod:`repro.dse.checkpoint`).
 
-Only :mod:`~repro.dse.progress` is imported eagerly: :mod:`repro.core`
-imports it from here, so everything that pulls in :mod:`repro.core`
-(as the executor does) must load lazily to keep the import graph
-acyclic.
+Every name loads its submodule on first use (:mod:`repro._lazy`, as
+in every package of :mod:`repro`): :mod:`repro.core` imports
+:mod:`~repro.dse.progress`, so the executor, which imports
+:mod:`repro.core`, cannot load with this package.
 """
 
-from __future__ import annotations
+from .. import _lazy
 
-from .progress import SearchStats, format_stats
-
-__all__ = [
-    "SearchStats",
-    "format_stats",
-    "explore_schedule",
-    "explore_space",
-    "explore_joint",
-    "resolve_jobs",
-    "schedule_run_params",
-    "space_run_params",
-    "joint_run_params",
-    "ResultCache",
-    "canonical_key",
-    "default_cache_dir",
-    "ResiliencePolicy",
-    "ResilienceError",
-    "CheckpointJournal",
-    "RunBudget",
-    "RunInterrupted",
-    "BudgetExceeded",
-    "CheckpointError",
-]
-
-_LAZY = {
-    "explore_schedule": "executor",
-    "explore_space": "executor",
-    "explore_joint": "executor",
-    "resolve_jobs": "executor",
-    "schedule_run_params": "executor",
-    "space_run_params": "executor",
-    "joint_run_params": "executor",
-    "ResultCache": "cache",
-    "canonical_key": "cache",
-    "default_cache_dir": "cache",
-    "ResiliencePolicy": "resilience",
-    "ResilienceError": "resilience",
-    "CheckpointJournal": "checkpoint",
-    "RunBudget": "checkpoint",
-    "RunInterrupted": "checkpoint",
-    "BudgetExceeded": "checkpoint",
-    "CheckpointError": "checkpoint",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".progress": ("SearchStats", "format_stats"),
+    ".executor": (
+        "explore_schedule", "explore_space", "explore_joint", "resolve_jobs",
+        "schedule_run_params", "space_run_params", "joint_run_params",
+    ),
+    ".cache": ("ResultCache", "canonical_key", "default_cache_dir"),
+    ".resilience": ("ResiliencePolicy", "ResilienceError"),
+    ".checkpoint": (
+        "CheckpointJournal", "RunBudget", "RunInterrupted", "BudgetExceeded",
+        "CheckpointError",
+    ),
+})

@@ -9,16 +9,10 @@ extreme-point technique.  This package supplies both solution paths:
   rational extreme-point enumeration (the appendix, mechanized).
 """
 
-from .branch_bound import solve_ilp, solve_lp_relaxation
-from .problem import LinearProgram, LPSolution
-from .vertex_enum import all_vertices_integral, best_integral_vertex, enumerate_vertices
+from .. import _lazy
 
-__all__ = [
-    "LPSolution",
-    "LinearProgram",
-    "all_vertices_integral",
-    "best_integral_vertex",
-    "enumerate_vertices",
-    "solve_ilp",
-    "solve_lp_relaxation",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".branch_bound": ("solve_ilp", "solve_lp_relaxation"),
+    ".problem": ("LinearProgram", "LPSolution"),
+    ".vertex_enum": ("all_vertices_integral", "best_integral_vertex", "enumerate_vertices"),
+})

@@ -7,73 +7,23 @@ variants) and a loop-nest front-end that extracts ``(J, D)`` from a
 single-statement nested loop.
 """
 
-from .algorithm import DependenceError, UniformDependenceAlgorithm
-from .alignment import AlignmentResult, StatementDependence, align_statements
-from .generators import random_algorithm, random_schedulable_algorithm
-from .index_set import ConstantBoundedIndexSet
-from .library import (
-    bit_level_convolution,
-    bit_level_lu_decomposition,
-    convolution_2d,
-    bit_level_matrix_multiplication,
-    convolution_1d,
-    example_2_1_algorithm,
-    lu_decomposition,
-    matrix_multiplication,
-    stencil_2d,
-    transitive_closure,
-)
-from .loopnest import Access, LoopNest, SubscriptError, parse_affine
-from .validate import (
-    DEFAULT_LIMITS,
-    SpecBoundsError,
-    SpecDimensionError,
-    SpecError,
-    SpecLimits,
-    SpecShapeError,
-    SpecSizeError,
-    validate_algorithm,
-    validate_algorithm_spec,
-    validate_dependence_matrix,
-    validate_mu,
-    validate_space,
-    validate_vector,
-)
+from .. import _lazy
 
-__all__ = [
-    "Access",
-    "AlignmentResult",
-    "ConstantBoundedIndexSet",
-    "DependenceError",
-    "DEFAULT_LIMITS",
-    "LoopNest",
-    "SpecBoundsError",
-    "SpecDimensionError",
-    "SpecError",
-    "SpecLimits",
-    "SpecShapeError",
-    "SpecSizeError",
-    "StatementDependence",
-    "SubscriptError",
-    "validate_algorithm",
-    "validate_algorithm_spec",
-    "validate_dependence_matrix",
-    "validate_mu",
-    "validate_space",
-    "validate_vector",
-    "parse_affine",
-    "random_algorithm",
-    "random_schedulable_algorithm",
-    "stencil_2d",
-    "UniformDependenceAlgorithm",
-    "align_statements",
-    "bit_level_convolution",
-    "bit_level_lu_decomposition",
-    "convolution_2d",
-    "bit_level_matrix_multiplication",
-    "convolution_1d",
-    "example_2_1_algorithm",
-    "lu_decomposition",
-    "matrix_multiplication",
-    "transitive_closure",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".algorithm": ("DependenceError", "UniformDependenceAlgorithm"),
+    ".alignment": ("AlignmentResult", "StatementDependence", "align_statements"),
+    ".generators": ("random_algorithm", "random_schedulable_algorithm"),
+    ".index_set": ("ConstantBoundedIndexSet",),
+    ".library": (
+        "bit_level_convolution", "bit_level_lu_decomposition", "convolution_2d",
+        "bit_level_matrix_multiplication", "convolution_1d", "example_2_1_algorithm",
+        "lu_decomposition", "matrix_multiplication", "stencil_2d", "transitive_closure",
+    ),
+    ".loopnest": ("Access", "LoopNest", "SubscriptError", "parse_affine"),
+    ".validate": (
+        "DEFAULT_LIMITS", "SpecBoundsError", "SpecDimensionError", "SpecError",
+        "SpecLimits", "SpecShapeError", "SpecSizeError", "validate_algorithm",
+        "validate_algorithm_spec", "validate_dependence_matrix", "validate_mu",
+        "validate_space", "validate_vector",
+    ),
+})

@@ -22,39 +22,14 @@ their shard outputs and the parent merges them with
 single consistent tree.
 """
 
-from __future__ import annotations
+from .. import _lazy
 
-from .progress import record_progress, span_progress
-from .report import PhaseSummary, format_report, phase_breakdown, report_file
-from .schema import load_trace, validate_lines, validate_record, validate_trace_file
-from .tracer import (
-    TRACE_SCHEMA_VERSION,
-    Span,
-    Tracer,
-    configure,
-    configure_logging,
-    get_tracer,
-    set_tracer,
-    trace_session,
-)
-
-__all__ = [
-    "TRACE_SCHEMA_VERSION",
-    "Span",
-    "Tracer",
-    "configure",
-    "configure_logging",
-    "get_tracer",
-    "set_tracer",
-    "trace_session",
-    "load_trace",
-    "validate_lines",
-    "validate_record",
-    "validate_trace_file",
-    "PhaseSummary",
-    "phase_breakdown",
-    "format_report",
-    "report_file",
-    "span_progress",
-    "record_progress",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".progress": ("record_progress", "span_progress"),
+    ".report": ("PhaseSummary", "format_report", "phase_breakdown", "report_file"),
+    ".schema": ("load_trace", "validate_lines", "validate_record", "validate_trace_file"),
+    ".tracer": (
+        "TRACE_SCHEMA_VERSION", "Span", "Tracer", "configure", "configure_logging",
+        "get_tracer", "set_tracer", "trace_session",
+    ),
+})

@@ -23,72 +23,17 @@ Everything is lazy here: importing :mod:`repro` must not pay for the
 server stack.
 """
 
-from __future__ import annotations
+from .. import _lazy
 
-__all__ = [
-    "JobSpec",
-    "parse_job_spec",
-    "encode_result",
-    "JobRecord",
-    "JobStore",
-    "JobManager",
-    "TenantPolicy",
-    "TenantBusy",
-    "HardeningPolicy",
-    "TokenBucket",
-    "CircuitBreaker",
-    "QuarantineRegistry",
-    "Rejected",
-    "QueueFull",
-    "RateLimited",
-    "BreakerOpen",
-    "error_body",
-    "execute_job",
-    "ServerConfig",
-    "MappingServer",
-    "run_server",
-    "ServeClient",
-    "ServeError",
-]
-
-_LAZY = {
-    "JobSpec": "protocol",
-    "parse_job_spec": "protocol",
-    "encode_result": "protocol",
-    "JobRecord": "store",
-    "JobStore": "store",
-    "JobManager": "queue",
-    "TenantPolicy": "queue",
-    "TenantBusy": "queue",
-    "HardeningPolicy": "hardening",
-    "TokenBucket": "hardening",
-    "CircuitBreaker": "hardening",
-    "QuarantineRegistry": "hardening",
-    "Rejected": "hardening",
-    "QueueFull": "hardening",
-    "RateLimited": "hardening",
-    "BreakerOpen": "hardening",
-    "error_body": "protocol",
-    "execute_job": "bridge",
-    "ServerConfig": "server",
-    "MappingServer": "server",
-    "run_server": "server",
-    "ServeClient": "client",
-    "ServeError": "client",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".protocol": ("JobSpec", "parse_job_spec", "encode_result", "error_body"),
+    ".store": ("JobRecord", "JobStore"),
+    ".queue": ("JobManager", "TenantPolicy", "TenantBusy"),
+    ".hardening": (
+        "HardeningPolicy", "TokenBucket", "CircuitBreaker", "QuarantineRegistry",
+        "Rejected", "QueueFull", "RateLimited", "BreakerOpen",
+    ),
+    ".bridge": ("execute_job",),
+    ".server": ("ServerConfig", "MappingServer", "run_server"),
+    ".client": ("ServeClient", "ServeError"),
+})

@@ -14,44 +14,15 @@ Public surface:
   digest of the compile parameters.
 """
 
-from .compiler import (
-    DEFAULT_INTERIOR_SAMPLES,
-    DEFAULT_MAX_DEGREE,
-    DEFAULT_MU_RANGE,
-    AlgorithmFamily,
-    CompileError,
-    compile_joint,
-    compile_schedule,
-    compile_space,
-    family_from_algorithm,
-    joint_compile_params,
-    load_or_compile,
-    schedule_compile_params,
-    solution_cache_key,
-    space_compile_params,
-)
-from .poly import RationalPoly, fit_polynomial, poly_from_samples
-from .solution import SymbolicAnswer, SymbolicSolution, ValidityInterval
+from .. import _lazy
 
-__all__ = [
-    "DEFAULT_INTERIOR_SAMPLES",
-    "DEFAULT_MAX_DEGREE",
-    "DEFAULT_MU_RANGE",
-    "AlgorithmFamily",
-    "CompileError",
-    "RationalPoly",
-    "SymbolicAnswer",
-    "SymbolicSolution",
-    "ValidityInterval",
-    "compile_joint",
-    "compile_schedule",
-    "compile_space",
-    "family_from_algorithm",
-    "fit_polynomial",
-    "joint_compile_params",
-    "load_or_compile",
-    "poly_from_samples",
-    "schedule_compile_params",
-    "solution_cache_key",
-    "space_compile_params",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".compiler": (
+        "DEFAULT_INTERIOR_SAMPLES", "DEFAULT_MAX_DEGREE", "DEFAULT_MU_RANGE",
+        "AlgorithmFamily", "CompileError", "compile_joint", "compile_schedule",
+        "compile_space", "family_from_algorithm", "joint_compile_params", "load_or_compile",
+        "schedule_compile_params", "solution_cache_key", "space_compile_params",
+    ),
+    ".poly": ("RationalPoly", "fit_polynomial", "poly_from_samples"),
+    ".solution": ("SymbolicAnswer", "SymbolicSolution", "ValidityInterval"),
+})

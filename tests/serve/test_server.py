@@ -1,5 +1,6 @@
 """End-to-end tests against a real ``repro serve`` subprocess."""
 
+import socket
 import sys
 import time
 
@@ -204,3 +205,16 @@ class TestCancelAndAdmission:
             assert again["created"] is False
         finally:
             proc.stop()
+
+
+class TestShutdown:
+    def test_sigterm_drops_open_connections_quietly(self, server):
+        # Connections still open when the server drains, one idle and
+        # one mid-body, are dropped without a traceback each.
+        idle = socket.create_connection(("127.0.0.1", server.port))
+        partial = socket.create_connection(("127.0.0.1", server.port))
+        partial.sendall(b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{")
+        with idle, partial:
+            server.client().health()  # both connections are accepted by now
+            assert server.sigterm() == 0
+        assert "Traceback" not in server.proc.stderr.read()
