@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..model import UniformDependenceAlgorithm, matrix_multiplication, transitive_closure
+from ..model.algorithm import UniformDependenceAlgorithm
+from ..model.library import matrix_multiplication, transitive_closure
 from .mapping import MappingMatrix
 from .schedule import LinearSchedule
 

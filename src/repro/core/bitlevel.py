@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dse.progress import SearchStats
-from ..model import UniformDependenceAlgorithm
+from ..model.algorithm import UniformDependenceAlgorithm
 from .conditions import ConditionVerdict
 from .mapping import MappingMatrix
 from .optimize import (

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..model import UniformDependenceAlgorithm
+from ..model.algorithm import UniformDependenceAlgorithm
 from .conflict import find_conflict_witness
 from .mapping import MappingMatrix
 from .optimize import enumerate_schedule_vectors

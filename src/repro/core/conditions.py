@@ -35,7 +35,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..intlin import IntMat, gcd_list, hnf_cached
+from ..intlin.gcdutil import gcd_list
+from ..intlin.hermite import hnf_cached
+from ..intlin.intmat import IntMat
 from .conflict import conflict_vector_corank1, is_feasible_conflict_vector
 from .mapping import MappingMatrix
 

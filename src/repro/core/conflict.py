@@ -45,16 +45,11 @@ from math import gcd, prod
 
 import numpy as np
 
-from ..intlin import (
-    IntMat,
-    IntVec,
-    as_intmat,
-    hnf_cached,
-    kernel_basis,
-    normalize_primitive,
-)
+from ..intlin.gcdutil import normalize_primitive
+from ..intlin.hermite import hnf_cached, kernel_basis
+from ..intlin.intmat import IntMat, IntVec, as_intmat
 from ..intlin.batch import batch_matmul
-from ..model import ConstantBoundedIndexSet
+from ..model.index_set import ConstantBoundedIndexSet
 from .mapping import MappingMatrix
 
 # Cap on the int64 cells (rows x table points, or beta rows x n) one

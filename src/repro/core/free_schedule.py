@@ -20,8 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..ilp import LinearProgram, solve_ilp
-from ..model import UniformDependenceAlgorithm
+from ..ilp.branch_bound import solve_ilp
+from ..ilp.problem import LinearProgram
+from ..model.algorithm import UniformDependenceAlgorithm
 from .schedule import LinearSchedule
 
 __all__ = ["FreeScheduleResult", "optimal_free_schedule", "conflict_penalty"]

@@ -26,9 +26,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..ilp import LinearProgram, enumerate_vertices, solve_ilp
-from ..intlin import det_bareiss
-from ..model import UniformDependenceAlgorithm
+from ..ilp.branch_bound import solve_ilp
+from ..ilp.problem import LinearProgram
+from ..ilp.vertex_enum import enumerate_vertices
+from ..intlin.matrix import det_bareiss
+from ..model.algorithm import UniformDependenceAlgorithm
 from .conditions import theorem_3_1
 from .mapping import MappingMatrix
 from .schedule import LinearSchedule

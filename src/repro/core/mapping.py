@@ -22,8 +22,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from ..intlin import IntMat, IntVec, as_intmat, as_intvec
-from ..model import UniformDependenceAlgorithm
+from ..intlin.intmat import IntMat, IntVec, as_intmat, as_intvec
+from ..model.algorithm import UniformDependenceAlgorithm
 
 __all__ = ["MappingMatrix", "MappingError"]
 

@@ -39,10 +39,11 @@ from math import gcd, prod
 import numpy as np
 
 from ..dse.progress import SearchStats
-from ..intlin import INT64_MAX, IntMat, as_intmat, as_intvec, kernel_basis
+from ..intlin.hermite import kernel_basis
+from ..intlin.intmat import INT64_MAX, IntMat, as_intmat, as_intvec
 from ..intlin.batch import batch_dependence_mask, batch_matmul
-from ..obs import Span, Tracer, get_tracer
-from ..model import UniformDependenceAlgorithm
+from ..obs.tracer import Span, Tracer, get_tracer
+from ..model.algorithm import UniformDependenceAlgorithm
 from .conditions import ConditionVerdict, check_conflict_free
 from .conflict import (
     _CELL_LIMIT,

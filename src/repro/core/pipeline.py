@@ -13,8 +13,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..model import UniformDependenceAlgorithm, validate_algorithm, validate_space
-from ..obs import get_tracer
+from ..model.algorithm import UniformDependenceAlgorithm
+from ..model.validate import validate_algorithm, validate_space
+from ..obs.tracer import get_tracer
 from .conflict import ConflictAnalysis, analyze_conflicts
 from .ilp_formulation import solve_corank1_optimal
 from .mapping import MappingMatrix
@@ -141,7 +142,7 @@ def find_time_optimal_mapping(
     validate_algorithm(algorithm)
     if isinstance(mu, int) and not isinstance(mu, bool):
         # Lazy import: repro.symbolic imports repro.core back.
-        from ..symbolic import family_from_algorithm
+        from ..symbolic.compiler import family_from_algorithm
 
         algorithm = family_from_algorithm(algorithm).algorithm(mu)
         mu = None
@@ -188,7 +189,7 @@ def _symbolic_route(
     weakens the result, it only changes how fast it arrives.
     """
     from ..dse.cache import ResultCache
-    from ..symbolic import (
+    from ..symbolic.compiler import (
         compile_schedule,
         family_from_algorithm,
         load_or_compile,

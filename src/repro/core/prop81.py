@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..intlin import extended_gcd
+from ..intlin.gcdutil import extended_gcd
 from .mapping import MappingMatrix
 
 __all__ = ["Prop81Result", "prop81_columns", "prop81_applicable"]

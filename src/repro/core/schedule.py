@@ -15,8 +15,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..intlin import IntVec, as_intvec
-from ..model import ConstantBoundedIndexSet, UniformDependenceAlgorithm
+from ..intlin.intmat import IntVec, as_intvec
+from ..model.algorithm import UniformDependenceAlgorithm
+from ..model.index_set import ConstantBoundedIndexSet
 
 __all__ = [
     "LinearSchedule",

@@ -30,10 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dse.progress import SearchStats
-from ..intlin import normalize_primitive, rank
+from ..intlin.gcdutil import normalize_primitive
+from ..intlin.matrix import rank
 from ..intlin.batch import batch_rows
-from ..obs import get_tracer
-from ..model import SpecBoundsError, UniformDependenceAlgorithm
+from ..obs.tracer import get_tracer
+from ..model.algorithm import UniformDependenceAlgorithm
+from ..model.validate import SpecBoundsError
 from ..systolic.cost import ArrayCost, evaluate_costs
 from ..systolic.interconnect import RoutingError
 from .conditions import check_conflict_free

@@ -29,8 +29,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from ..intlin import IntMat
-from ..obs import get_tracer
+from ..intlin.intmat import IntMat
+from ..obs.tracer import get_tracer
 
 logger = logging.getLogger("repro.dse.cache")
 

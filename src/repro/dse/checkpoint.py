@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..obs import get_tracer
+from ..obs.tracer import get_tracer
 
 logger = logging.getLogger("repro.dse.checkpoint")
 

@@ -54,7 +54,7 @@ from ..core.conditions import check_conflict_free
 from ..core.mapping import MappingMatrix
 from ..core.optimize import Ring, SearchResult, scan_rings, search_bounds
 from ..core.schedule import LinearSchedule
-from ..intlin import as_intvec
+from ..intlin.intmat import as_intvec
 from ..core.space_optimize import (
     SpaceDesign,
     SpaceOptimizationResult,
@@ -66,15 +66,15 @@ from ..core.space_optimize import (
     joint_objective,
     search_designs,
 )
-from ..model import (
-    ConstantBoundedIndexSet,
-    UniformDependenceAlgorithm,
+from ..model.algorithm import UniformDependenceAlgorithm
+from ..model.index_set import ConstantBoundedIndexSet
+from ..model.validate import (
     validate_algorithm,
     validate_algorithm_spec,
     validate_space,
     validate_vector,
 )
-from ..obs import get_tracer
+from ..obs.tracer import get_tracer
 from ..systolic.cost import ArrayCost
 from .cache import ResultCache, canonical_key
 from .checkpoint import CheckpointJournal, RunBudget, RunControl

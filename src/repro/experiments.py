@@ -21,28 +21,27 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
-from .core import (
-    MappingMatrix,
-    certify_optimality,
+from .core.baselines import matmul_baseline_ref23, transitive_closure_baseline_ref22
+from .core.certificates import certify_optimality, verify_certificate
+from .core.conflict import (
     conflict_vector_corank1,
     is_conflict_free_kernel_box,
     is_feasible_conflict_vector,
-    matmul_baseline_ref23,
-    optimal_free_schedule,
-    procedure_5_1,
-    solve_corank1_optimal,
-    solve_space_optimal,
-    transitive_closure_baseline_ref22,
-    verify_certificate,
 )
-from .intlin import hnf
-from .model import (
-    ConstantBoundedIndexSet,
+from .core.free_schedule import optimal_free_schedule
+from .core.ilp_formulation import solve_corank1_optimal
+from .core.mapping import MappingMatrix
+from .core.optimize import procedure_5_1
+from .core.space_optimize import solve_space_optimal
+from .intlin.hermite import hnf
+from .model.index_set import ConstantBoundedIndexSet
+from .model.library import (
     bit_level_matrix_multiplication,
     matrix_multiplication,
     transitive_closure,
 )
-from .systolic import plan_interconnection, simulate_mapping
+from .systolic.interconnect import plan_interconnection
+from .systolic.simulator import simulate_mapping
 
 __all__ = [
     "experiment_e1_conflict_vectors",
@@ -148,7 +147,7 @@ def experiment_e6_execution(mu: int = 4) -> dict[str, Any]:
     algo = matrix_multiplication(mu, a=a, b=b)
     t = MappingMatrix(space=((1, 1, -1),), schedule=(1, mu, 1))
     report = simulate_mapping(algo, t)
-    from .systolic import verify_matmul
+    from .systolic.semantics import verify_matmul
 
     ok, _sim, _ref = verify_matmul(report.values, a, b)
     return {

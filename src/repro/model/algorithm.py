@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from ..intlin import IntMat, IntVec, as_intmat
+from ..intlin.intmat import IntMat, IntVec, as_intmat
 from .index_set import ConstantBoundedIndexSet
 
 __all__ = ["UniformDependenceAlgorithm", "DependenceError"]

@@ -34,7 +34,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ..intlin import kernel_basis, normalize_primitive
+from ..intlin.gcdutil import normalize_primitive
+from ..intlin.hermite import kernel_basis
 from .algorithm import DependenceError, UniformDependenceAlgorithm
 from .index_set import ConstantBoundedIndexSet
 
@@ -276,7 +277,7 @@ def _full_rank_rows(f: list[list[int]]) -> list[list[int]]:
     subscripts like ``a[i, i]`` produce dependent rows that carry no
     extra kernel information.
     """
-    from ..intlin import rank as int_rank
+    from ..intlin.matrix import rank as int_rank
 
     rows: list[list[int]] = []
     for row in f:

@@ -175,7 +175,7 @@ def _execute_parametric(spec, algorithm, cache, common) -> JobOutcome:
     the ordinary journaled enumerative search, so the service's answer
     contract (equal to a direct engine run) holds everywhere.
     """
-    from ..symbolic import (
+    from ..symbolic.compiler import (
         compile_schedule,
         family_from_algorithm,
         load_or_compile,

@@ -43,8 +43,10 @@ from typing import NamedTuple
 from ..core.optimize import procedure_5_1
 from ..core.space_optimize import solve_joint_optimal, solve_space_optimal
 from ..dse.cache import ResultCache, canonical_key
-from ..model import ConstantBoundedIndexSet, SpecError, UniformDependenceAlgorithm
-from ..obs import get_tracer
+from ..model.algorithm import UniformDependenceAlgorithm
+from ..model.index_set import ConstantBoundedIndexSet
+from ..model.validate import SpecError
+from ..obs.tracer import get_tracer
 from .poly import RationalPoly, fit_polynomial
 from .solution import SymbolicSolution, ValidityInterval
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..model import UniformDependenceAlgorithm
+from ..model.algorithm import UniformDependenceAlgorithm
 from ..core.mapping import MappingMatrix
 from ..intlin.batch import batch_rows
 from ..intlin.intmat import INT64_MAX

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.mapping import MappingMatrix
 from ..intlin.intmat import as_intmat
-from ..model import UniformDependenceAlgorithm
+from ..model.algorithm import UniformDependenceAlgorithm
 from .array import array_geometry, stack_links, stack_processors
 from .interconnect import InterconnectionPlan, RoutingError, check_budget, plan_interconnection
 from .interconnect import nearest_neighbor_primitives, nearest_neighbor_usage

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..core.mapping import MappingMatrix
-from ..model import UniformDependenceAlgorithm
+from ..model.algorithm import UniformDependenceAlgorithm
 from .array import ProcessorArray, build_array
 from .interconnect import InterconnectionPlan, plan_interconnection
 from .io_schedule import derive_io_schedule

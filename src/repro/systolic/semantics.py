@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..model import UniformDependenceAlgorithm
+from ..model.algorithm import UniformDependenceAlgorithm
 
 __all__ = [
     "extract_matmul_result",

@@ -29,9 +29,9 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from ..model import UniformDependenceAlgorithm
+from ..model.algorithm import UniformDependenceAlgorithm
 from ..core.mapping import MappingMatrix
-from ..obs import get_tracer
+from ..obs.tracer import get_tracer
 from .array import ProcessorArray, build_array
 from .interconnect import InterconnectionPlan, plan_interconnection
 

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from ..core.mapping import MappingMatrix
-from ..model import UniformDependenceAlgorithm
+from ..model.algorithm import UniformDependenceAlgorithm
 from .interconnect import InterconnectionPlan, plan_interconnection
 
 __all__ = ["TraceEvent", "ExecutionTrace", "derive_trace"]

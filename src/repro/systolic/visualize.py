@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..model import ConstantBoundedIndexSet, UniformDependenceAlgorithm
+from ..model.algorithm import UniformDependenceAlgorithm
+from ..model.index_set import ConstantBoundedIndexSet
 from ..core.mapping import MappingMatrix
 from .interconnect import InterconnectionPlan
 
