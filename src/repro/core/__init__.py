@@ -26,15 +26,13 @@ __all__, __getattr__, __dir__ = _lazy.exports(__name__, globals(), {
     ),
     ".conflict": (
         "ConflictAnalysis", "analyze_conflicts", "conflict_generators", "conflict_margin",
-        "conflict_vector_corank1", "conflict_vector_via_adjugate", "distinct_image_count",
-        "find_conflict_witness", "is_conflict_free_bruteforce",
-        "is_conflict_free_bruteforce_vectorized", "is_conflict_free_kernel_box",
-        "is_feasible_conflict_vector",
+        "conflict_vector_corank1", "distinct_image_count", "find_conflict_witness",
+        "is_conflict_free_bruteforce", "is_conflict_free_bruteforce_vectorized",
+        "is_conflict_free_kernel_box", "is_feasible_conflict_vector",
     ),
     ".free_schedule": ("FreeScheduleResult", "conflict_penalty", "optimal_free_schedule"),
     ".ilp_formulation": (
-        "ILPMappingResult", "build_corank1_subproblems", "conflict_functional_rows",
-        "solve_corank1_optimal",
+        "ILPMappingResult", "build_corank1_subproblems", "solve_corank1_optimal",
     ),
     ".mapping": ("MappingError", "MappingMatrix"),
     ".optimize": (

@@ -405,18 +405,16 @@ def check_conflict_free(
             theorem="kernel-box",
             kind="iff",
         )
+    if method not in ("paper", "auto"):
+        raise ValueError(f"unknown method {method!r}")
+    if corank == 1:
+        return theorem_3_1(t, mu)
     if method == "paper":
-        if corank == 1:
-            return theorem_3_1(t, mu)
         if corank == 2:
             return theorem_4_7(t, mu)
         if corank == 3:
             return theorem_4_8(t, mu)
         return theorem_4_5(t, mu)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    if corank == 1:
-        return theorem_3_1(t, mu)
     u, _v, k = _hermite_u(t)
     fast = subset_sign_pattern_condition(u, k, mu)
     if fast.holds:

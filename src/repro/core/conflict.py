@@ -60,7 +60,6 @@ __all__ = [
     "ConflictAnalysis",
     "is_feasible_conflict_vector",
     "conflict_vector_corank1",
-    "conflict_vector_via_adjugate",
     "adjugate_conflict_matrix",
     "conflict_vector_verdicts",
     "box_kernel_table",
@@ -92,33 +91,21 @@ def is_feasible_conflict_vector(gamma: Sequence[int], mu: Sequence[int]) -> bool
 def conflict_vector_corank1(t: MappingMatrix) -> IntVec:
     """The unique conflict vector of a co-rank-1 mapping (Theorem 3.1).
 
-    Normalized to relatively prime entries with positive first non-zero
-    entry, as Section 3 fixes.  Computed from the HNF kernel (exact for
-    any column arrangement); see :func:`conflict_vector_via_adjugate`
-    for the cofactor form of Equation 3.2.
+    Equation 3.2 in cofactor form: ``gamma = Pi M`` with ``M`` the cached
+    :func:`adjugate_conflict_matrix` of the space rows, normalized to
+    relatively prime entries with positive first non-zero entry, as
+    Section 3 fixes.  A rank-deficient ``T`` has ``gamma = 0`` and is a
+    :class:`ValueError`.
     """
     if t.corank != 1:
         raise ValueError(f"mapping has co-rank {t.corank}, expected 1")
-    res = hnf_cached(t.matrix)
-    [gamma] = res.kernel_columns()
-    return IntVec(normalize_primitive(gamma))
-
-
-def conflict_vector_via_adjugate(t: MappingMatrix) -> IntVec:
-    """Equation 3.2 in cofactor form: ``gamma = Pi M``.
-
-    The paper's ``lambda * [-B^* b ; det B]`` (``B`` a nonsingular
-    ``(n-1)``-column block of ``T``) is, up to scale, the vector of
-    signed maximal minors of ``T``; :func:`adjugate_conflict_matrix`
-    expands them along the schedule row.  Normalized like
-    :func:`conflict_vector_corank1`, against which the tests check it.
-    """
-    if t.corank != 1:
-        raise ValueError(f"mapping has co-rank {t.corank}, expected 1")
-    *space, pi = t.matrix.rows()
-    gamma = adjugate_conflict_matrix(space, t.n).transpose().matvec(pi)
+    m = adjugate_conflict_matrix(t.space, t.n)
+    gamma = [t.schedule.dot(col) for col in m.columns()]
     if not any(gamma):
-        raise ValueError("mapping matrix does not have full row rank")
+        raise ValueError(
+            "mapping matrix does not have full row rank; Definition 2.2 "
+            "condition 4 requires rank(T) == k"
+        )
     return IntVec(normalize_primitive(gamma))
 
 

@@ -6,11 +6,12 @@ constraint is the disjunction
     ``exists i : |f_i(pi_1, ..., pi_n)| > mu_i``          (5.2 cond. 3)
 
 where the ``f_i`` are the *linear* functionals of Proposition 3.2 (the
-entries of the unique conflict vector, Equation 3.2).  Following the
-appendix, the disjunctive program is partitioned into ``2n`` convex
-integer linear programs (one per conflict-vector entry and sign), each
-solvable by exact extreme-point enumeration or branch-and-bound; the
-best post-checked solution is the optimum.
+entries of the unique conflict vector, Equation 3.2), read off the
+columns of :func:`~repro.core.conflict.adjugate_conflict_matrix`.
+Following the appendix, the disjunctive program is partitioned into
+``2n`` convex integer linear programs (one per conflict-vector entry and
+sign), each solvable by exact extreme-point enumeration or
+branch-and-bound; the best post-checked solution is the optimum.
 
 The post-check matters: the formulation drops the ``gcd = 1``
 normalization (the appendix discusses exactly this), so a vertex can
@@ -29,58 +30,17 @@ from fractions import Fraction
 from ..ilp.branch_bound import solve_ilp
 from ..ilp.problem import LinearProgram
 from ..ilp.vertex_enum import enumerate_vertices
-from ..intlin.matrix import det_bareiss
 from ..model.algorithm import UniformDependenceAlgorithm
 from .conditions import theorem_3_1
+from .conflict import adjugate_conflict_matrix
 from .mapping import MappingMatrix
 from .schedule import LinearSchedule
 
 __all__ = [
-    "conflict_functional_rows",
     "build_corank1_subproblems",
     "ILPMappingResult",
     "solve_corank1_optimal",
 ]
-
-
-def conflict_functional_rows(
-    space: Sequence[Sequence[int]], n: int
-) -> list[list[int]]:
-    """Coefficient rows of the linear functionals ``f_i`` (Prop 3.2).
-
-    ``f_i(Pi)`` is (up to a global sign convention) the ``i``-th entry
-    of the unique conflict vector of ``[S; Pi]``: the signed maximal
-    minor of ``T`` obtained by deleting column ``i``.  Each ``f_i`` is
-    linear in ``Pi`` (determinant expansion along the last row), so
-    ``f_i(Pi) = rows[i] . Pi``; the coefficient of ``pi_j`` is read off
-    by evaluating at the unit vectors.
-
-    For the paper's Example 3.1 (``S = [1, 1, -1]``) this returns the
-    rows of Equation 3.5: ``gamma = (-pi_2 - pi_3, pi_1 + pi_3,
-    pi_1 - pi_2)``.
-    """
-    space_rows = [list(map(int, row)) for row in space]
-    if len(space_rows) != n - 2:
-        raise ValueError(
-            f"co-rank-1 formulation needs S with n-2={n - 2} rows, "
-            f"got {len(space_rows)}"
-        )
-    rows: list[list[int]] = []
-    for i in range(n):
-        coeff = []
-        for j in range(n):
-            if j == i:
-                coeff.append(0)
-                continue
-            pi_unit = [0] * n
-            pi_unit[j] = 1
-            t_full = space_rows + [pi_unit]
-            cols = [c for c in range(n) if c != i]
-            minor_mat = [[row[c] for c in cols] for row in t_full]
-            sign = -1 if i % 2 else 1
-            coeff.append(sign * det_bareiss(minor_mat))
-        rows.append(coeff)
-    return rows
 
 
 def build_corank1_subproblems(
@@ -114,7 +74,8 @@ def build_corank1_subproblems(
     n = algorithm.n
     mu = algorithm.mu
     d = algorithm.dependence_vectors()
-    f_rows = conflict_functional_rows(space, n)
+    # Row i of M^T holds the coefficients of f_i: gamma(Pi) = Pi M.
+    f_rows = adjugate_conflict_matrix(space, n).transpose()
 
     if orthant == "auto":
         units = {tuple(1 if r == c else 0 for r in range(n)) for c in range(n)}

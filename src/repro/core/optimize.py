@@ -388,19 +388,20 @@ class BatchCandidateScanner:
     ``Pi D > 0`` dependence mask, run once since it does not depend on
     ``S``; a rank mask, one product of the survivors against the rank
     matrices of every ``S``; then each ``S``'s conflict screen on its
-    own survivors.  The screen depends on ``method`` and the co-rank:
+    own survivors.  The screen depends on the co-rank and ``method``:
 
-    * ``"paper"`` — the paper's Step 5(3) dispatch
-      (:func:`check_conflict_free` with ``method="paper"``: Theorem
-      3.1, 4.7, 4.8 or 4.5), one candidate at a time, so a lazy scan
-      stops at the first conflict-free row.
-    * ``"auto"``/``"exact"`` at co-rank 1 (``len(S) == n - 2``) — the
-      paper's own test on the conflict vector ``gamma(Pi)``
+    * co-rank 1 (``len(S) == n - 2``), every method — the paper's own
+      test on the conflict vector ``gamma(Pi)``
       (:func:`~repro.core.conflict.conflict_vector_verdicts`, Theorems
-      3.1 and 2.2).  ``gamma(Pi) = Pi M`` with ``M`` the
+      3.1 and 2.2), which is also the paper's Step 5(3) dispatch at
+      co-rank 1.  ``gamma(Pi) = Pi M`` with ``M`` the
       :func:`~repro.core.conflict.adjugate_conflict_matrix` of ``S``,
       and ``M`` is also the rank matrix (``gamma(Pi) != 0``), so the
       rank product of the stack already holds every ``gamma``.
+    * ``"paper"`` at co-rank >= 2 — the paper's Step 5(3) dispatch
+      (:func:`check_conflict_free` with ``method="paper"``: Theorem
+      4.7, 4.8 or 4.5), one candidate at a time, so a lazy scan stops
+      at the first conflict-free row.
     * ``"auto"``/``"exact"`` at co-rank >= 2 — ``Pi`` is tested
       against the kernel basis of ``S``, and is conflict-free iff
       ``Pi . x != 0`` for every point ``x`` of the
@@ -491,8 +492,8 @@ class BatchCandidateScanner:
         """``int8`` stage codes for the rows of ``pis``, one array per ``S``.
 
         ``spaces`` indexes the scanner's stack.  With ``stop_at_ok`` the
-        paper's per-candidate dispatch stops at an ``S``'s first
-        conflict-free row, and that ``S``'s codes cover only the prefix
+        paper's per-candidate dispatch (co-rank >= 2) stops at an ``S``'s
+        first conflict-free row, and that ``S``'s codes cover only the prefix
         of ``pis`` whose codes are final (at least one row when ``pis``
         is non-empty).  The vectorized screens always judge every row.
         """
@@ -529,8 +530,7 @@ class BatchCandidateScanner:
         codes[:, idx] = CODE_RANK
         stack = self._rank_stack(spaces)
         passed = np.zeros((idx.size, len(spaces)), dtype=bool)
-        gamma_screen = self.method != "paper" and self.n - self.k == 1
-        free = np.zeros_like(passed) if gamma_screen else None
+        free = np.zeros_like(passed) if self.n - self.k == 1 else None
         step = max(1, _CELL_LIMIT // stack.ncols)
         for lo in range(0, idx.size, step):
             product, rank_promoted = batch_matmul(pis[idx[lo : lo + step]], stack)
@@ -793,17 +793,13 @@ def _scan_ring(
         for i in np.flatnonzero(codes == CODE_OK).tolist():
             pi = tuple(int(v) for v in ring.candidates[pos + i])
             t = MappingMatrix(space=space_rows, schedule=pi)
-            verdict = verdict_of(t)
-            if not verdict.holds:  # pragma: no cover - screens are exact
-                stats.conflicts_rejected += 1
-                continue
             if extra_constraint is None or extra_constraint(t):
                 examined = _tally_stage_codes(stats, codes[: i + 1], examined)
                 stats.candidates_pruned += (
                     _full_ring_rank(algorithm.mu, ring.f_min, ring.f_max, pi) - (pos + i)
                 )
                 cand = LinearSchedule(pi=pi, index_set=algorithm.index_set)
-                return examined, (cand, t, verdict)
+                return examined, (cand, t, verdict_of(t))
         examined = _tally_stage_codes(stats, codes, examined)
         pos += len(codes)
         if pos >= len(ring.candidates):

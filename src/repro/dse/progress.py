@@ -100,8 +100,8 @@ class SearchStats:
     conflict_screens:
         Dependence and rank survivors of a schedule search whose
         conflict verdict a screen computed — every survivor of a judged
-        span, except that ``method="paper"`` stops at the span's first
-        conflict-free one (telemetry).
+        span, except that ``method="paper"`` at co-rank >= 2 stops at
+        the span's first conflict-free one (telemetry).
     """
 
     candidates_enumerated: int = 0

@@ -8,13 +8,12 @@ from repro.core import (
     conflict_generators,
     conflict_margin,
     conflict_vector_corank1,
-    conflict_vector_via_adjugate,
     find_conflict_witness,
     is_conflict_free_bruteforce,
     is_conflict_free_kernel_box,
     is_feasible_conflict_vector,
 )
-from repro.intlin import matvec, normalize_primitive
+from repro.intlin import hnf, matvec, normalize_primitive
 from repro.model import ConstantBoundedIndexSet
 
 
@@ -85,27 +84,29 @@ class TestCorank1Vector:
             conflict_vector_corank1(t)
 
     def test_adjugate_construction_agrees(self, rng):
-        """Equation 3.2 literally vs the HNF kernel — must match."""
+        """Equation 3.2's cofactor form vs the HNF kernel — must match."""
         from repro.intlin import random_full_rank
 
         for _ in range(25):
             rows = random_full_rank(3, 4, rng=rng)
             t = MappingMatrix.from_rows(rows)
-            assert conflict_vector_via_adjugate(t) == conflict_vector_corank1(t)
+            [column] = hnf(t.matrix).kernel_columns()
+            assert conflict_vector_corank1(t) == normalize_primitive(column)
 
     def test_adjugate_with_singular_leading_block(self):
-        """B (first n-1 columns) singular: the permutation fallback."""
+        """A rank-deficient T has gamma = 0: rejected cleanly."""
         t = MappingMatrix.from_rows([[0, 0, 1], [0, 0, 2]])
-        # rank 1 < 2: not full rank; must raise cleanly somewhere.
-        with pytest.raises(ValueError):
-            conflict_vector_via_adjugate(t)
+        with pytest.raises(ValueError, match="full row rank"):
+            conflict_vector_corank1(t)
 
     def test_adjugate_singular_but_full_rank(self):
-        # First two columns dependent but T full rank.
+        # First two columns dependent but T full rank: the cofactor
+        # expansion needs no non-singular leading block.
         t = MappingMatrix.from_rows([[1, 2, 0], [2, 4, 1]])
-        gamma = conflict_vector_via_adjugate(t)
+        gamma = conflict_vector_corank1(t)
         assert matvec(t.rows(), gamma) == [0, 0]
-        assert gamma == conflict_vector_corank1(t)
+        [column] = hnf(t.matrix).kernel_columns()
+        assert gamma == normalize_primitive(column)
 
 
 class TestGenerators:

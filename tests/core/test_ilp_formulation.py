@@ -5,19 +5,22 @@ import pytest
 from repro.core import (
     MappingMatrix,
     build_corank1_subproblems,
-    conflict_functional_rows,
     conflict_vector_corank1,
     procedure_5_1,
     solve_corank1_optimal,
 )
+from repro.core.conflict import adjugate_conflict_matrix
 from repro.intlin import normalize_primitive
 from repro.model import convolution_1d, matrix_multiplication, transitive_closure
 
 
 class TestFunctionalRows:
+    """Proposition 3.2's functionals ``f_i``: the rows of ``M`` transposed."""
+
     def test_equation_3_5(self):
         """S = [1,1,-1]: gamma = +-(pi2+pi3, -(pi1+pi3), -(pi1-pi2))."""
-        rows = conflict_functional_rows([[1, 1, -1]], 3)
+        rows = adjugate_conflict_matrix([[1, 1, -1]], 3).transpose()
+        assert rows.rows() == [[0, 1, 1], [-1, 0, -1], [-1, 1, 0]]
         # Evaluate at several Pi and compare with the normalized kernel.
         for pi in [(1, 4, 1), (2, 1, 4), (3, 1, 1)]:
             f_vals = [sum(c * p for c, p in zip(row, pi)) for row in rows]
@@ -27,7 +30,7 @@ class TestFunctionalRows:
 
     def test_equation_3_7(self):
         """S = [0,0,1]: gamma proportional to (pi2, -pi1, 0)."""
-        rows = conflict_functional_rows([[0, 0, 1]], 3)
+        rows = adjugate_conflict_matrix([[0, 0, 1]], 3).transpose()
         for pi in [(5, 1, 1), (9, 1, 1), (7, 3, 2)]:
             f_vals = [sum(c * p for c, p in zip(row, pi)) for row in rows]
             expected = normalize_primitive([pi[1], -pi[0], 0])
@@ -35,7 +38,7 @@ class TestFunctionalRows:
 
     def test_linearity(self):
         """Proposition 3.2: each f_i is linear in Pi."""
-        rows = conflict_functional_rows([[1, 1, -1]], 3)
+        rows = adjugate_conflict_matrix([[1, 1, -1]], 3).transpose()
         pi_a, pi_b = (1, 2, 3), (4, 5, 6)
         for row in rows:
             fa = sum(c * p for c, p in zip(row, pi_a))
@@ -45,7 +48,7 @@ class TestFunctionalRows:
 
     def test_kernel_identity(self):
         """T . f(Pi) == 0 for every Pi (f is the kernel direction)."""
-        rows = conflict_functional_rows([[1, 1, -1]], 3)
+        rows = adjugate_conflict_matrix([[1, 1, -1]], 3).transpose()
         for pi in [(1, 4, 1), (10, -3, 7)]:
             f_vals = [sum(c * p for c, p in zip(row, pi)) for row in rows]
             t = MappingMatrix(space=((1, 1, -1),), schedule=pi)
@@ -54,8 +57,8 @@ class TestFunctionalRows:
             assert matvec(t.rows(), f_vals) == [0, 0]
 
     def test_wrong_space_shape_rejected(self):
-        with pytest.raises(ValueError, match="n-2"):
-            conflict_functional_rows([[1, 1, -1], [0, 1, 0]], 3)
+        with pytest.raises(ValueError, match="needs 1 space rows, got 2"):
+            adjugate_conflict_matrix([[1, 1, -1], [0, 1, 0]], 3)
 
 
 class TestSubproblems:

@@ -342,11 +342,17 @@ class TestSearchEquivalence:
 
     @given(random_dependence_case(), st.sampled_from(["auto", "paper"]))
     @example((_algorithm((2, 2, 3), [(1, 0, 0), (1, 1, 0)]), []), "paper")
+    @example(
+        (_algorithm((2, 1, 1, 2), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                                   (0, 0, 0, 1)]), []),
+        "paper",
+    )
     @settings(max_examples=10, deadline=None)
     def test_stacked_search_with_max_bound_and_extra_constraint(self, case, method):
         # The constraint rejects some conflict-free rows, so an S's scan
-        # goes on past an ok code (under "paper", with a judge call of
-        # that S alone); max_bound lets searches end without a winner.
+        # goes on past an ok code (under "paper" at co-rank >= 2, the
+        # 4-D example, with a judge call of that S alone); max_bound
+        # lets searches end without a winner.
         algo, _space = case
         assert_stacked_search_equals_reference(
             algo, method, max_bound=2 * sum(algo.mu),

@@ -16,7 +16,6 @@ from repro.core import (
     MappingMatrix,
     check_conflict_free,
     conflict_vector_corank1,
-    conflict_vector_via_adjugate,
     is_conflict_free_bruteforce,
     is_conflict_free_kernel_box,
     is_feasible_conflict_vector,
@@ -24,7 +23,7 @@ from repro.core import (
     theorem_4_3,
     theorem_4_4,
 )
-from repro.intlin import rank
+from repro.intlin import hnf, normalize_primitive, rank
 from repro.model import ConstantBoundedIndexSet
 
 
@@ -98,7 +97,8 @@ class TestTheorem31Exactness:
     @given(mapping_and_mu(k=2, n=3))
     def test_adjugate_equals_hnf_route(self, tm):
         t, _mu = tm
-        assert conflict_vector_via_adjugate(t) == conflict_vector_corank1(t)
+        [column] = hnf(t.matrix).kernel_columns()
+        assert conflict_vector_corank1(t) == normalize_primitive(column)
 
 
 class TestNecessaryConditions:
