@@ -507,6 +507,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"--mu has {len(mu)} entries, T has {t.n} columns "
             f"(give one value or {t.n})"
         )
+    if t.rank() < t.k:
+        raise SystemExit(
+            f"T has rank {t.rank()} < {t.k} rows; Definition 2.2 "
+            "condition 4 requires full row rank"
+        )
     verdict = check_conflict_free(t, mu, method=args.method)
     print(f"T ({t.k} x {t.n}, co-rank {t.corank}) rank = {t.rank()}")
     print(f"checker        : {verdict.theorem} ({verdict.kind})")

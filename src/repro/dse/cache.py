@@ -8,11 +8,12 @@ design-space bounds when ``S`` is being searched), the solver/method,
 and the search bounds.  Renaming an algorithm does not change its key;
 changing ``mu``, ``D``, the method, or any bound does.
 
-Entries are stored one JSON file per key under a cache directory
-(``$REPRO_DSE_CACHE_DIR``, else ``~/.cache/repro-dse``).  Writes go
-through a temp file + :func:`os.replace`, so concurrent processes never
-observe a torn entry; each entry carries a content checksum, so
-corruption that still parses as JSON is quarantined instead of served.  What is stored is the *decision* of the search
+Entries are stored one checksummed record file (:mod:`repro.dse.records`)
+per key under a cache directory (``$REPRO_DSE_CACHE_DIR``, else
+``~/.cache/repro-dse``).  Writes go through a temp file +
+:func:`os.replace`, so concurrent processes never observe a torn entry;
+corruption that still parses as JSON is quarantined instead of served.
+What is stored is the *decision* of the search
 (the winning schedule vector, the ranked design list, the deterministic
 counters) — never derived objects like verdicts or cost structures,
 which the engine re-derives exactly on a hit.  That keeps entries tiny,
@@ -25,12 +26,12 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import time
 from pathlib import Path
 
 from ..intlin.intmat import IntMat
 from ..obs.tracer import get_tracer
+from . import records
 
 logger = logging.getLogger("repro.dse.cache")
 
@@ -40,7 +41,9 @@ __all__ = ["ResultCache", "canonical_key", "default_cache_dir"]
 # entries of any other version are then inert misses, overwritten by the
 # next put.  Only this version is read: v5 schedule keys have the same
 # shape as v3 ones, and the bump keeps v3 entries from answering them.
-CACHE_SCHEMA_VERSION = 5
+# v6: the checksum covers the whole entry (records.encode_record), not
+# only its value.
+CACHE_SCHEMA_VERSION = 6
 
 
 def default_cache_dir() -> Path:
@@ -63,10 +66,7 @@ def canonical_key(payload: dict) -> str:
     re-serializing rows.  Key order and whitespace never influence the
     digest.
     """
-    blob = json.dumps(
-        _canonicalize(payload), sort_keys=True, separators=(",", ":"),
-        default=_jsonify,
-    )
+    blob = json.dumps(_canonicalize(payload), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -80,25 +80,6 @@ def _canonicalize(obj):
     if isinstance(obj, (list, tuple)):
         return [_canonicalize(x) for x in obj]
     return obj
-
-
-def _jsonify(obj):
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"non-canonical cache-key component: {obj!r}")
-
-
-def _content_checksum(value: dict) -> str:
-    """SHA-256 of the canonical JSON form of an entry's ``value``.
-
-    Tuples canonicalize to lists, so the digest computed at ``put`` time
-    (over in-memory tuples) equals the digest recomputed at ``get`` time
-    (over the lists ``json.load`` hands back).
-    """
-    blob = json.dumps(
-        value, sort_keys=True, separators=(",", ":"), default=_jsonify
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class ResultCache:
@@ -139,43 +120,30 @@ class ResultCache:
     def get(self, key: str) -> dict | None:
         """The stored entry for ``key``, or ``None`` (counted as a miss).
 
-        A malformed entry — unparsable JSON, a non-object document, a
-        current-schema object missing its ``"value"``, or one whose
-        content checksum no longer matches — is a miss too: the file is
-        quarantined aside (renamed ``*.json.corrupt``) so the search
-        re-runs and overwrites it, instead of crashing on (or silently
-        trusting) a truncated, bit-rotted, or hand-edited file.  A
-        well-formed entry of any other schema version is an ordinary
-        miss (version skew, not damage).
+        A damaged entry — unparsable JSON, a non-object document, or one
+        whose checksum is missing or no longer matches — is a miss too:
+        the file is quarantined aside (renamed ``*.json.corrupt``) so
+        the search re-runs and overwrites it, instead of crashing on (or
+        silently trusting) a truncated, bit-rotted, or hand-edited file.
+        A JSON object of any other schema version is an ordinary miss
+        (version skew, not damage).
         """
         if self.enabled:
             path = self._path(key)
-            absent = object()
-            entry = absent
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    entry = json.load(fh)
-            except OSError:
-                entry = absent
-            except json.JSONDecodeError:
-                entry = None  # file exists but is damaged
-            if isinstance(entry, dict):
-                schema = entry.get("schema")
-                if schema == CACHE_SCHEMA_VERSION:
-                    value = entry.get("value")
-                    if isinstance(value, dict) and entry.get(
-                        "crc"
-                    ) == _content_checksum(value):
-                        self.hits += 1
-                        tracer = get_tracer()
-                        tracer.event("cache.hit", key=key)
-                        tracer.add("cache.hits")
-                        logger.debug("cache hit: %s", key)
-                        return value
-                    self._quarantine(path)
-                # unknown schema versions: inert, plain miss
-            elif entry is not absent:
-                self._quarantine(path)
+            entry = records.read_record(path, schema=CACHE_SCHEMA_VERSION)
+            if entry is records.DAMAGED:
+                self.quarantined += 1
+                tracer = get_tracer()
+                tracer.event("cache.quarantine", path=path.name)
+                tracer.add("cache.quarantined")
+                logger.warning("quarantined malformed cache entry: %s", path)
+            elif entry is not None:
+                self.hits += 1
+                tracer = get_tracer()
+                tracer.event("cache.hit", key=key)
+                tracer.add("cache.hits")
+                logger.debug("cache hit: %s", key)
+                return entry["value"]
         self.misses += 1
         tracer = get_tracer()
         tracer.event("cache.miss", key=key)
@@ -183,41 +151,15 @@ class ResultCache:
         logger.debug("cache miss: %s", key)
         return None
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a malformed entry aside (``*.json.corrupt``)."""
-        try:
-            path.replace(path.with_name(path.name + ".corrupt"))
-            self.quarantined += 1
-            tracer = get_tracer()
-            tracer.event("cache.quarantine", path=path.name)
-            tracer.add("cache.quarantined")
-            logger.warning("quarantined malformed cache entry: %s", path)
-        except OSError:  # pragma: no cover - raced deletion
-            pass
-
     def put(self, key: str, value: dict) -> None:
         """Store ``value`` under ``key`` atomically (no-op when disabled)."""
         if not self.enabled:
             return
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "crc": _content_checksum(value),
-            "value": value,
-        }
-        fd, tmp = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=".tmp-", suffix=".json"
+        records.write_atomic(
+            self._path(key),
+            records.encode_record({"schema": CACHE_SCHEMA_VERSION, "value": value}),
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, separators=(",", ":"))
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     # -- maintenance -----------------------------------------------------
 

@@ -6,15 +6,16 @@ the *run* survive the death of the parent process.  Three pieces:
 * :class:`CheckpointJournal` — a write-ahead journal of completed shard
   results (design searches) and of a run's final decision (every
   search; a schedule search, which runs in process, journals nothing
-  else).  Every record is one JSONL line carrying a SHA-256 checksum
-  of its body; appends are flushed and ``fsync``'d before the shard is
-  considered durable, so a ``SIGKILL`` (OOM killer, preemption) can
-  lose at most the record being written.  Replay tolerates exactly that
-  damage: a torn or corrupted tail is dropped (and truncated away on
-  reopen), everything before it is trusted because the checksums prove
-  it was written whole.  Periodic snapshot **compaction** rewrites the
-  journal as one snapshot record via the usual temp-file +
-  ``os.replace`` dance, bounding file growth on huge sweeps.
+  else).  Every record is one checksummed record line
+  (:mod:`repro.dse.records`); appends are flushed and ``fsync``'d
+  before the shard is considered durable, so a ``SIGKILL`` (OOM killer,
+  preemption) can lose at most the record being written.  Replay
+  tolerates exactly that damage: a torn or corrupted tail is dropped
+  (and truncated away on reopen), everything before it is trusted
+  because the checksums prove it was written whole.  Periodic snapshot
+  **compaction** rewrites the journal as one snapshot record through
+  an atomic temp-file + ``os.replace`` write, bounding file growth on
+  huge sweeps.
 * :class:`RunBudget` — run-level resource ceilings: wall-clock seconds,
   dispatched shards, and (for Procedure 5.1's expanding rings) the bit
   growth of the ring bound, which caps the magnitude of every integer
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..obs.tracer import get_tracer
+from . import records
 
 logger = logging.getLogger("repro.dse.checkpoint")
 
@@ -142,52 +144,6 @@ class RunBudget:
 
 
 # -- the journal ------------------------------------------------------------
-
-
-def _record_line(rec: dict) -> str:
-    """One JSONL line: the record body plus a SHA-256 of its canonical
-    form.  The checksum is what lets replay distinguish 'written whole'
-    from 'torn by a crash' without trusting file sizes or flush order.
-
-    The wrapper is assembled by hand — ``"crc"`` sorts before ``"rec"``
-    and ``body`` is already compact canonical JSON, so this equals
-    ``json.dumps({"crc": ..., "rec": rec}, sort_keys=True, ...)``
-    without serializing the record a second time (appends are on the
-    per-shard hot path)."""
-    body = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    crc = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return f'{{"crc":"{crc}","rec":{body}}}\n'
-
-
-def _parse_line(line: str) -> dict | None:
-    """The verified record body, or ``None`` for a torn/corrupt line."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(obj, dict):
-        return None
-    rec, crc = obj.get("rec"), obj.get("crc")
-    if not isinstance(rec, dict) or not isinstance(crc, str):
-        return None
-    body = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    if hashlib.sha256(body.encode("utf-8")).hexdigest() != crc:
-        return None
-    return rec
-
-
-def _fsync_dir(path: Path) -> None:
-    """Best-effort directory fsync so a rename survives power loss."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fsync on dirs unsupported
-        pass
-    finally:
-        os.close(fd)
 
 
 class CheckpointJournal:
@@ -285,53 +241,42 @@ class CheckpointJournal:
     def _replay(self, run_key: str) -> int:
         """Load records, verifying checksums; returns the byte offset of
         the end of the last good line (where appending may resume)."""
-        good = 0
+        data = self.path.read_bytes()
+        recs, good = records.decode_lines(data)
+        self.dropped_records += good < len(data)  # a torn or corrupt tail
         header_seen = False
-        with open(self.path, "rb") as fh:
-            for raw in fh:
-                rec = None
-                if raw.endswith(b"\n"):
-                    try:
-                        rec = _parse_line(raw.decode("utf-8"))
-                    except UnicodeDecodeError:
-                        rec = None
-                if rec is None:
-                    # Torn or corrupt: with fsync'd appends this can
-                    # only be the tail — drop it and everything after.
-                    self.dropped_records += 1
-                    break
-                kind = rec.get("kind")
-                if kind in ("run", "snapshot"):
-                    if rec.get("schema") != JOURNAL_SCHEMA_VERSION:
-                        raise CheckpointError(
-                            f"journal {self.path} has schema "
-                            f"{rec.get('schema')!r}, this library writes "
-                            f"{JOURNAL_SCHEMA_VERSION}; delete it or rerun "
-                            "without resume to start fresh"
-                        )
-                    if rec.get("run") != run_key:
-                        raise CheckpointError(
-                            f"journal {self.path} belongs to a different run "
-                            f"(run key {str(rec.get('run'))[:12]}..., this "
-                            f"search is {run_key[:12]}...); it records a "
-                            "search with different parameters — rerun "
-                            "without resume to discard it"
-                        )
-                    header_seen = True
-                    if kind == "snapshot":
-                        shards = rec.get("shards")
-                        if isinstance(shards, dict):
-                            self.shards.update(shards)
-                elif kind == "shard":
-                    key, out = rec.get("key"), rec.get("out")
-                    if isinstance(key, str) and isinstance(out, dict):
-                        self.shards[key] = out
-                elif kind == "result":
-                    entry = rec.get("entry")
-                    if isinstance(entry, dict):
-                        self.result_entry = entry
-                # unknown kinds: forward-compatible no-ops
-                good += len(raw)
+        for rec in recs:
+            kind = rec.get("kind")
+            if kind in ("run", "snapshot"):
+                if rec.get("schema") != JOURNAL_SCHEMA_VERSION:
+                    raise CheckpointError(
+                        f"journal {self.path} has schema "
+                        f"{rec.get('schema')!r}, this library writes "
+                        f"{JOURNAL_SCHEMA_VERSION}; delete it or rerun "
+                        "without resume to start fresh"
+                    )
+                if rec.get("run") != run_key:
+                    raise CheckpointError(
+                        f"journal {self.path} belongs to a different run "
+                        f"(run key {str(rec.get('run'))[:12]}..., this "
+                        f"search is {run_key[:12]}...); it records a "
+                        "search with different parameters — rerun "
+                        "without resume to discard it"
+                    )
+                header_seen = True
+                if kind == "snapshot":
+                    shards = rec.get("shards")
+                    if isinstance(shards, dict):
+                        self.shards.update(shards)
+            elif kind == "shard":
+                key, out = rec.get("key"), rec.get("out")
+                if isinstance(key, str) and isinstance(out, dict):
+                    self.shards[key] = out
+            elif kind == "result":
+                entry = rec.get("entry")
+                if isinstance(entry, dict):
+                    self.result_entry = entry
+            # unknown kinds: forward-compatible no-ops
         if not header_seen and self.shards:
             raise CheckpointError(
                 f"journal {self.path} has shard records but no valid run "
@@ -363,9 +308,7 @@ class CheckpointJournal:
     def _append(self, rec: dict) -> None:
         if self._fh is None:
             raise CheckpointError("journal is not open")
-        self._fh.write(_record_line(rec).encode("utf-8"))
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        records.append_line(self._fh, rec, durable=True)
 
     def record_shard(self, key: str, out: dict) -> None:
         """Durably journal one completed shard's encoded output.
@@ -411,20 +354,13 @@ class CheckpointJournal:
             "task": self.task,
             "shards": self.shards,
         }
-        tmp = self.path.with_name(self.path.name + ".compact-tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(_record_line(snapshot).encode("utf-8"))
-            if self.result_entry is not None:
-                fh.write(
-                    _record_line(
-                        {"kind": "result", "entry": self.result_entry}
-                    ).encode("utf-8")
-                )
-            fh.flush()
-            os.fsync(fh.fileno())
+        data = records.encode_line(snapshot)
+        if self.result_entry is not None:
+            data += records.encode_line({"kind": "result", "entry": self.result_entry})
+        records.write_atomic(self.path, data.encode("utf-8"), durable=True)
+        # Later appends go to the new file: its name must survive too.
+        records.sync_dir(self.path.parent)
         self._fh.close()
-        os.replace(tmp, self.path)
-        _fsync_dir(self.path.parent)
         self._fh = open(self.path, "ab")
         self._appends = 0
         get_tracer().event("checkpoint.compact", shards=len(self.shards))

@@ -35,13 +35,14 @@ drives, so none of them need locks beyond the fault bookkeeping.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+from ..dse import records
 
 logger = logging.getLogger("repro.serve.hardening")
 
@@ -352,9 +353,11 @@ class QuarantineRegistry:
     A digest that accumulates ``threshold`` strikes is quarantined:
     the registry records the final failure and the server answers any
     future submit of that digest from the record instead of burning
-    another worker on it.  Strikes survive restarts (one small JSON
-    file per digest), so a poison spec is executed at most
-    ``threshold`` times *ever*, not per server generation.
+    another worker on it.  Strikes survive restarts (one small record
+    file per digest, :mod:`repro.dse.records`), so a poison spec is
+    executed at most ``threshold`` times *ever*, not per server
+    generation.  An entry that does not verify is moved aside
+    (``*.json.corrupt``) and its strikes start over.
 
     Disk writes are best-effort: a registry that cannot persist keeps
     full fidelity in memory and the server keeps running — this layer
@@ -370,38 +373,23 @@ class QuarantineRegistry:
         self.write_errors = 0
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            paths = sorted(self.root.glob("*.json"))
+            paths = sorted(self.root.glob("[!.]*.json"))  # no .tmp-* files
         except OSError as exc:
             logger.warning("quarantine registry unreadable (%s); "
                            "starting empty, memory-only", exc)
             paths = []
         for path in paths:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    entry = json.load(fh)
-                digest = entry["digest"]
-            except (OSError, ValueError, TypeError, KeyError) as exc:
-                logger.warning("ignoring damaged quarantine entry %s: %s",
-                               path, exc)
-                continue
-            self._entries[digest] = entry
+            entry = records.read_record(path)
+            if entry is records.DAMAGED:
+                logger.warning("set aside damaged quarantine entry %s", path)
+            elif entry is not None:
+                self._entries[entry["digest"]] = entry
 
     def __len__(self) -> int:
         return sum(1 for e in self._entries.values() if e.get("quarantined"))
 
     def _path(self, digest: str) -> Path:
         return self.root / f"{digest[:32]}.json"
-
-    def _persist(self, entry: dict) -> None:
-        try:
-            tmp = self._path(entry["digest"]).with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(entry, separators=(",", ":")),
-                           encoding="utf-8")
-            os.replace(tmp, self._path(entry["digest"]))
-        except OSError as exc:
-            self.write_errors += 1
-            logger.warning("quarantine entry for %s kept memory-only: %s",
-                           entry["digest"][:16], exc)
 
     def record_failure(self, digest: str, error: str) -> bool:
         """Add one strike; returns True when the digest is (now)
@@ -420,7 +408,12 @@ class QuarantineRegistry:
             entry["quarantined_at"] = time.time()
             logger.warning("digest %s quarantined after %d failure(s): %s",
                            digest[:16], entry["strikes"], error)
-        self._persist(entry)
+        try:
+            records.write_atomic(self._path(digest), records.encode_record(entry))
+        except OSError as exc:
+            self.write_errors += 1
+            logger.warning("quarantine entry for %s kept memory-only: %s",
+                           digest[:16], exc)
         return entry["quarantined"]
 
     def get(self, digest: str) -> dict | None:

@@ -3,7 +3,7 @@
 Layout under the server's state directory::
 
     state/
-      jobs/<id>.json        one record per job, atomic tmp + os.replace
+      jobs/<id>.json        one record file per job, atomic tmp + os.replace
       journals/<id>.ckpt    the job's CheckpointJournal (engine-owned)
       events/<id>.jsonl     append-only progress events, torn-tail tolerant
       quarantine/<digest>.json   poison-job registry (hardening-owned)
@@ -12,11 +12,11 @@ The job id **is** a prefix of the job's content digest, which in turn
 is the engine's cache/journal key — one identity from HTTP request to
 on-disk shard checkpoint.  Records are rewritten in full on every state
 transition (they are small); the event log is append-only so followers
-can stream it.  Both use the same durability discipline as the rest of
-the repo: records go through a temp file and :func:`os.replace` so a
-crash never leaves a torn record, and a record that fails to parse on
-startup is quarantined aside (``*.json.corrupt``) rather than taking
-the whole server down.
+can stream it.  Both are checksummed records (:mod:`repro.dse.records`):
+a job record that fails its checksum on load (torn, bit-rotted, edited,
+or written before records had one) is quarantined aside
+(``*.json.corrupt``), never served, and its spec re-runs on resubmit;
+an event line that fails its checksum ends the readable log.
 
 Disk faults degrade, never crash.  A write that fails with ENOSPC/EIO
 (or any other ``OSError``) parks the record or event in an in-memory
@@ -31,14 +31,13 @@ reports all of it for ``GET /healthz``.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from ..dse import records
 from .hardening import take_fault
 from .protocol import JOB_STATES
 
@@ -192,41 +191,19 @@ class JobStore:
                                  OSError(28, "injected disk_full"))
             return
         path = self._record_path(record.id)
-        payload = json.dumps(record.to_dict(), separators=(",", ":"))
+        data = records.encode_record(record.to_dict())
         if take_fault("corrupt_store"):
-            payload = payload[: max(1, len(payload) // 2)]  # torn JSON
-        synced = False
+            data = data[: max(1, len(data) // 2)]  # torn record
         try:
-            fd, tmp = tempfile.mkstemp(dir=self.jobs_dir, prefix=".tmp-",
-                                       suffix=".json")
+            records.write_atomic(path, data, durable=True)
         except OSError as exc:
+            # The write or its fsync failed: the on-disk record's
+            # lineage is broken — quarantine it.
+            if isinstance(exc, records.UnsyncedWrite) and records.quarantine(
+                    path, ".fsyncfail"):
+                logger.warning("quarantined possibly-stale record %s", path)
             self._degrade_record(record, "save", exc)
             return
-        try:
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                    synced = True
-                os.replace(tmp, path)
-            except OSError as exc:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                if not synced:
-                    # fsync (or an earlier write) failed: the on-disk
-                    # record's lineage is broken — quarantine it.
-                    self._quarantine_unsynced(path)
-                self._degrade_record(record, "save", exc)
-                return
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         # Disk took the write: this record is durable again.
         if record.degraded or record.id in self._memory_records:
             self._memory_records.pop(record.id, None)
@@ -237,15 +214,6 @@ class JobStore:
         if not self.degraded:
             self.degraded_since = None
 
-    def _quarantine_unsynced(self, path: Path) -> None:
-        """Move a record whose replacement failed mid-durability aside."""
-        try:
-            if path.exists():
-                path.replace(path.with_name(path.name + ".fsyncfail"))
-                logger.warning("quarantined possibly-stale record %s", path)
-        except OSError:
-            pass
-
     def _degrade_record(self, record: JobRecord, what: str,
                         exc: OSError) -> None:
         record.degraded = True
@@ -253,44 +221,41 @@ class JobStore:
         self._note_write_failure(what, exc)
 
     def load(self, job_id: str) -> JobRecord | None:
-        """The stored record, or ``None``; damaged records are moved
-        aside (``*.json.corrupt``) so they can be inspected but never
-        wedge the server.  The in-memory overlay wins — it is newer
-        than anything on disk by construction."""
+        """The stored record, or ``None``; a record that does not verify
+        is moved aside (``*.json.corrupt``) so it can be inspected but
+        is never served.  The in-memory overlay wins — it is newer than
+        anything on disk by construction."""
         overlay = self._memory_records.get(job_id)
         if overlay is not None:
             return overlay
         path = self._record_path(job_id)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-            return JobRecord.from_dict(data)
-        except FileNotFoundError:
+        body = records.read_record(path)
+        if body is records.DAMAGED:
+            logger.warning("quarantined job record %s: no valid checksum", path)
             return None
-        except (OSError, ValueError, TypeError) as exc:
-            logger.warning("quarantining damaged job record %s: %s", path, exc)
-            try:
-                path.replace(path.with_name(path.name + ".corrupt"))
-            except OSError:
-                pass
+        if body is None:
+            return None
+        try:
+            return JobRecord.from_dict(body)
+        except (ValueError, TypeError) as exc:
+            logger.warning("quarantining unusable job record %s: %s", path, exc)
+            records.quarantine(path)
             return None
 
     def load_all(self) -> list[JobRecord]:
         """Every readable job record, oldest first."""
-        records = []
+        loaded = []
         seen = set()
-        for path in sorted(self.jobs_dir.glob("*.json")):
-            if path.name.startswith("."):
-                continue
+        for path in sorted(self.jobs_dir.glob("[!.]*.json")):  # no .tmp-* files
             record = self.load(path.stem)
             if record is not None:
-                records.append(record)
+                loaded.append(record)
                 seen.add(record.id)
         for job_id, record in self._memory_records.items():
             if job_id not in seen:
-                records.append(record)
-        records.sort(key=lambda r: r.created)
-        return records
+                loaded.append(record)
+        loaded.sort(key=lambda r: r.created)
+        return loaded
 
     # -- engine artifacts ------------------------------------------------
 
@@ -313,9 +278,8 @@ class JobStore:
         stamped = {"ts": time.time(), **event}
         if job_id not in self._memory_events and not take_fault("disk_full"):
             try:
-                with open(self.events_path(job_id), "a",
-                          encoding="utf-8") as fh:
-                    fh.write(json.dumps(stamped, separators=(",", ":")) + "\n")
+                with open(self.events_path(job_id), "ab") as fh:
+                    records.append_line(fh, stamped)
                 return
             except OSError as exc:
                 self._note_write_failure("event", exc)
@@ -326,24 +290,13 @@ class JobStore:
         self._memory_events.setdefault(job_id, []).append(stamped)
 
     def read_events(self, job_id: str, start: int = 0) -> list[dict]:
-        """Events from index ``start`` on.  A torn final line (writer
-        died mid-append) is silently dropped, mirroring the journal's
-        torn-tail tolerance.  Degraded in-memory tails are concatenated
-        after the on-disk prefix."""
-        path = self.events_path(job_id)
-        events: list[dict] = []
+        """Events from index ``start`` on.  The on-disk log ends at its
+        first torn or failing line (a writer died mid-append), mirroring
+        the journal's torn-tail tolerance.  Degraded in-memory tails are
+        concatenated after the on-disk prefix."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.endswith("\n"):
-                        break
-                    try:
-                        events.append(json.loads(line))
-                    except json.JSONDecodeError:
-                        break
-        except FileNotFoundError:
-            pass
+            events = records.decode_lines(self.events_path(job_id).read_bytes())[0]
         except OSError:
-            pass  # reads degrade too: serve what memory holds
+            events = []  # missing log; reads degrade too: serve what memory holds
         events.extend(self._memory_events.get(job_id, ()))
         return events[start:]

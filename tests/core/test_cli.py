@@ -1,8 +1,21 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import fcntl
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+_CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")}
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "repro", *argv], env=_CLI_ENV,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestParsing:
@@ -84,6 +97,36 @@ class TestCheckCommand:
     def test_mu_arity_validated(self):
         with pytest.raises(SystemExit, match="entries"):
             main(["check", "--rows", "1,1,-1;1,4,1", "--mu", "4,4"])
+
+    @pytest.mark.parametrize("method", ["exact", "auto", "paper"])
+    def test_rank_deficient_rows_end_in_one_line_error(self, method):
+        proc = _run_cli("check", "--rows", "0,0,1;0,0,2", "--mu", "3,3,3",
+                        "--method", method)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines() == [
+            "T has rank 1 < 2 rows; Definition 2.2 condition 4 requires "
+            "full row rank"
+        ]
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="Linux pipes")
+def test_reader_closing_the_pipe_early_is_quiet():
+    # A one-page pipe: the 45 kB render blocks on it until the reader,
+    # like `| head -1`, takes one line and closes its end.
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "simulate", "-a", "matmul", "--mu", "12",
+         "-s", "1,1,-1", "-p", "1,12,1", "--render"],
+        stdout=write_end, stderr=subprocess.PIPE, text=True, env=_CLI_ENV,
+    )
+    os.close(write_end)
+    with os.fdopen(read_end) as reader:
+        assert reader.readline().startswith("algorithm")
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
 class TestSimulateCommand:

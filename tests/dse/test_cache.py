@@ -191,7 +191,7 @@ class TestContentChecksum:
         assert cache.get(key) is None
         assert cache.quarantined == 1
 
-    @pytest.mark.parametrize("schema", [2, 3, 4])
+    @pytest.mark.parametrize("schema", [2, 3, 4, 5])
     def test_older_schema_entries_are_plain_misses(self, tmp_path, schema):
         # Only the current schema is read.  v3 schedule keys coincide
         # with v5 ones (both lack the removed pruning switches), so a v3

@@ -27,8 +27,9 @@ import pytest
 
 from repro.cli import EXIT_INTERRUPTED
 from repro.core.space_optimize import solve_space_optimal
-from repro.dse.checkpoint import CheckpointJournal, _parse_line
+from repro.dse.checkpoint import CheckpointJournal
 from repro.dse.executor import explore_space
+from repro.dse.records import decode_line as _parse_line
 from repro.model import matrix_multiplication
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

@@ -220,6 +220,18 @@ class TestQuarantineRegistry:
         assert registry.strikes("d" * 64) == 0
         assert list((tmp_path / "q").glob("*.json")) == []
 
+    def test_entry_without_checksum_resets_strikes(self, tmp_path):
+        # An entry written before entries carried a checksum is dropped.
+        root = tmp_path / "q"
+        root.mkdir()
+        (root / ("f" * 32 + ".json")).write_text(json.dumps({
+            "digest": "f" * 64, "strikes": 2, "errors": ["x", "y"],
+            "quarantined": False,
+        }))
+        registry = QuarantineRegistry(root, threshold=3)
+        assert registry.strikes("f" * 64) == 0
+        assert registry.record_failure("f" * 64, "z") is False
+
     def test_damaged_entry_ignored(self, tmp_path):
         root = tmp_path / "q"
         root.mkdir()
@@ -233,7 +245,7 @@ class TestQuarantineRegistry:
         def boom(*a, **k):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr("pathlib.Path.write_text", boom)
+        monkeypatch.setattr("tempfile.mkstemp", boom)
         assert registry.record_failure("e" * 64, "dead") is True
         assert registry.get("e" * 64) is not None
         assert registry.write_errors == 1

@@ -112,7 +112,7 @@ class TestUpgradeRestart:
         schema (and run key) is restarted from scratch — the old journal
         set aside as ``<id>.ckpt.stale`` — instead of failing and
         counting a quarantine strike."""
-        from repro.dse.checkpoint import _record_line
+        from repro.dse.records import encode_line as _record_line
         from repro.serve.protocol import parse_job_spec
         from repro.serve.store import ID_LENGTH, JobRecord, JobStore
 

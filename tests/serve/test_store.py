@@ -46,6 +46,28 @@ class TestRecords:
         store.save(record("early", created=100.0))
         assert [r.id for r in store.load_all()] == ["early", "later"]
 
+    def test_tampered_done_record_is_not_served(self, tmp_path):
+        # Example 5.1 at mu=6: Pi = (1, 2, 5), t = mu^2 + 2 mu + 1 = 49.
+        # A record edited on disk to claim t = 48 fails its checksum.
+        store = JobStore(tmp_path)
+        store.save(record(state="done",
+                          result={"pi": [1, 2, 5], "total_time": 49}))
+        path = store.jobs_dir / "abc123.json"
+        text = path.read_text()
+        assert '"total_time":49' in text
+        path.write_text(text.replace('"total_time":49', '"total_time":48'))
+        assert JobStore(tmp_path).load("abc123") is None
+        assert (store.jobs_dir / "abc123.json.corrupt").exists()
+
+    def test_record_without_checksum_is_set_aside(self, tmp_path):
+        # A record written before records carried a checksum is version
+        # skew: not served, and its spec re-runs when resubmitted.
+        store = JobStore(tmp_path)
+        path = store.jobs_dir / "abc123.json"
+        path.write_text(json.dumps(record(state="done").to_dict()))
+        assert store.load_all() == []
+        assert (store.jobs_dir / "abc123.json.corrupt").exists()
+
     def test_save_is_atomic_no_temp_residue(self, tmp_path):
         store = JobStore(tmp_path)
         store.save(record())
@@ -77,6 +99,14 @@ class TestEvents:
     def test_missing_log_is_empty(self, tmp_path):
         assert JobStore(tmp_path).read_events("ghost") == []
 
+    def test_line_without_checksum_ends_the_log(self, tmp_path):
+        store = JobStore(tmp_path)
+        store.append_event("j1", {"event": "ok"})
+        with open(store.events_path("j1"), "a", encoding="utf-8") as fh:
+            fh.write('{"event":"state","state":"done"}\n')
+        store.append_event("j1", {"event": "later"})
+        assert [e["event"] for e in store.read_events("j1")] == ["ok"]
+
     def test_torn_tail_is_dropped(self, tmp_path):
         store = JobStore(tmp_path)
         store.append_event("j1", {"event": "ok"})
@@ -89,3 +119,44 @@ class TestEvents:
         store = JobStore(tmp_path)
         assert store.journal_path("a") != store.journal_path("b")
         assert store.journal_path("a").parent == store.journals_dir
+
+
+class TestDurability:
+    def test_fsyncs_per_served_schedule_job(self, tmp_path, monkeypatch):
+        # The job record's three saves (queued, running, done) and the
+        # journal's two appends (header, result) are fsynced; the cache
+        # entry, the event lines and the directories are not.
+        import asyncio
+        import os
+
+        from repro.serve.protocol import TERMINAL_STATES, parse_job_spec
+        from repro.serve.server import MappingServer, ServerConfig
+
+        from .conftest import MATMUL4_SPEC
+
+        fsynced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsynced.append(fd)
+            real_fsync(fd)
+
+        async def serve_one_job():
+            server = MappingServer(ServerConfig(
+                state_dir=str(tmp_path / "state"), port=0,
+                cache_dir=str(tmp_path / "cache"),
+            ))
+            await server.start()
+            try:
+                job, _ = server.manager.submit(parse_job_spec(MATMUL4_SPEC))
+                while server.manager.jobs[job.id].state not in TERMINAL_STATES:
+                    await asyncio.sleep(0.01)
+                return server.manager.jobs[job.id]
+            finally:
+                server.request_stop()
+                await server._shutdown()
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        final = asyncio.run(serve_one_job())
+        assert final.state == "done" and not final.cache_hit
+        assert len(fsynced) == 5
