@@ -155,8 +155,8 @@ def solve_bitlevel_formulation(
 
     def judge(ring: Ring, start: int, _spaces) -> list[np.ndarray]:
         codes = []
-        for pi in ring.candidates[start:].tolist():
-            codes.append(code(tuple(pi)))
+        for row in ring.candidates[start:]:  # a group: convert only rows judged
+            codes.append(code(tuple(row.tolist())))
             if codes[-1] == CODE_OK:
                 break
         return [np.array(codes, dtype=np.int8)]

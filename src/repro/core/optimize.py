@@ -21,11 +21,13 @@ One ring loop, :func:`search_rings`, and one judge serve every path:
 :class:`BatchCandidateScanner`, in process.  :func:`procedure_5_1` and
 :func:`repro.dse.executor.explore_schedule` (the same search behind the
 result cache and the checkpoint journal) both call it, and
-:mod:`repro.core.bitlevel` hands the loop a judge of its own.  The
-loop and the scanner take a stack of space mappings: the rings and
-the ``Pi D > 0`` mask do not depend on ``S``, so
+:mod:`repro.core.bitlevel` hands the loop a judge of its own.  The loop
+builds rings in groups whose rows double, judges a group per call (a
+co-rank >= 2 scan: a ring per call) and walks the codes ring by ring.
+It and the scanner take a stack of space mappings: the rings and the
+``Pi D > 0`` mask do not depend on ``S``, so
 :func:`procedure_5_1_stacked` (Problem 6.2's inner search) builds and
-masks each ring once for every candidate ``S``; :func:`procedure_5_1`
+masks each group once for every candidate ``S``; :func:`procedure_5_1`
 is its one-``S`` case.
 """
 
@@ -482,33 +484,38 @@ class BatchCandidateScanner:
             )
         return self._stacks[spaces]
 
-    def stages(self, pis: np.ndarray, *, stop_at_ok: bool = False) -> np.ndarray:
+    def stages(self, pis: np.ndarray) -> np.ndarray:
         """``int8`` stage codes for the rows of ``pis`` under the first ``S``."""
-        return self.stacked_stages(pis, (0,), stop_at_ok=stop_at_ok)[0]
+        return self.stacked_stages(pis, (0,))[0]
 
     def stacked_stages(
-        self, pis: np.ndarray, spaces: Sequence[int], *, stop_at_ok: bool = False
+        self, pis: np.ndarray, spaces: Sequence[int], *, ends: Sequence[int] | None = None
     ) -> list[np.ndarray]:
         """``int8`` stage codes for the rows of ``pis``, one array per ``S``.
 
-        ``spaces`` indexes the scanner's stack.  With ``stop_at_ok`` the
-        paper's per-candidate dispatch (co-rank >= 2) stops at an ``S``'s
-        first conflict-free row, and that ``S``'s codes cover only the prefix
-        of ``pis`` whose codes are final (at least one row when ``pis``
-        is non-empty).  The vectorized screens always judge every row.
+        ``spaces`` indexes the scanner's stack.  ``ends``, the row offsets
+        where the segments (rings) of ``pis`` end, makes the costly
+        co-rank >= 2 screens lazy: they judge only through the end of the
+        first non-empty segment, and the paper's per-candidate dispatch
+        stops at an ``S``'s first conflict-free row, so that ``S``'s codes
+        cover only the prefix of ``pis`` whose codes are final (at least
+        one row when ``pis`` is non-empty).  The co-rank 0 and 1 screens
+        are a by-product of the rank product and always judge every row.
         """
         tracer = self.tracer if self.tracer is not None else get_tracer()
         spaces = tuple(spaces)
+        if ends is not None and self.n - self.k >= 2:
+            pis = pis[: next((end for end in ends if end > 0), 0)]
         for s in spaces:
             self._spaces[s].stats.batches_evaluated += int(len(pis) > 0)
         codes = np.full((len(spaces), len(pis)), CODE_DEPS, dtype=np.int8)
         if not tracer.enabled:  # keep the untraced hot path span-free
             masked = self._masks(pis, spaces, codes)
-            return self._screen(pis, spaces, *masked, codes, stop_at_ok)
+            return self._screen(pis, spaces, *masked, codes, ends is not None)
         with tracer.span("ring.mask", candidates=len(pis)):
             masked = self._masks(pis, spaces, codes)
         with tracer.span("ring.screen", candidates=int(masked[1].sum())):
-            return self._screen(pis, spaces, *masked, codes, stop_at_ok)
+            return self._screen(pis, spaces, *masked, codes, ends is not None)
 
     def _masks(
         self, pis: np.ndarray, spaces: tuple[int, ...], codes: np.ndarray
@@ -634,14 +641,14 @@ def search_bounds(
 
 @dataclass(frozen=True)
 class Ring:
-    """One expanding ring ``C_l`` as :func:`search_rings` hands it out.
-
+    """Consecutive expanding rings ``C_l`` as :func:`search_rings` hands
+    them out: a group to a judge, one logical ring to ``after_ring``.
     ``candidates`` is the sorted :func:`ring_candidate_array` of the
-    budget window ``[f_min, f_max]``, restricted to the
-    :func:`forced_signs` of ``D``; ``size`` counts the full ring
-    (:func:`ring_size`), whose other rows all fail ``Pi D > 0``.  ``span`` is the open trace
-    span of the ring, for judges that annotate it.
-    """
+    window ``[f_min, f_max]`` with the :func:`forced_signs` of ``D``;
+    ``size`` counts the full window (:func:`ring_size`), whose other rows
+    all fail ``Pi D > 0``.  ``ends`` holds the row offset where each
+    logical ring ends; ``span`` is the group's open trace span, for
+    judges that annotate it."""
 
     index: int
     f_min: int
@@ -649,13 +656,14 @@ class Ring:
     candidates: np.ndarray
     size: int
     span: Span
+    ends: tuple[int, ...]
 
 
 _RingWinner = tuple[LinearSchedule, MappingMatrix, ConditionVerdict]
 
-#: ``judge(ring, start, spaces)`` returns, for each index in ``spaces``
+#: ``judge(group, start, spaces)`` returns, for each index in ``spaces``
 #: (into the search's stack of space mappings), ``int8`` stage codes for
-#: a non-empty prefix of ``ring.candidates[start:]``, in order.
+#: a non-empty prefix of ``group.candidates[start:]``, in order.
 RingJudge = Callable[[Ring, int, Sequence[int]], Sequence[np.ndarray]]
 
 
@@ -680,6 +688,24 @@ def ring_bounds(
         x += alpha
 
 
+def _ring_groups(
+    mu: tuple[int, ...], windows: Iterator[tuple[int, int]]
+) -> Iterator[list[tuple[int, int, int]]]:
+    """Consecutive ring windows as groups of ``(f_min, f_max, ring_size)``:
+    the first ring alone, then each group as many rings as its full-ring
+    rows need to reach those of all earlier groups."""
+    group: list[tuple[int, int, int]] = []
+    rows = before = 0  # full-ring rows of the group and of earlier groups
+    for f_min, f_max in windows:
+        group.append((f_min, f_max, ring_size(mu, f_max, f_min)))
+        rows += group[-1][2]
+        if rows >= before:
+            yield group
+            group, rows, before = [], 0, before + rows
+    if group:
+        yield group
+
+
 def search_rings(
     algorithm: UniformDependenceAlgorithm,
     spaces: Sequence[tuple],
@@ -698,63 +724,78 @@ def search_rings(
     """The ring loop of Procedure 5.1 (Steps 1-7), for any judge and a
     stack of space mappings; one :class:`SearchResult` per ``S``.
 
-    Rings follow :func:`ring_bounds`.  Neither a
-    ring nor its sign restriction depends on ``S``, so each ring is
-    materialized once for the whole stack, with only the rows whose
-    signs can satisfy ``Pi D > 0`` (:func:`forced_signs`), and judged by
-    one ``judge(ring, 0, open)`` call for the ``S`` still open.  Each
-    ``S`` then walks its own codes in scan order: its first ``ok``
-    candidate that passes ``extra_constraint`` wins and retires it.  The
-    prefix counters of ``stats[i]`` are tallied up to and including the
-    winner of ``S`` number ``i``, the rows never built counting as
-    ``deps``, and its verdict is recomputed by ``verdict_of``, so each
-    result is the same whichever judge ran and whatever else was
-    stacked.  The loop ends once every ``S`` has retired.
-    ``before_ring`` receives each ring's ``f_max`` before it is
-    materialized, and ``after_ring`` each closed ring and whether some
-    ``S`` won in it.
+    Rings follow :func:`ring_bounds` in :func:`_ring_groups`; a ring
+    array is sorted by ``(f, Pi)``, so a group's array is its rings' in
+    scan order.  Neither depends on ``S``: each group is materialized
+    once for the stack, with only the rows whose signs can satisfy
+    ``Pi D > 0`` (:func:`forced_signs`), and judged by one
+    ``judge(group, 0, open)`` call for the ``S`` still open, continued
+    by one call per later ring for the ``S`` a lazy judge stopped before
+    it.  Split into logical rings at the rows' times, ring by ring, each
+    open ``S`` walks its codes in scan order (:func:`_walk_ring`): its
+    first ``ok`` candidate that passes ``extra_constraint`` wins, and its
+    verdict is recomputed by ``verdict_of``.  So each result is the same
+    whichever judge ran, whatever else was stacked and however rings
+    were grouped.  The hooks see a ring-by-ring loop: each walked
+    logical ring's ``f_max`` goes to ``before_ring`` (the group's first
+    before the group is built, the others once its span closes), then
+    the ring and whether some ``S`` won in it to ``after_ring``.
     """
     tracer = get_tracer()
+    mu = algorithm.mu
     signs = forced_signs(algorithm.dependence_vectors(), algorithm.n)
     examined = [0] * len(spaces)
     found: list[_RingWinner | None] = [None] * len(spaces)
     open_ = list(range(len(spaces)))
+    groups = _ring_groups(mu, ring_bounds(initial_bound, alpha, max_bound))
     rings = 0
-    for f_min, f_max in ring_bounds(initial_bound, alpha, max_bound):
-        if not open_:
-            break
+    while open_ and (group := next(groups, None)):
+        f_lo, f_hi, total = group[0][0], group[-1][1], sum(g[2] for g in group)
         if before_ring is not None:
-            before_ring(f_max)
-        with tracer.span(span_name, ring=rings, f_min=f_min, f_max=f_max) as span:
+            before_ring(group[0][1])
+        walked: list[tuple[Ring, bool]] = []
+        opened = len(open_)
+        with tracer.span(
+            span_name, ring=rings, rings=len(group), f_min=f_lo, f_max=f_hi
+        ) as span:
             with tracer.detail("ring.materialize"):
-                candidates = ring_candidate_array(
-                    algorithm.mu, f_max, f_min=f_min, signs=signs
-                )
-            size = ring_size(algorithm.mu, f_max, f_min)
-            span.set(candidates=size, materialized=len(candidates))
+                candidates = ring_candidate_array(mu, f_hi, f_min=f_lo, signs=signs)
+            span.set(candidates=total, materialized=len(candidates))
             if len(spaces) > 1:
                 span.set(spaces_open=len(open_))
-            ring = Ring(rings, f_min, f_max, candidates, size, span)
-            columns = (
-                judge(ring, 0, open_) if len(candidates)
-                else [np.empty(0, dtype=np.int8)] * len(open_)
-            )
-            for s, codes in zip(open_, columns):
-                stats[s].candidates_enumerated += size
-                examined[s], found[s] = _scan_ring(
-                    judge, ring, s, codes, algorithm, spaces[s], verdict_of,
-                    extra_constraint, stats=stats[s], examined=examined[s],
-                )
-                stats[s].rings_expanded += found[s] is None
-            retired = [s for s in open_ if found[s] is not None]
-            open_ = [s for s in open_ if found[s] is None]
+            # Split at the rows' times, freed before the judge allocates.
+            ends = np.searchsorted(np.abs(candidates) @ np.array(mu, dtype=np.int64),
+                                   [g[1] for g in group], "right").tolist()
+            whole = Ring(rings, f_lo, f_hi, candidates, total, span, tuple(ends))
+            codes = {s: np.empty(0, dtype=np.int8) for s in open_}
+            for (f_min, f_max, size), start, end in zip(group, [0, *ends], ends):
+                # One judge call for every S whose codes stop where this ring starts.
+                behind = [s for s in open_ if len(codes[s]) == start < end]
+                for s, more in zip(behind, judge(whole, start, behind) if behind else ()):
+                    codes[s] = np.concatenate([codes[s], more])
+                ring = Ring(rings, f_min, f_max, candidates[start:end], size, span, (end - start,))
+                for s in open_:
+                    stats[s].candidates_enumerated += size
+                    examined[s], found[s] = _walk_ring(
+                        judge, whole, ring, start, s, codes, algorithm, spaces[s],
+                        verdict_of, extra_constraint, stats=stats[s],
+                        examined=examined[s],
+                    )
+                    stats[s].rings_expanded += found[s] is None
+                walked.append((ring, any(found[s] is not None for s in open_)))
+                open_ = [s for s in open_ if found[s] is None]
+                rings += 1
+                if not open_:
+                    break
             if len(spaces) > 1:
-                span.set(retired=len(retired))
-            elif retired:
+                span.set(retired=opened - len(open_))
+            elif not open_:
                 span.set(winner=list(found[0][0].pi))
-        if after_ring is not None:
-            after_ring(ring, bool(retired))
-        rings += 1
+        for k, (ring, won) in enumerate(walked):
+            if k and before_ring is not None:
+                before_ring(ring.f_max)
+            if after_ring is not None:
+                after_ring(ring, won)
     return [
         SearchResult(
             *(winner or (None, None, None)), candidates_examined=examined[s],
@@ -764,47 +805,37 @@ def search_rings(
     ]
 
 
-def _scan_ring(
-    judge: RingJudge,
-    ring: Ring,
-    s: int,
-    codes: np.ndarray,
-    algorithm: UniformDependenceAlgorithm,
-    space_rows: tuple,
-    verdict_of: Callable[[MappingMatrix], ConditionVerdict],
+def _walk_ring(
+    judge: RingJudge, group: Ring, ring: Ring, start: int, s: int,
+    codes: dict[int, np.ndarray], algorithm: UniformDependenceAlgorithm,
+    space_rows: tuple, verdict_of: Callable[[MappingMatrix], ConditionVerdict],
     extra_constraint: Callable[[MappingMatrix], bool] | None,
-    *,
-    stats: SearchStats,
-    examined: int,
+    *, stats: SearchStats, examined: int,
 ) -> tuple[int, _RingWinner | None]:
-    """Walk the stage codes of ``S`` number ``s`` in scan order; returns
-    (examined, winner).
-
-    ``codes`` is its column of the ring's shared judge call; a prefix
-    that ends before the ring does is continued by
-    ``judge(ring, pos, [s])``.  Counters follow the prefix semantics:
-    they are tallied from the stage codes only up to (and including) the
-    winning candidate.  The full-ring rows that were never built count
-    as ``deps``: all of them for a ring without a winner, and those
-    sorting before the winner for the winning ring.
-    """
-    pos = 0
-    while True:
-        for i in np.flatnonzero(codes == CODE_OK).tolist():
-            pi = tuple(int(v) for v in ring.candidates[pos + i])
+    """Walk ``codes[s]``, ``S`` number ``s``'s stage codes of ``group``,
+    over its logical ``ring`` at row ``start``; returns (examined, winner).
+    A prefix that ends inside the ring is continued by ``judge(group,
+    len(codes[s]), [s])``.  Counters are tallied up to (and including)
+    the winner; the full-ring rows never built count as ``deps``: all of
+    them without a winner, those sorting before it with one."""
+    pos, end = start, start + len(ring.candidates)
+    while pos < end:
+        if pos == len(codes[s]):
+            codes[s] = np.concatenate([codes[s], judge(group, pos, [s])[0]])
+        run = codes[s][pos:end]
+        for i in np.flatnonzero(run == CODE_OK).tolist():
+            pi = tuple(int(v) for v in group.candidates[pos + i])
             t = MappingMatrix(space=space_rows, schedule=pi)
             if extra_constraint is None or extra_constraint(t):
-                examined = _tally_stage_codes(stats, codes[: i + 1], examined)
+                examined = _tally_stage_codes(stats, run[: i + 1], examined)
                 stats.candidates_pruned += (
-                    _full_ring_rank(algorithm.mu, ring.f_min, ring.f_max, pi) - (pos + i)
+                    _full_ring_rank(algorithm.mu, ring.f_min, ring.f_max, pi)
+                    - (pos + i - start)
                 )
                 cand = LinearSchedule(pi=pi, index_set=algorithm.index_set)
                 return examined, (cand, t, verdict_of(t))
-        examined = _tally_stage_codes(stats, codes, examined)
-        pos += len(codes)
-        if pos >= len(ring.candidates):
-            break
-        [codes] = judge(ring, pos, [s])
+        examined = _tally_stage_codes(stats, run, examined)
+        pos += len(run)
     stats.candidates_pruned += ring.size - len(ring.candidates)
     return examined, None
 
@@ -834,17 +865,16 @@ def scan_rings(
     """:func:`search_rings` judged in process by one :class:`BatchCandidateScanner`.
 
     The scanner holds the whole ``stack`` (normalized rows) and judges
-    each ring with ``stop_at_ok``; a winner's verdict is recomputed by
-    :func:`check_conflict_free` under ``method``.  ``stats[i]`` receives
-    the counters of ``stack[i]``; ``ring_kwargs`` are
-    :func:`search_rings`'s keyword arguments (bounds,
-    ``extra_constraint``, span name and ring hooks).
-    """
+    each ring group with its rings' ``ends``; a winner's verdict is
+    recomputed by :func:`check_conflict_free` under ``method``.
+    ``stats[i]`` receives the counters of ``stack[i]``; ``ring_kwargs``
+    are :func:`search_rings`'s keyword arguments (bounds,
+    ``extra_constraint``, span name and ring hooks)."""
     scanner = BatchCandidateScanner(algorithm, *stack, method=method, stats=stats)
     return search_rings(
         algorithm, stack,
         lambda ring, start, open_: scanner.stacked_stages(
-            ring.candidates[start:], open_, stop_at_ok=True
+            ring.candidates[start:], open_, ends=[end - start for end in ring.ends]
         ),
         lambda t: check_conflict_free(t, algorithm.mu, method=method),
         stats=stats, **ring_kwargs,

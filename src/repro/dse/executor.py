@@ -7,10 +7,10 @@ Three entry points share one cache and journal wrapper:
   :func:`~repro.core.optimize.procedure_5_1` uses
   (:func:`~repro.core.optimize.scan_rings`: one vectorized
   :class:`~repro.core.optimize.BatchCandidateScanner`), so the winner,
-  the verdict *and every counter* equal the serial search's.  Rings run
-  strictly in sequence, and the first ring that proves an optimum ends
-  the search.  Stop requests, signals and the run budget are checked
-  between rings.  A checkpoint journal holds only the final decision:
+  the verdict *and every counter* equal the serial search's.  Groups of
+  rings run strictly in sequence, and the first ring that proves an
+  optimum ends the search.  Stop requests, signals and the run budget
+  are checked between logical rings.  A checkpoint journal holds only the final decision:
   a killed schedule run re-runs from the start.
 * :func:`explore_space` / :func:`explore_joint` — Problems 6.1 / 6.2.
   The bounded space-mapping design space is cut into contiguous ranges,
@@ -386,8 +386,10 @@ def explore_schedule(
     with identical :meth:`~repro.dse.progress.SearchStats.counter_dict`
     and work counters, for cold runs, warm-cache replays and resumed
     runs; only the cache and wall-time telemetry differ.  The search
-    runs in this process: its rings are judged one after another, and
-    none was measured to repay the cost of a process pool.
+    runs in this process: its rings are judged in groups of
+    consecutive rings, one group after another
+    (:func:`repro.core.optimize.search_rings`), and no ring was
+    measured to repay the cost of a process pool.
 
     Parameters mirror :func:`repro.core.optimize.procedure_5_1`, plus:
 
@@ -412,19 +414,21 @@ def explore_schedule(
         this search's parameters exactly.
     budget:
         Optional :class:`~repro.dse.checkpoint.RunBudget`, checked
-        before each ring: ``max_seconds`` and ``max_bits`` apply
+        for each ring the search walks, as a loop over single rings
+        would before it: ``max_seconds`` and ``max_bits`` apply
         (``max_shards`` counts design shards only).  Exceeding a ceiling
         raises :class:`~repro.dse.checkpoint.BudgetExceeded`.
     stop:
         Optional :class:`threading.Event`; once set, the run stops
-        before its next ring with the same clean
+        before its next logical ring (once the group being judged is
+        done) with the same clean
         :class:`~repro.dse.checkpoint.RunInterrupted` a signal produces.
         This is how a host that runs searches on worker threads (the
         :mod:`repro.serve` job server) cancels or drains them — signals
         only reach the main thread.
     on_progress:
         Optional callable receiving one ``phase`` progress event per
-        closed ring (see
+        logical ring walked, once its group's span closes (see
         :meth:`~repro.dse.checkpoint.RunControl.emit_span`).
     """
     validate_algorithm(algorithm)
@@ -470,13 +474,14 @@ def explore_schedule(
 
 
 def _ring_done(control: RunControl, ring: Ring, won: bool) -> None:
-    """Emit a closed ring span as a ``phase`` progress event: a
-    subscriber sees the same data a ``--trace`` file would hold.
-    ``candidates`` and ``materialized`` travel explicitly, since
-    ``Span.set()`` drops attributes when the tracer is disabled."""
+    """Emit one logical ring as a ``phase`` progress event from its
+    group's closed span: a subscriber sees the data a ``--trace`` file
+    would hold, with the ring's own index, bounds and sizes in place of
+    the group's.  ``candidates`` and ``materialized`` travel explicitly,
+    since ``Span.set()`` drops attributes when the tracer is disabled."""
     control.emit_span(
-        ring.span, winner=won, candidates=ring.size,
-        materialized=len(ring.candidates),
+        ring.span, winner=won, ring=ring.index, f_min=ring.f_min,
+        f_max=ring.f_max, candidates=ring.size, materialized=len(ring.candidates),
     )
     if won:
         logger.debug("explore_schedule: ring %d produced the winner", ring.index)

@@ -87,10 +87,13 @@ class SearchStats:
     batches_evaluated:
         Non-empty candidate stacks handed to a vectorized judge — one
         per ``BatchCandidateScanner.stacked_stages`` call of a schedule
-        search, for each ``S`` the call judged
-        (none for a ring whose every row the sign forcing rules out)
-        and one per ``evaluate_designs_batched`` call of a Problem 6.1
-        search, so a sharded run counts one per shard (telemetry).
+        search, for each ``S`` the call judged: one per group of rings
+        at co-rank <= 1 and one per ring at co-rank >= 2, whose costly
+        screens judge one ring per call (none for a group whose every
+        row the sign forcing rules out; one more for each call that
+        continues past a rejected ``ok`` row), and one per
+        ``evaluate_designs_batched`` call of a Problem 6.1 search, so a
+        sharded run counts one per shard (telemetry).
     fastpath_promotions:
         Built rows of a batch product (dependence mask, rank mask or
         conflict screen) whose int64 overflow bound could not be
@@ -99,9 +102,11 @@ class SearchStats:
         shares counts for each ``S`` it judged (telemetry).
     conflict_screens:
         Dependence and rank survivors of a schedule search whose
-        conflict verdict a screen computed — every survivor of a judged
-        span, except that ``method="paper"`` at co-rank >= 2 stops at
-        the span's first conflict-free one (telemetry).
+        conflict verdict a screen computed — at co-rank <= 1 every
+        survivor of a judged group of rings, rings past the winner's
+        included; at co-rank >= 2 those through the end of the ring that
+        holds the first conflict-free one, or under ``method="paper"``
+        through that one (telemetry).
     """
 
     candidates_enumerated: int = 0

@@ -181,7 +181,8 @@ class JobManager:
         A job found ``running`` was in flight when the previous server
         died — its journal holds the completed shards, so it goes back
         on the queue with ``resume`` semantics, same as ``interrupted``
-        and ``queued`` ones.  Quarantined digests are the exception:
+        and ``queued`` ones; its event log is trimmed to its readable
+        prefix first.  Quarantined digests are the exception:
         their recorded failure is the answer, so they are *not* re-run
         even across a restart.  Returns how many jobs were re-enqueued.
         """
@@ -201,6 +202,7 @@ class JobManager:
                                 record.id)
                 continue
             if record.state in RESUMABLE_STATES:
+                self.store.trim_events(record.id)
                 if record.state != "queued":
                     record.state = "queued"
                     record.resumes += 1

@@ -289,6 +289,20 @@ class JobStore:
                     "event", OSError(28, "injected disk_full"))
         self._memory_events.setdefault(job_id, []).append(stamped)
 
+    def trim_events(self, job_id: str) -> None:
+        """Cut the on-disk event log back to its readable prefix, as
+        :class:`~repro.dse.checkpoint.CheckpointJournal` does when it
+        reopens: events appended after a torn or failing line would
+        otherwise never be read.  Run once per resumed job at startup."""
+        try:
+            with open(self.events_path(job_id), "r+b") as fh:
+                data = fh.read()
+                good = records.decode_lines(data)[1]
+                if good < len(data):
+                    fh.truncate(good)
+        except OSError:
+            pass  # missing or unwritable: reads still stop at the prefix
+
     def read_events(self, job_id: str, start: int = 0) -> list[dict]:
         """Events from index ``start`` on.  The on-disk log ends at its
         first torn or failing line (a writer died mid-append), mirroring

@@ -9,7 +9,12 @@ from repro.core import (
     is_conflict_free_kernel_box,
     procedure_5_1,
 )
-from repro.core.optimize import forced_signs, ring_bounds
+from repro.core.optimize import (
+    forced_signs,
+    ring_bounds,
+    ring_candidate_array,
+    search_bounds,
+)
 from repro.dse.executor import explore_schedule
 from repro.model import (
     ConstantBoundedIndexSet,
@@ -254,15 +259,15 @@ class TestFindAllOptima:
 class TestPruningTelemetry:
     """Example 5.1 at mu=6: the driver's work counters, pinned.
 
-    The co-rank-1 screen judges whole rings at once: one funnel call per
-    ring, one conflict screen per dependence and rank survivor.
+    The co-rank-1 screen judges whole ring groups at once: one funnel
+    call per group, one conflict screen per dependence and rank survivor.
     """
 
     SPACE = ((1, 1, -1),)
 
     def test_batched_counters_without_pruning(self):
         stats = procedure_5_1(matrix_multiplication(6), self.SPACE).stats
-        assert stats.batches_evaluated == 6  # rings 0..5
+        assert stats.batches_evaluated == 4  # rings 0 | 1 | 2-3 | 4-5
         assert stats.conflict_screens == 56
         assert stats.fastpath_promotions == 0
 
@@ -313,6 +318,45 @@ class TestCorank2Pin:
             "routing_rejected": 0,
             "rings_expanded": 17,
         }
+
+    @pytest.mark.parametrize("mu,screens", [(3, 8_771), (8, 27_742)])
+    def test_screen_stops_at_the_end_of_the_winners_ring(self, mu, screens):
+        # Rings are judged in groups, but the box-kernel screen is not
+        # free: it screens ring by ring and stops with the ring that
+        # holds the first ok row, as a ring-by-ring loop does.
+        stats = procedure_5_1(bit_level_matrix_multiplication(mu, 2), self.SPACE).stats
+        assert stats.conflict_screens == screens
+
+
+class TestRingGroupWork:
+    """Example 5.1 at mu=50: ring groups double in rows, so the rows
+    built past the winner's ring stay within the last group."""
+
+    def test_rows_built_and_judge_calls(self, monkeypatch):
+        from repro.core import optimize
+
+        algo = matrix_multiplication(50)
+        built = []
+
+        def counted(*args, **kwargs):
+            rows = ring_candidate_array(*args, **kwargs)
+            built.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(optimize, "ring_candidate_array", counted)
+        result = procedure_5_1(algo, [[1, 1, -1]])
+        monkeypatch.undo()
+        assert result.total_time == 2601 and result.rings_expanded == 49
+        signs = forced_signs(algo.dependence_vectors(), algo.n)
+        alpha, initial_bound, max_bound = search_bounds(algo)
+        windows = list(ring_bounds(initial_bound, alpha, max_bound))[:50]
+        through_winner = sum(
+            len(ring_candidate_array(algo.mu, f_max, f_min=f_min, signs=signs))
+            for f_min, f_max in windows
+        )
+        assert through_winner == 22_100
+        assert sum(built) == 24_804 <= 2 * through_winner
+        assert len(built) == result.stats.batches_evaluated == 11
 
 
 class TestForcedSigns:

@@ -10,14 +10,30 @@ searches shard over a pool of ``jobs`` workers.
 """
 
 import threading
+from itertools import islice
 
 import pytest
 
-from repro.core.optimize import procedure_5_1
+from repro.core import optimize
+from repro.core.optimize import (
+    _ring_groups,
+    forced_signs,
+    procedure_5_1,
+    ring_bounds,
+    ring_candidate_array,
+    ring_size,
+    scan_rings,
+    search_bounds,
+)
 from repro.core.pipeline import find_time_optimal_mapping
-from repro.core.space_optimize import solve_joint_optimal, solve_space_optimal
+from repro.core.space_optimize import (
+    enumerate_space_mappings,
+    solve_joint_optimal,
+    solve_space_optimal,
+)
 from repro.dse.cache import ResultCache
-from repro.dse.checkpoint import BudgetExceeded, RunBudget, RunInterrupted
+from repro.dse.checkpoint import BudgetExceeded, RunBudget, RunControl, RunInterrupted
+from repro.dse.progress import SearchStats
 from repro.dse.executor import (
     _design_ranges,
     explore_joint,
@@ -25,7 +41,7 @@ from repro.dse.executor import (
     explore_space,
     resolve_jobs,
 )
-from repro.model import example_2_1_algorithm
+from repro.model import example_2_1_algorithm, matrix_multiplication, transitive_closure
 
 JOBS = [1, 2, 4]
 
@@ -120,6 +136,126 @@ class TestScheduleRunControl:
         assert {e["event"] for e in events} == {"phase"}
         assert [e["phase"] for e in events] == ["dse.ring"] * (result.rings_expanded + 1)
         assert [e["winner"] for e in events] == [False] * result.rings_expanded + [True]
+
+
+#: Searches whose rings are judged in groups of many rings: Examples
+#: 5.1 and 5.2 at mu=50 (one S) and Problem 6.2's stacked search over
+#: the linear-array S of matmul at mu=4.
+HOOK_CASES = {
+    "example_5_1": lambda: (matrix_multiplication(50), [((1, 1, -1),)]),
+    "example_5_2": lambda: (transitive_closure(50), [((0, 0, 1),)]),
+    "problem_6_2": lambda: (
+        matrix_multiplication(4), list(enumerate_space_mappings(3, 1))
+    ),
+}
+
+
+def hooked_search(algo, stack, **hooks):
+    """The in-process ring search with ring hooks, and its windows."""
+    alpha, initial_bound, max_bound = search_bounds(algo)
+    results = scan_rings(
+        algo, stack, [SearchStats() for _ in stack], alpha=alpha,
+        initial_bound=initial_bound, max_bound=max_bound, **hooks,
+    )
+    return results, list(ring_bounds(initial_bound, alpha, max_bound))
+
+
+@pytest.mark.parametrize("case", list(HOOK_CASES))
+class TestRingGroupHooks:
+    """Rings are judged in groups, but the ring hooks see a ring-by-ring
+    loop: ``before_ring`` then ``after_ring`` for each logical ring, up
+    to and including the last winner's ring, so a budget or a stop ends
+    the run at the same ring."""
+
+    def test_hooks_see_each_logical_ring_through_the_winner(self, case):
+        algo, stack = HOOK_CASES[case]()
+        calls = []
+        results, windows = hooked_search(
+            algo, stack, before_ring=lambda f_max: calls.append(("before", f_max)),
+            after_ring=lambda ring, won: calls.append(
+                ("after", ring.f_min, ring.f_max, ring.size, len(ring.candidates), won)
+            ),
+        )
+        last = max(r.rings_expanded for r in results)
+        signs = forced_signs(algo.dependence_vectors(), algo.n)
+        expected = []
+        for index, (f_min, f_max) in enumerate(windows[: last + 1]):
+            rows = ring_candidate_array(algo.mu, f_max, f_min=f_min, signs=signs)
+            won = any(r.rings_expanded == index for r in results)
+            expected += [
+                ("before", f_max),
+                ("after", f_min, f_max, ring_size(algo.mu, f_max, f_min), len(rows), won),
+            ]
+        assert calls == expected
+        if len(stack) == 1:
+            assert [c[-1] for c in calls if c[0] == "after"] == [False] * last + [True]
+
+    def test_bit_budget_stops_at_the_ring_a_ring_loop_stops_at(self, case):
+        algo, stack = HOOK_CASES[case]()
+        unbudgeted, windows = hooked_search(algo, stack)
+        walked = [f_max for _, f_max in windows[: max(r.rings_expanded for r in unbudgeted) + 1]]
+        for bits in range(walked[0].bit_length() - 1, walked[-1].bit_length() + 1):
+            closed = []
+            control = RunControl(budget=RunBudget(max_bits=bits))
+            hooks = dict(
+                before_ring=control.check_ring,
+                after_ring=lambda ring, won: closed.append(ring.f_max),
+            )
+            wider = [f_max for f_max in walked if f_max.bit_length() > bits]
+            if not wider:
+                assert hooked_search(algo, stack, **hooks)[0] == unbudgeted
+                assert closed == walked
+                continue
+            with pytest.raises(BudgetExceeded, match=f"ring bound {wider[0]} "):
+                hooked_search(algo, stack, **hooks)
+            assert closed == walked[: walked.index(wider[0])]
+
+    def test_stop_while_a_group_is_judged_ends_at_the_next_ring(self, case, monkeypatch):
+        algo, stack = HOOK_CASES[case]()
+        stop, rows = threading.Event(), []
+        real_mask = optimize.batch_dependence_mask
+
+        def mask(pis, deps):
+            rows.append(len(pis))
+            if len(rows) == 3:  # the third group: rings 2, 3, ...
+                stop.set()
+            return real_mask(pis, deps)
+
+        monkeypatch.setattr(optimize, "batch_dependence_mask", mask)
+        closed = []
+        with pytest.raises(RunInterrupted):
+            hooked_search(
+                algo, stack, before_ring=RunControl(stop=stop).check_ring,
+                after_ring=lambda ring, won: closed.append((ring.f_min, ring.f_max, won)),
+            )
+        alpha, initial_bound, max_bound = search_bounds(algo)
+        windows = list(islice(ring_bounds(initial_bound, alpha, max_bound), 3))
+        signs = forced_signs(algo.dependence_vectors(), algo.n)
+        ring_2 = ring_candidate_array(algo.mu, windows[2][1], f_min=windows[2][0], signs=signs)
+        assert rows[2] > len(ring_2)  # the group judged more than ring 2
+        assert closed == [(f_min, f_max, False) for f_min, f_max in windows[:3]]
+
+
+class TestRingGroupBudgetRegression:
+    """A group can reach past the bit budget after the winner's ring:
+    at mu=10 (Example 5.1) and mu=9 (Example 5.2) the winner's ring ends
+    at f 120 / 108 (7 bits), and its group at f 150 / 135 (8 bits)."""
+
+    @pytest.mark.parametrize(
+        "algo,space,group_end",
+        [(matrix_multiplication(10), [[1, 1, -1]], 150),
+         (transitive_closure(9), [[0, 0, 1]], 135)],
+        ids=["example_5_1", "example_5_2"],
+    )
+    def test_seven_bits_still_answer(self, algo, space, group_end):
+        serial = procedure_5_1(algo, space)
+        alpha, initial_bound, max_bound = search_bounds(algo)
+        windows = list(ring_bounds(initial_bound, alpha, max_bound))
+        assert windows[serial.rings_expanded][1].bit_length() == 7
+        groups = _ring_groups(algo.mu, iter(windows))
+        assert group_end in [group[-1][1] for group in groups]
+        budgeted = explore_schedule(algo, space, budget=RunBudget(max_bits=7))
+        assert budgeted == serial
 
 
 class TestScheduleCache:

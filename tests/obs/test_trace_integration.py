@@ -46,8 +46,9 @@ class TestTracedScheduleSearch:
             if r["type"] == "span" and r["name"] in ("core.ring", "dse.ring")
         ]
         rings += [e for e in events if e.get("phase") == "dse.ring"]
-        # Every ring three times: two spans and one progress event.
-        assert len(rings) == 3 * (result.rings_expanded + 1)
+        # One span per ring group on each path (rings 0 | 1 | 2-3) and one
+        # progress event per logical ring.
+        assert len(rings) == 2 * 3 + (result.rings_expanded + 1) == 10
         for ring in rings:
             assert ring["candidates"] == ring_size(
                 matmul4.mu, ring["f_max"], ring["f_min"]
@@ -155,8 +156,8 @@ class TestTracedScheduleSearch:
 class TestTracedJointSearch:
     def test_one_ring_span_per_shared_ring(self, matmul4, tmp_path):
         # Problem 6.2 runs one stacked Procedure 5.1 over its 13 S: one
-        # core.ring span (and one mask) per shared ring, 7 in all, where
-        # a search per S would open 64.
+        # core.ring span (and one mask) per shared group of rings, 5
+        # groups over rings 0-6, where a search per S would open 64 rings.
         singles = [
             procedure_5_1(matmul4, space)
             for space in enumerate_space_mappings(matmul4.n, 1)
@@ -168,7 +169,10 @@ class TestTracedJointSearch:
         spans = [r for r in load_trace(path) if r["type"] == "span"]
         names = [s["name"] for s in spans]
         rings = [s["attrs"] for s in spans if s["name"] == "core.ring"]
-        assert len(rings) == 1 + max(r.rings_expanded for r in singles) == 7
+        assert max(r.rings_expanded for r in singles) == 6
+        assert [(ring["ring"], ring["rings"]) for ring in rings] == [
+            (0, 1), (1, 1), (2, 2), (4, 2), (6, 3)
+        ]
         assert names.count("ring.mask") == len(rings)
         assert names.count("core.procedure_5_1") == 1
         assert rings[0]["spaces_open"] == len(singles) == 13

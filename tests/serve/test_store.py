@@ -2,6 +2,7 @@
 
 import json
 
+from repro.serve.queue import JobManager
 from repro.serve.store import JobRecord, JobStore
 
 
@@ -106,6 +107,17 @@ class TestEvents:
             fh.write('{"event":"state","state":"done"}\n')
         store.append_event("j1", {"event": "later"})
         assert [e["event"] for e in store.read_events("j1")] == ["ok"]
+
+    def test_recovery_trims_the_log_so_later_events_read(self, tmp_path):
+        store = JobStore(tmp_path)
+        store.save(record("j1", state="running"))
+        store.append_event("j1", {"event": "ok"})
+        with open(store.events_path("j1"), "a", encoding="utf-8") as fh:
+            fh.write('{"event":"state","state":"done"}\n')
+        restarted = JobStore(tmp_path)
+        assert JobManager(restarted).recover() == 1
+        restarted.append_event("j1", {"event": "later"})
+        assert [e["event"] for e in restarted.read_events("j1")] == ["ok", "later"]
 
     def test_torn_tail_is_dropped(self, tmp_path):
         store = JobStore(tmp_path)
